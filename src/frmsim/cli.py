@@ -8,6 +8,7 @@ manifests record the invocation time in a field excluded from digests.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -100,13 +101,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log, metrics = run_scenario(cfg)
-    (out_dir / "events.jsonl").write_text(log.to_jsonl())
+    # Encode once; the file, the manifest and the printed line share the
+    # bytes' digest (the same value as ``log.digest()``).
+    log_bytes = log.to_jsonl().encode("utf-8")
+    digest = hashlib.sha256(log_bytes).hexdigest()
+    (out_dir / "events.jsonl").write_bytes(log_bytes)
     (out_dir / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.config_hash(), cfg.seed)
     )
-    _write_manifest(out_dir, cfg, {"events": len(log), "log_digest": log.digest()})
+    _write_manifest(out_dir, cfg, {"events": len(log), "log_digest": digest})
     print(f"wrote {out_dir / 'events.jsonl'} ({len(log)} events)")
-    print(f"log digest: {log.digest()}")
+    print(f"log digest: {digest}")
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Optional
@@ -63,6 +64,13 @@ class ShiftConfig:
     scheduled_breaks: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # The simulator visits minute ticks relative to the shift start and
+        # relies on the start, end and scheduled breaks falling on them.
+        minutes = [self.start_min, self.duration_min]
+        for offset, length in self.scheduled_breaks:
+            minutes += [offset, length]
+        if any(value != int(value) for value in minutes):
+            raise ConfigError("shift times must be whole minutes")
         if not 0 <= self.start_min < 1440:
             raise ConfigError("start_min must be within one day")
         if not 0 < self.duration_min <= 840:
@@ -250,6 +258,25 @@ class ScenarioConfig:
             raise ConfigError(
                 "vigilance requires more raters than k_validation_raters"
             )
+        # The simulator truncates these to whole seconds. The cadences are
+        # moduli of the time into the shift; the delays are offsets from a
+        # time slot already processed, so a zero offset would be lost.
+        for name, seconds in (
+            ("dms.observation_period", self.dms.observation_period),
+            ("vigilance.periodic_cadence_min", self.vigilance.periodic_cadence_min * 60),
+            ("vigilance.reliability_interval_min", self.vigilance.reliability_interval_min * 60),
+            ("pfs.cadence_min", self.pfs.cadence_min * 60),
+            ("behavior.impromptu_check_min", self.behavior.impromptu_check_min * 60),
+            ("sa.issue_delay_s", self.sa.issue_delay_s),
+            ("sa.clear_timeout_s", self.sa.clear_timeout_s),
+            ("breaks.duration_min", self.breaks.duration_min * 60),
+            ("vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
+            ("pfs.followup_due_min", self.pfs.followup_due_min * 60),
+        ):
+            if not (math.isfinite(seconds) and seconds >= 1):
+                raise ConfigError(
+                    f"{name} must be a finite time of at least 1 s, got {seconds:g} s"
+                )
 
     def to_dict(self) -> dict:
         return {

@@ -1,10 +1,21 @@
 """Deterministic fleet-shift simulator.
 
-One scenario is a fixed-step (1 s) event loop over the horizon. All
-randomness flows through a single seeded generator in a fixed iteration
-order, so identical configurations produce byte-identical event logs.
-Idle off-shift periods are bridged with exact exponential jumps, which
-consume no randomness and leave logged behavior unchanged.
+One scenario is a discrete-event loop over the horizon with a 1-second
+time grid. Within a shift the loop visits a second only if something can
+happen in it: a scheduled heap item falls due, it is a minute tick
+relative to the shift start (every cadenced check runs there, and
+scheduled breaks and the shift end fall on minute ticks), or some agent
+needs per-second work. Only the engagement block needs that, while an
+agent drives outside a break (the ICT gap check draws randomness every
+such second) or until a manual-control period ends. Otherwise the loop
+jumps straight to the next such second (next-event time advance), so a
+run costs in proportion to its events and minute ticks, not to its
+simulated seconds. A skipped second would have changed nothing, so the
+log is the same as stepping every second. All randomness flows through a
+single seeded generator in a fixed iteration order, so identical
+configurations produce byte-identical event logs. Idle off-shift periods
+are bridged with exact exponential jumps, which consume no randomness
+and leave logged behavior unchanged.
 
 Also hosts the ablation driver and the session-length hazard
 calibration.
@@ -17,6 +28,7 @@ import heapq
 import io
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,6 +65,9 @@ PEER_MONOTONY = 0.5
 RETRAIN_SHIFTS_OFF = 1
 
 _BREAK_ACTIVITIES = (BreakActivity.REST, BreakActivity.PHYSICAL, BreakActivity.SOCIAL)
+
+# "No later second"; an int keeps the per-second comparisons int-to-int.
+_NEVER = sys.maxsize
 
 _IDLE = FatigueContext(on_task=False)
 _ASLEEP = FatigueContext(on_task=False, asleep=True)
@@ -161,6 +176,9 @@ class ScenarioRunner:
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
         self._heap_seq = 0
+        # Last (second, phase) slot popped; scheduling into it or earlier
+        # would leave the item at the heap head forever.
+        self._popped = (-1, 2)
         self._task_seq = 0
         self._case_seq = 0
         self._flag_seq = 0
@@ -174,10 +192,17 @@ class ScenarioRunner:
     # -- helpers -------------------------------------------------------
 
     def _schedule(self, time: int, phase: int, kind: str, **payload) -> None:
-        heapq.heappush(self._heap, (int(time), phase, self._heap_seq, kind, payload))
+        time = int(time)
+        if (time, phase) <= self._popped:
+            raise RuntimeError(
+                f"{kind!r} scheduled into slot {(time, phase)}, "
+                f"at or before the last popped slot {self._popped}"
+            )
+        heapq.heappush(self._heap, (time, phase, self._heap_seq, kind, payload))
         self._heap_seq += 1
 
     def _pop_due(self, t: int, phase: int) -> list:
+        self._popped = (t, phase)
         due = []
         while self._heap and self._heap[0][0] == t and self._heap[0][1] == phase:
             due.append(heapq.heappop(self._heap))
@@ -260,9 +285,14 @@ class ScenarioRunner:
             for offset, duration in cfg.shift.scheduled_breaks
         }
 
+        # Next-event time advance. Each visited second runs exactly what a
+        # fixed 1 s step would run there; every second skipped would have
+        # done nothing. Scheduled breaks and shift_end are whole minutes
+        # after shift_start, so the minute ticks cover them.
+        heap = self._heap
         loop_end = shift_end + SHIFT_DRAIN_S
         t = shift_start
-        while t <= loop_end:
+        while True:
             for _, _, _, kind, payload in self._pop_due(t, 0):
                 self._handle_item(t, kind, payload)
 
@@ -272,8 +302,11 @@ class ScenarioRunner:
                         self._start_break(
                             agent, t, scheduled_breaks[t], "scheduled", "scheduled"
                         )
+                wake = _NEVER
                 for agent in active:
-                    self._agent_second(agent, t, shift_start)
+                    agent_wake = self._agent_second(agent, t, shift_start)
+                    if agent_wake < wake:
+                        wake = agent_wake
                 if t == shift_end:
                     for agent in active:
                         self._end_shift(agent, t)
@@ -281,9 +314,22 @@ class ScenarioRunner:
             for _, _, _, kind, payload in self._pop_due(t, 2):
                 self._handle_item(t, kind, payload)
 
-            if t > shift_end and not self._heap:
+            if t < shift_end:
+                if wake == t + 1:
+                    t += 1
+                    continue
+                # The next minute tick, or an agent's own wake-up before it.
+                t_next = min(wake, t + 60 - (t - shift_start) % 60)
+            else:
+                t_next = _NEVER  # draining: only heap items remain
+            # A head at or before t is stale (left over from an earlier
+            # shift's drain): it blocks the heap for good, as it would
+            # under a fixed step.
+            if heap and t < heap[0][0] < t_next:
+                t_next = heap[0][0]
+            if t_next > loop_end:
                 break
-            t += 1
+            t = t_next
 
     # -- shift boundaries ---------------------------------------------
 
@@ -334,11 +380,14 @@ class ScenarioRunner:
 
     # -- per-second agent logic -----------------------------------------
 
-    def _agent_second(self, agent: _Agent, t: int, shift_start: int) -> None:
+    def _agent_second(self, agent: _Agent, t: int, shift_start: int) -> float:
+        """Run the agent's work for second ``t``; return the earliest later
+        second at which it has work even if no heap item or minute tick
+        comes first (``_NEVER`` if none)."""
         cfg = self.cfg
         toggles = cfg.toggles
         if not agent.on_shift:
-            return
+            return _NEVER
         in_break = agent.in_break(t)
         driving = agent.driving and not in_break
         manual = agent.manual_until is not None and t < agent.manual_until
@@ -352,13 +401,31 @@ class ScenarioRunner:
         elapsed = t - shift_start
         demand_high = driving and self._demand_high(elapsed)
 
-        if toggles.engagement and driving and not manual:
+        # Only engagement works between minute ticks: the ICT and
+        # transition checks every second the agent drives outside a break
+        # and manual control, and the check for the end of manual control.
+        per_second = toggles.engagement and driving and not manual
+        if per_second:
             self._ict_second(agent, t, demand_high)
             if agent.next_transition is not None and t >= agent.next_transition:
                 self._control_transition(agent, t)
 
         if elapsed % 60 == 0:
             self._agent_minute(agent, t, elapsed, driving)
+
+        if per_second:
+            # A break or manual control begun this second shows at t + 1,
+            # where one spare visit does nothing.
+            return t + 1
+        if not toggles.engagement:
+            return _NEVER
+        if agent.manual_until is not None:
+            return max(t + 1, agent.manual_until)
+        if not agent.driving:
+            return _NEVER
+        if agent.in_break_until is not None:
+            return max(t + 1, agent.in_break_until)
+        return t + 1
 
     def _agent_minute(
         self, agent: _Agent, t: int, elapsed: int, driving: bool

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from frmsim.cli import main
 from frmsim.config import default_config
+from frmsim.events import EventLog
 
 
 @pytest.fixture()
@@ -23,6 +28,71 @@ def test_simulate_writes_outputs_and_exits_zero(config_path, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
     assert len(manifest["config_hash"]) == 64
+
+
+def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, monkeypatch):
+    encodes = []
+    to_jsonl = EventLog.to_jsonl
+
+    def counting(self):
+        encodes.append(1)
+        return to_jsonl(self)
+
+    monkeypatch.setattr(EventLog, "to_jsonl", counting)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert len(encodes) == 1
+    printed = [
+        line.split(": ", 1)[1]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("log digest: ")
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    data = (out / "events.jsonl").read_bytes()
+    file_digest = hashlib.sha256(data).hexdigest()
+    assert printed == [file_digest]
+    assert manifest["log_digest"] == file_digest
+    assert EventLog.from_jsonl(data.decode("utf-8")).digest() == file_digest
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        # Zero cadences: the minute-tick checks would divide by zero.
+        ("vigilance", "periodic_cadence_min", 0),
+        ("vigilance", "reliability_interval_min", 0.005),
+        ("behavior", "impromptu_check_min", 0),
+        ("dms", "observation_period", 0.5),
+        # Zero delays: the item would land in an already-processed slot
+        # and block every later one.
+        ("sa", "issue_delay_s", 0.5),
+        ("breaks", "duration_min", 0),
+    ],
+)
+def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, value):
+    data = json.loads(default_config(seed=3).to_json())
+    data[section][field] = value
+    data["horizon_days"] = 4
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (
+        ["validate-config", "--config", str(path)],
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "run")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frmsim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert f"{section}.{field}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run" / "events.jsonl").exists()
 
 
 def test_missing_config_exits_two_with_path(tmp_path, capsys):

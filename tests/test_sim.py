@@ -7,6 +7,7 @@ from frmsim.config import ConfigError, ScenarioConfig, Toggles, default_config
 from frmsim.events import EventLog, LogParseError
 from frmsim.metrics import compute_metrics
 from frmsim.sim import (
+    ScenarioRunner,
     calibrate_session_length_effect,
     run_ablation,
     run_scenario,
@@ -352,6 +353,79 @@ def test_calibration_requires_countermeasures_off():
         calibrate_session_length_effect(default_config(seed=0))
 
 
+# -- shift loop ---------------------------------------------------------------
+
+
+class _EverySecondRunner(ScenarioRunner):
+    """Reference loop: visits every second of the shift."""
+
+    def _agent_second(self, agent, t, shift_start):
+        super()._agent_second(agent, t, shift_start)
+        return t + 1
+
+
+def _odd_shift_configs():
+    """Off-minute starts, scheduled breaks, frequent control transitions
+    with manual periods that end mid-minute, and breaks that outlast the
+    drain, across mixed toggles."""
+    for seed, toggles, manual_s, break_min in (
+        (0, Toggles.all_on(), 7.5, 15.0),
+        (1, Toggles(vigilance=False), 61.0, 45.0),
+        (2, Toggles(awareness=False, scheduling=False), 1.0, 5.0),
+        (3, Toggles.all_off(), 60.0, 15.0),
+    ):
+        yield cfg_with(
+            seed=seed,
+            horizon_days=3,
+            fleet=[
+                {"specialist_id": f"as-{i}", "susceptibility": 1.0 + 0.2 * i, "dual": i == 1}
+                for i in range(3)
+            ],
+            shift={"start_min": 1333, "duration_min": 300, "scheduled_breaks": [[97, 13]]},
+            toggles=toggles.__dict__,
+            sample_period_s=90,
+            **{
+                "behavior.transition_rate_per_h": 12.0,
+                "behavior.manual_period_s": manual_s,
+                "behavior.demand_start_min": 10.5,
+                "breaks.duration_min": break_min,
+                "vigilance.periodic_cadence_min": 7.25,
+                "sa.issue_delay_s": 1.5,
+            },
+        )
+
+
+def test_next_event_loop_matches_every_second_reference():
+    for cfg in _odd_shift_configs():
+        fast = ScenarioRunner(cfg).run()[0]
+        reference = _EverySecondRunner(cfg).run()[0]
+        assert fast.digest() == reference.digest()
+
+
+def test_engagement_off_visits_only_minute_ticks_and_items(monkeypatch):
+    visits = []
+    original = ScenarioRunner._agent_second
+
+    def counting(self, agent, t, shift_start):
+        visits.append(t)
+        return original(self, agent, t, shift_start)
+
+    monkeypatch.setattr(ScenarioRunner, "_agent_second", counting)
+    cfg = default_config(seed=0).with_overrides(toggles=Toggles(engagement=False))
+    run_scenario(cfg)
+    minute_ticks = cfg.shift.duration_min + 1
+    assert minute_ticks <= len(visits) < 2 * minute_ticks
+
+
+def test_schedule_into_a_popped_slot_raises():
+    runner = ScenarioRunner(default_config(seed=0))
+    runner._pop_due(100, 0)
+    runner._schedule(100, 2, "break_end", specialist="as-0")
+    for slot in ((100, 0), (99, 2)):
+        with pytest.raises(RuntimeError, match="popped slot"):
+            runner._schedule(*slot, "break_end", specialist="as-0")
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -367,6 +441,25 @@ def test_config_rejects_duplicate_ids():
     data["fleet"] = data["fleet"] * 2
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        # Each of these truncates to a zero-second delay or cadence.
+        {"sa.issue_delay_s": 0.5},
+        {"breaks.duration_min": 0},
+        {"vigilance.post_confirm_break_min": 0.01},
+        {"pfs.followup_due_min": 0.01},
+        {"sa.clear_timeout_s": 0.5},
+        {"pfs.cadence_min": 0.001},
+        {"sa.issue_delay_s": float("inf")},
+        {"shift": {"start_min": 1320.5, "duration_min": 480, "scheduled_breaks": []}},
+    ],
+)
+def test_config_rejects_settings_the_loop_cannot_honour(override):
+    with pytest.raises(ConfigError):
+        cfg_with(**override)
 
 
 def test_config_rejects_unknown_fields():
