@@ -28,7 +28,6 @@ import heapq
 import io
 import math
 import random
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,9 +64,6 @@ PEER_MONOTONY = 0.5
 RETRAIN_SHIFTS_OFF = 1
 
 _BREAK_ACTIVITIES = (BreakActivity.REST, BreakActivity.PHYSICAL, BreakActivity.SOCIAL)
-
-# "No later second"; an int keeps the per-second comparisons int-to-int.
-_NEVER = sys.maxsize
 
 _IDLE = FatigueContext(on_task=False)
 _ASLEEP = FatigueContext(on_task=False, asleep=True)
@@ -176,8 +172,9 @@ class ScenarioRunner:
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
         self._heap_seq = 0
-        # Last (second, phase) slot popped; scheduling into it or earlier
-        # would leave the item at the heap head forever.
+        # Last (second, phase) slot the shift loop has processed;
+        # scheduling into it or earlier would leave the item at the heap
+        # head forever.
         self._popped = (-1, 2)
         self._task_seq = 0
         self._case_seq = 0
@@ -202,7 +199,6 @@ class ScenarioRunner:
         self._heap_seq += 1
 
     def _pop_due(self, t: int, phase: int) -> list:
-        self._popped = (t, phase)
         due = []
         while self._heap and self._heap[0][0] == t and self._heap[0][1] == phase:
             due.append(heapq.heappop(self._heap))
@@ -293,8 +289,12 @@ class ScenarioRunner:
         loop_end = shift_end + SHIFT_DRAIN_S
         t = shift_start
         while True:
-            for _, _, _, kind, payload in self._pop_due(t, 0):
-                self._handle_item(t, kind, payload)
+            # Agents may schedule at t even if no item fell due, so the
+            # slot is marked either way.
+            self._popped = (t, 0)
+            if heap and heap[0][0] == t:
+                for _, _, _, kind, payload in self._pop_due(t, 0):
+                    self._handle_item(t, kind, payload)
 
             if t <= shift_end:
                 if t in scheduled_breaks:
@@ -302,26 +302,34 @@ class ScenarioRunner:
                         self._start_break(
                             agent, t, scheduled_breaks[t], "scheduled", "scheduled"
                         )
-                wake = _NEVER
+                busy = False
                 for agent in active:
-                    agent_wake = self._agent_second(agent, t, shift_start)
-                    if agent_wake < wake:
-                        wake = agent_wake
+                    if self._agent_second(agent, t, shift_start):
+                        busy = True
                 if t == shift_end:
                     for agent in active:
                         self._end_shift(agent, t)
 
-            for _, _, _, kind, payload in self._pop_due(t, 2):
-                self._handle_item(t, kind, payload)
+            if heap and heap[0][0] == t:
+                self._popped = (t, 2)
+                for _, _, _, kind, payload in self._pop_due(t, 2):
+                    self._handle_item(t, kind, payload)
 
             if t < shift_end:
-                if wake == t + 1:
+                if busy:
                     t += 1
                     continue
-                # The next minute tick, or an agent's own wake-up before it.
-                t_next = min(wake, t + 60 - (t - shift_start) % 60)
+                t_next = t + 60 - (t - shift_start) % 60
+                if cfg.toggles.engagement:
+                    # Driving seconds resume where a break ends. Its end
+                    # item marks that second, unless a stale head (below)
+                    # holds the item back.
+                    for agent in active:
+                        until = agent.in_break_until
+                        if agent.driving and until is not None and t < until < t_next:
+                            t_next = until
             else:
-                t_next = _NEVER  # draining: only heap items remain
+                t_next = loop_end + 1  # draining: only heap items remain
             # A head at or before t is stale (left over from an earlier
             # shift's drain): it blocks the heap for good, as it would
             # under a fixed step.
@@ -380,14 +388,14 @@ class ScenarioRunner:
 
     # -- per-second agent logic -----------------------------------------
 
-    def _agent_second(self, agent: _Agent, t: int, shift_start: int) -> float:
-        """Run the agent's work for second ``t``; return the earliest later
-        second at which it has work even if no heap item or minute tick
-        comes first (``_NEVER`` if none)."""
+    def _agent_second(self, agent: _Agent, t: int, shift_start: int) -> bool:
+        """Run the agent's work for second ``t``. Returns whether second
+        ``t + 1`` needs a visit for this agent even if no heap item or
+        minute tick falls there."""
         cfg = self.cfg
         toggles = cfg.toggles
         if not agent.on_shift:
-            return _NEVER
+            return False
         in_break = agent.in_break(t)
         driving = agent.driving and not in_break
         manual = agent.manual_until is not None and t < agent.manual_until
@@ -413,19 +421,9 @@ class ScenarioRunner:
         if elapsed % 60 == 0:
             self._agent_minute(agent, t, elapsed, driving)
 
-        if per_second:
-            # A break or manual control begun this second shows at t + 1,
-            # where one spare visit does nothing.
-            return t + 1
-        if not toggles.engagement:
-            return _NEVER
-        if agent.manual_until is not None:
-            return max(t + 1, agent.manual_until)
-        if not agent.driving:
-            return _NEVER
-        if agent.in_break_until is not None:
-            return max(t + 1, agent.in_break_until)
-        return t + 1
+        # A break begun this second shows at t + 1, where one spare visit
+        # does nothing.
+        return per_second or agent.manual_until is not None
 
     def _agent_minute(
         self, agent: _Agent, t: int, elapsed: int, driving: bool
