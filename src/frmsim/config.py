@@ -352,11 +352,11 @@ class ScenarioConfig:
                 toggles=_build(Toggles, data["toggles"]),
                 sample_period_s=int(data.get("sample_period_s", 60)),
             )
+            cfg.validate()
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed configuration: {exc}") from exc
-        cfg.validate()
         return cfg
 
     def to_json(self) -> str:

@@ -8,7 +8,6 @@ why. Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -75,4 +74,3 @@ def test_log_digest_matches_golden(name, golden):
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
-    sys.exit(0)

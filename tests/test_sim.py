@@ -473,7 +473,8 @@ def test_config_rejects_duplicate_ids():
     "override",
     [
         # Delays and cadences that truncate to zero seconds, a delay that
-        # is not finite, and a shift start off the minute grid.
+        # is not finite, a cadence that is not a number, and a shift start
+        # off the minute grid.
         {"sa.issue_delay_s": 0.5},
         {"breaks.duration_min": 0},
         {"vigilance.post_confirm_break_min": 0.01},
@@ -481,6 +482,7 @@ def test_config_rejects_duplicate_ids():
         {"sa.clear_timeout_s": 0.5},
         {"pfs.cadence_min": 0.001},
         {"sa.issue_delay_s": float("inf")},
+        {"vigilance.periodic_cadence_min": "30"},
         {"shift": {"start_min": 1320.5, "duration_min": 480, "scheduled_breaks": []}},
     ],
 )
