@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import dataclasses
+
 from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
@@ -41,6 +43,37 @@ def dual_fleet_config(seed: int):
     )
 
 
+def escalation_config(seed: int):
+    """Three highly susceptible specialists rated by raters who read high,
+    so both escalation routes reach every outcome (route two through
+    vehicle retrieval) and secondary alerts both clear and time out."""
+    base = default_config(seed=seed)
+    fleet = tuple(
+        SpecialistDef(
+            specialist_id=f"as-{i}",
+            susceptibility=3.0 + 0.5 * i,
+            initial_sleep_pressure=0.5,
+            dual=i % 2 == 0,
+        )
+        for i in range(3)
+    )
+    cfg = dataclasses.replace(
+        base,
+        horizon_days=3,
+        fleet=fleet,
+        vigilance=dataclasses.replace(
+            base.vigilance,
+            qualification_match_threshold=0.5,
+            periodic_cadence_min=10.0,
+        ),
+        raters=tuple(
+            dataclasses.replace(r, bias=0.45, noise_sd=0.15) for r in base.raters
+        ),
+    )
+    cfg.validate()
+    return cfg
+
+
 def matrix() -> dict:
     """Case name -> scenario config."""
     toggle_sets = {"all_on": Toggles.all_on(), "all_off": Toggles.all_off()}
@@ -50,6 +83,7 @@ def matrix() -> dict:
         for seed in SEEDS:
             cases[f"default/{name}/seed{seed}"] = default_config(seed=seed, toggles=toggles)
     cases["dual_fleet5/all_on/seed5"] = dual_fleet_config(seed=5)
+    cases["escalation3/all_on/seed0"] = escalation_config(seed=0)
     return cases
 
 
