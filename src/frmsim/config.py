@@ -17,6 +17,7 @@ from .scheduling import BreakPolicy, Stage
 from .vigilance import DmsConfig, RaterProfile
 
 __all__ = [
+    "SHIFT_DRAIN_S",
     "BehaviorConfig",
     "ConfigError",
     "ConfigParseError",
@@ -32,6 +33,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# After a shift ends, the simulator runs this long to let scheduled items
+# (break ends, secondary alerts, validation ratings, survey follow-ups)
+# fall due; validation keeps every delay within it.
+SHIFT_DRAIN_S = 1800
 
 
 class ConfigError(ValueError):
@@ -254,6 +260,9 @@ class ScenarioConfig:
         rater_ids = [r.rater_id for r in self.raters]
         if len(set(rater_ids)) != len(rater_ids):
             raise ConfigError("duplicate rater ids")
+        path = _non_finite_path(self.to_dict())
+        if path is not None:
+            raise ConfigError(f"{path} must be finite")
         if self.toggles.vigilance and len(self.raters) <= self.vigilance.k_validation_raters:
             raise ConfigError(
                 "vigilance requires more raters than k_validation_raters"
@@ -276,6 +285,19 @@ class ScenarioConfig:
             if not (math.isfinite(seconds) and seconds >= 1):
                 raise ConfigError(
                     f"{name} must be a finite time of at least 1 s, got {seconds:g} s"
+                )
+        # An item scheduled by the end of a shift must fall due within the
+        # drain that follows it.
+        for name, seconds in (
+            ("sa.issue_delay_s + sa.clear_timeout_s", self.sa.issue_delay_s + self.sa.clear_timeout_s),
+            ("vigilance.rating_latency_s", self.vigilance.rating_latency_s),
+            ("breaks.duration_min", self.breaks.duration_min * 60),
+            ("vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
+            ("pfs.followup_due_min + 1 min", self.pfs.followup_due_min * 60 + 60),
+        ):
+            if seconds > SHIFT_DRAIN_S:
+                raise ConfigError(
+                    f"{name} must be at most {SHIFT_DRAIN_S} s, got {seconds:g} s"
                 )
 
     def to_dict(self) -> dict:
@@ -355,7 +377,7 @@ class ScenarioConfig:
             cfg.validate()
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed configuration: {exc}") from exc
         return cfg
 
@@ -385,6 +407,24 @@ class ScenarioConfig:
         if toggles is not None:
             data["toggles"] = _plain_dict(toggles)
         return ScenarioConfig.from_dict(data)
+
+
+def _non_finite_path(node: Any) -> Optional[str]:
+    """Dotted path of the first number in a plain document that is not
+    finite, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else ""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_path(value)
+        if found is not None:
+            return f"{key}.{found}" if found else str(key)
+    return None
 
 
 def _plain_dict(obj: Any) -> dict:

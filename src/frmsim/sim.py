@@ -11,11 +11,20 @@ such second) or until a manual-control period ends. Otherwise the loop
 jumps straight to the next such second (next-event time advance), so a
 run costs in proportion to its events and minute ticks, not to its
 simulated seconds. A skipped second would have changed nothing, so the
-log is the same as stepping every second. All randomness flows through a
+log is the same as stepping every second. After the shift ends the loop
+runs ``SHIFT_DRAIN_S`` more seconds for the scheduled items still due;
+configuration validation keeps every scheduling delay within that
+drain, so each shift leaves an empty heap. All randomness flows through a
 single seeded generator in a fixed iteration order, so identical
 configurations produce byte-identical event logs. Idle off-shift periods
 are bridged with exact exponential jumps, which consume no randomness
 and leave logged behavior unchanged.
+
+The protocols themselves live in the block modules; the runner draws
+their inputs, schedules and logs. An escalation is opened with
+``vigilance.open_case``, carried on the heap across the rating latency,
+and resolved with ``vigilance.resolve_case``; a secondary alert's outcome
+is decided by ``engagement.sa_resolve`` when it is issued.
 
 Also hosts the ablation driver and the session-length hazard
 calibration.
@@ -35,9 +44,10 @@ from . import awareness as aw
 from . import engagement as eng
 from . import scheduling as sched
 from . import vigilance as vig
-from .config import ConfigError, HazardConfig, ScenarioConfig, Toggles
+from .config import SHIFT_DRAIN_S, ConfigError, HazardConfig, ScenarioConfig, Toggles
 from .events import EventLog
 from .fatigue import (
+    AlertnessState,
     BreakActivity,
     FatigueContext,
     ModelParams,
@@ -57,10 +67,8 @@ __all__ = [
     "session_length_stats",
 ]
 
-SHIFT_DRAIN_S = 1800
 INVITED_CHECK_S = 300
 SIGNAL_RECENCY_S = 1800
-PEER_MONOTONY = 0.5
 RETRAIN_SHIFTS_OFF = 1
 
 _BREAK_ACTIVITIES = (BreakActivity.REST, BreakActivity.PHYSICAL, BreakActivity.SOCIAL)
@@ -117,10 +125,6 @@ class _Agent:
         self.lifecycle = sched.SpecialistLifecycle(stage=spec.stage)
         self.shifts_until_return = 0
         self.pfs_seq = 0
-        # Dual configuration adds a peer with their own fatigue dynamics.
-        self.peer_pressure = spec.initial_sleep_pressure if spec.dual else 0.0
-        self.peer_phase = 0.0
-        self.peer_task_load = 0.0
 
     # -- lazy fatigue integration ------------------------------------
 
@@ -144,9 +148,7 @@ class _Agent:
         self.advance_to(t)
         return compose_alertness(self.pressure, self.phase, self.task_load, self.params)
 
-    def state(self, t: int):
-        from .fatigue import AlertnessState
-
+    def state(self, t: int) -> AlertnessState:
         self.advance_to(t)
         return AlertnessState.from_components(
             self.pressure, self.phase, self.task_load, self.params
@@ -169,6 +171,7 @@ class ScenarioRunner:
         self.rng = random.Random(cfg.seed)
         self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
+        self._agent_by_id = {agent.spec.specialist_id: agent for agent in self.agents}
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
         self._heap_seq = 0
@@ -204,9 +207,6 @@ class ScenarioRunner:
             due.append(heapq.heappop(self._heap))
         return due
 
-    def _toggles(self) -> Toggles:
-        return self.cfg.toggles
-
     # -- top-level run ---------------------------------------------------
 
     def run(self) -> tuple[EventLog, Metrics]:
@@ -230,16 +230,10 @@ class ScenarioRunner:
                 agent.set_ctx(sleep_start, _ASLEEP)
             if agent.comp_time < sleep_end:
                 agent.advance_to(sleep_end)
-                if self._toggles().education:
+                if self.cfg.toggles.education:
                     # Sleep-hygiene training buys a fuller overnight recovery.
                     agent.pressure *= 1.0 - self.cfg.behavior.education_recovery_bonus
                 agent.ctx = _IDLE
-            if agent.spec.dual and agent.comp_time <= sleep_end:
-                # Peer follows the same rest pattern.
-                span_h = (sleep_end - sleep_start) / 3600.0
-                agent.peer_pressure *= math.exp(
-                    -span_h / agent.params.homeostat_decay_tau
-                )
             agent.advance_to(shift_start)
 
     # -- shift loop -------------------------------------------------------
@@ -320,24 +314,19 @@ class ScenarioRunner:
                     t += 1
                     continue
                 t_next = t + 60 - (t - shift_start) % 60
-                if cfg.toggles.engagement:
-                    # Driving seconds resume where a break ends. Its end
-                    # item marks that second, unless a stale head (below)
-                    # holds the item back.
-                    for agent in active:
-                        until = agent.in_break_until
-                        if agent.driving and until is not None and t < until < t_next:
-                            t_next = until
             else:
                 t_next = loop_end + 1  # draining: only heap items remain
-            # A head at or before t is stale (left over from an earlier
-            # shift's drain): it blocks the heap for good, as it would
-            # under a fixed step.
-            if heap and t < heap[0][0] < t_next:
+            # Every item left is due after t; a break's end is one of them.
+            if heap and heap[0][0] < t_next:
                 t_next = heap[0][0]
             if t_next > loop_end:
                 break
             t = t_next
+        if heap:
+            # Validation bounds every delay by the drain.
+            raise RuntimeError(
+                f"{len(heap)} items outlast the drain after the shift ending at {shift_end}"
+            )
 
     # -- shift boundaries ---------------------------------------------
 
@@ -679,13 +668,19 @@ class ScenarioRunner:
                 input_latency = self.rng.uniform(1.0, cfg.sa.clear_timeout_s * 0.8)
             else:
                 input_latency = None
+            outcome = eng.sa_resolve(decision, input_latency, cfg.sa)
+            if outcome is eng.SaResolution.CLEARED:
+                resolve_delay_s = max(1, int(input_latency))
+            else:
+                resolve_delay_s = int(cfg.sa.clear_timeout_s)
             self._schedule(
                 t + int(decision.delay_s or 0),
                 0,
                 "sa_issue",
                 specialist=who,
                 sa_id=sa_id,
-                input_latency=input_latency,
+                outcome=outcome,
+                resolve_delay_s=resolve_delay_s,
             )
         self._draw_transition(agent, t)
 
@@ -718,15 +713,54 @@ class ScenarioRunner:
                 "too few raters passed qualification for validation coverage"
             )
 
-    def _next_task(self, feed: vig.Feed, k: int) -> vig.RatingTask:
-        task = vig.assign_rating_tasks(
-            self._qualified_pool, [feed], k, self.rng, first_task_index=self._task_seq
-        )[0]
-        self._task_seq += 1
-        self.log.append(
-            int(feed.window_end), "rating_task", feed.specialist_id, **task.to_record()
+    def _log_task(self, t: int, task: vig.RatingTask) -> None:
+        self.log.append(t, "rating_task", task.specialist_id, **task.to_record())
+
+    def _open_case(
+        self,
+        t: int,
+        route: vig.Route,
+        feed: vig.Feed,
+        true_ord: int,
+        trigger_rating: Optional[vig.OrdRating] = None,
+    ) -> int:
+        """Open a case, log it, and schedule its validation for the second
+        the validators' ratings arrive, which it returns."""
+        cfg = self.cfg
+        case = vig.open_case(
+            route,
+            feed,
+            self._qualified_pool,
+            cfg.vigilance.k_validation_raters,
+            true_ord,
+            self.rng,
+            case_id=f"case-{self._case_seq}",
+            first_task_index=self._task_seq,
+            trigger_rating=trigger_rating,
+            high_threshold=cfg.vigilance.route_two_threshold,
+            detect_threshold=cfg.dms.detect_threshold_ord,
         )
-        return task
+        self._case_seq += 1
+        self._task_seq += 1
+        who = case.specialist_id
+        opened = {"case_id": case.case_id, "route": route.value, "trigger": case.trigger}
+        if route is vig.Route.ROUTE_ONE:
+            self._log_task(t, case.task)
+            self.log.append(t, "escalation_opened", who, **opened)
+        else:
+            self.log.append(t, "escalation_opened", who, **opened)
+            # Immediate supervisor action, before any validation rating.
+            self.log.append(
+                t,
+                "supervisor_action",
+                who,
+                case_id=case.case_id,
+                action=vig.SupervisorAction.CHECK_IN.value,
+            )
+            self._log_task(t, case.task)
+        resolve_at = t + int(cfg.vigilance.rating_latency_s)
+        self._schedule(resolve_at, 2, "escalation_validate", specialist=who, case=case)
+        return resolve_at
 
     def _dms_observation(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
@@ -754,90 +788,32 @@ class ScenarioRunner:
             )
         agent.advance_to(t)
         agent.task_load *= 1.0 - cfg.behavior.alert_relief
-        case_id = f"case-{self._case_seq}"
-        self._case_seq += 1
         feed = vig.Feed(who, t - cfg.dms.observation_period, t, escalated=True)
-        task = self._next_task(feed, cfg.vigilance.k_validation_raters)
-        self.log.append(
-            t,
-            "escalation_opened",
-            who,
-            case_id=case_id,
-            route=vig.Route.ROUTE_ONE.value,
-            trigger="dms_flag",
-        )
-        resolve_at = t + int(cfg.vigilance.rating_latency_s)
-        self._schedule(
-            resolve_at,
-            2,
-            "escalation_validate",
-            specialist=who,
-            case_id=case_id,
-            route=vig.Route.ROUTE_ONE.value,
-            trigger="dms_flag",
-            task_id=task.task_id,
-            rater_ids=list(task.assigned_rater_ids),
-            true_ord=true_ord,
-            threshold=cfg.dms.detect_threshold_ord,
-        )
+        resolve_at = self._open_case(t, vig.Route.ROUTE_ONE, feed, true_ord)
         agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)
 
     def _periodic_rating(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
         true_ord = to_ord_truth(agent.state(t))
-        feed = vig.Feed(who, t - cfg.vigilance.periodic_cadence_min * 60, t)
-        task = self._next_task(feed, cfg.vigilance.k_validation_raters)
+        window_start = t - cfg.vigilance.periodic_cadence_min * 60
+        task = vig.assign_rating_tasks(
+            self._qualified_pool,
+            [vig.Feed(who, window_start, t)],
+            cfg.vigilance.k_validation_raters,
+            self.rng,
+            first_task_index=self._task_seq,
+        )[0]
+        self._task_seq += 1
+        self._log_task(t, task)
         rater = next(
             r for r in self._qualified_pool if r.rater_id == task.assigned_rater_ids[0]
         )
         rating = vig.rate(rater, task, true_ord, self.rng)
         self._log_rating(t, who, rating)
         if rating.level >= cfg.vigilance.route_two_threshold:
-            case_id = f"case-{self._case_seq}"
-            self._case_seq += 1
-            self.log.append(
-                t,
-                "escalation_opened",
-                who,
-                case_id=case_id,
-                route=vig.Route.ROUTE_TWO.value,
-                trigger="single_high_rating",
-            )
-            # Immediate supervisor action, before any validation rating.
-            self.log.append(
-                t,
-                "supervisor_action",
-                who,
-                case_id=case_id,
-                action=vig.SupervisorAction.CHECK_IN.value,
-            )
-            validators = [
-                r for r in self._qualified_pool if r.rater_id != rating.rater_id
-            ]
-            vfeed = vig.Feed(who, feed.window_start, t, escalated=True)
-            vtask = vig.assign_rating_tasks(
-                validators,
-                [vfeed],
-                cfg.vigilance.k_validation_raters,
-                self.rng,
-                first_task_index=self._task_seq,
-            )[0]
-            self._task_seq += 1
-            self.log.append(t, "rating_task", who, **vtask.to_record())
-            self._schedule(
-                t + int(cfg.vigilance.rating_latency_s),
-                2,
-                "escalation_validate",
-                specialist=who,
-                case_id=case_id,
-                route=vig.Route.ROUTE_TWO.value,
-                trigger="single_high_rating",
-                task_id=vtask.task_id,
-                rater_ids=list(vtask.assigned_rater_ids),
-                true_ord=true_ord,
-                threshold=cfg.vigilance.route_two_threshold,
-            )
+            feed = vig.Feed(who, window_start, t, escalated=True)
+            self._open_case(t, vig.Route.ROUTE_TWO, feed, true_ord, rating)
 
     def _log_rating(self, t: int, who: str, rating: vig.OrdRating) -> None:
         self.log.append(
@@ -852,57 +828,34 @@ class ScenarioRunner:
         )
         self._validation_ratings.append(rating)
 
-    def _resolve_escalation(self, t: int, payload: dict) -> None:
-        cfg = self.cfg
-        who = payload["specialist"]
-        agent = next(a for a in self.agents if a.spec.specialist_id == who)
-        by_id = {r.rater_id: r for r in self._qualified_pool}
-        task = vig.RatingTask(
-            task_id=payload["task_id"],
-            specialist_id=who,
-            window_start=0.0,
-            window_end=float(t),
-            assigned_rater_ids=tuple(payload["rater_ids"]),
-        )
-        ratings = []
-        for rater_id in payload["rater_ids"]:
-            rating = vig.rate(by_id[rater_id], task, payload["true_ord"], self.rng)
+    def _resolve_escalation(
+        self, t: int, agent: _Agent, case: vig.EscalationCase
+    ) -> None:
+        who = case.specialist_id
+        outcome = vig.resolve_case(case, self._qualified_pool, self.rng)
+        for rating in outcome.validation_ratings:
             self._log_rating(t, who, rating)
-            ratings.append(rating)
-        level = vig.aggregate(ratings)
-        confirmed = level >= payload["threshold"]
-        route = payload["route"]
-        if route == vig.Route.ROUTE_TWO.value:
-            action = vig.SupervisorAction.CHECK_IN
-            if confirmed and level >= 5:
-                action = vig.SupervisorAction.RETRIEVE_VEHICLE
-        else:
-            action = None
-            if confirmed:
-                action = (
-                    vig.SupervisorAction.RETRIEVE_VEHICLE
-                    if level >= 5
-                    else vig.SupervisorAction.INVITE_BREAK
-                )
+        level = outcome.validated_level
+        action = outcome.supervisor_action
         self.log.append(
             t,
             "escalation_resolved",
             who,
-            case_id=payload["case_id"],
-            route=route,
-            trigger=payload["trigger"],
+            case_id=case.case_id,
+            route=case.route.value,
+            trigger=case.trigger,
             validated_level=level,
-            resolution="confirmed" if confirmed else "not_confirmed",
+            resolution=outcome.resolution.value,
             supervisor_action=None if action is None else action.value,
         )
-        if not confirmed:
+        if outcome.resolution is not vig.Resolution.CONFIRMED:
             return
         agent.last_confirmed = (t, level)
         self._record_fatigue_event(
             agent, t, "severe" if level >= 5 else "moderate", "escalation"
         )
         if level >= 5:
-            self.log.append(t, "vehicle_retrieved", who, case_id=payload["case_id"])
+            self.log.append(t, "vehicle_retrieved", who, case_id=case.case_id)
             if agent.ict.pending is not None:
                 self._void_pending_prompt(agent, t)
             self._end_session(agent, t, "vehicle_retrieved")
@@ -912,7 +865,7 @@ class ScenarioRunner:
             self._start_break(
                 agent,
                 t,
-                cfg.vigilance.post_confirm_break_min,
+                self.cfg.vigilance.post_confirm_break_min,
                 "supervisor",
                 "confirmed_escalation",
             )
@@ -1026,16 +979,9 @@ class ScenarioRunner:
                 agent.pending_followup_for = None
 
     def _peer_checks(self, agent: _Agent, t: int) -> None:
-        # Peer fatigue advances but grants no detection benefit; a peer
-        # may raise a concern ticket with small probability.
+        # A peer grants no detection benefit; once an hour they may raise
+        # a concern ticket with small probability.
         b = self.cfg.behavior
-        span_h = 1.0
-        agent.peer_pressure = 1.0 - (1.0 - agent.peer_pressure) * math.exp(
-            -span_h / agent.params.homeostat_rise_tau
-        )
-        agent.peer_task_load = 1.0 - (1.0 - agent.peer_task_load) * math.exp(
-            -agent.params.task_load_rate * PEER_MONOTONY * span_h
-        )
         if to_ord_truth(agent.state(t)) >= 4 and self.rng.random() < b.peer_concern_p_per_h:
             channel = (
                 aw.ConcernChannel.SUPERVISOR_DIRECT
@@ -1198,8 +1144,8 @@ class ScenarioRunner:
         )
         self._schedule(until, 0, "break_end", specialist=agent.spec.specialist_id)
 
-    def _handle_break_end(self, t: int, who: str) -> None:
-        agent = next(a for a in self.agents if a.spec.specialist_id == who)
+    def _handle_break_end(self, t: int, agent: _Agent) -> None:
+        who = agent.spec.specialist_id
         agent.in_break_until = None
         self.log.append(t, "break_end", who)
         if not agent.on_shift or not agent.driving:
@@ -1247,10 +1193,9 @@ class ScenarioRunner:
     # -- scheduled item dispatch ------------------------------------------
 
     def _handle_item(self, t: int, kind: str, payload: dict) -> None:
+        who = payload["specialist"]
+        agent = self._agent_by_id[who]
         if kind == "break_start":
-            agent = next(
-                a for a in self.agents if a.spec.specialist_id == payload["specialist"]
-            )
             self._start_break(
                 agent,
                 t,
@@ -1259,55 +1204,39 @@ class ScenarioRunner:
                 payload["reason"],
             )
         elif kind == "break_end":
-            self._handle_break_end(t, payload["specialist"])
+            self._handle_break_end(t, agent)
         elif kind == "pfs_followup":
-            agent = next(
-                a for a in self.agents if a.spec.specialist_id == payload["specialist"]
-            )
             if agent.pending_followup_for is not None:
                 self._submit_pfs(agent, t, is_followup=True)
         elif kind == "pfs_regular":
-            agent = next(
-                a for a in self.agents if a.spec.specialist_id == payload["specialist"]
-            )
             if agent.on_shift and agent.driving:
                 self._submit_pfs(agent, t, is_followup=False)
         elif kind == "pfs_reminder":
-            who = payload["specialist"]
-            agent = next(a for a in self.agents if a.spec.specialist_id == who)
             if agent.pending_followup_for is not None:
                 self.log.append(
                     t, "pfs_reminder", who, pending=agent.pending_followup_for
                 )
                 self._schedule(t + 60, 0, "pfs_followup", specialist=who)
         elif kind == "sa_issue":
-            who = payload["specialist"]
             self.log.append(t, "sa_issued", who, sa_id=payload["sa_id"])
-            latency = payload["input_latency"]
-            if latency is not None and latency <= self.cfg.sa.clear_timeout_s:
-                resolve_at = t + max(1, int(latency))
-                outcome = eng.SaResolution.CLEARED.value
-            else:
-                resolve_at = t + int(self.cfg.sa.clear_timeout_s)
-                outcome = eng.SaResolution.SUPPORT_ALERTED.value
             self._schedule(
-                resolve_at,
+                t + payload["resolve_delay_s"],
                 0,
                 "sa_resolve",
                 specialist=who,
                 sa_id=payload["sa_id"],
-                outcome=outcome,
+                outcome=payload["outcome"],
             )
         elif kind == "sa_resolve":
             self.log.append(
                 t,
                 "sa_resolved",
-                payload["specialist"],
+                who,
                 sa_id=payload["sa_id"],
-                outcome=payload["outcome"],
+                outcome=payload["outcome"].value,
             )
         elif kind == "escalation_validate":
-            self._resolve_escalation(t, payload)
+            self._resolve_escalation(t, agent, payload["case"])
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown scheduled item kind {kind!r}")
 

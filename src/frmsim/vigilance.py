@@ -6,6 +6,11 @@ remote human raters, the two escalation routes, safety-conservative
 aggregation of ordinal ratings, rater qualification, and inter-rater
 reliability.
 
+An escalation is two pure steps: ``open_case`` assigns the validators
+and ``resolve_case`` rates the case and decides the supervisor's
+follow-up. The simulator runs them a rating latency apart, carrying the
+open ``EscalationCase`` in between.
+
 Rating tasks deliberately carry no field that reveals whether they were
 escalated or drawn by routine periodic sampling; blinding is structural.
 """
@@ -20,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "AlertEvent",
+    "CaseOutcome",
     "DmsConfig",
     "DmsFlag",
     "DROWSINESS_INDICATORS",
@@ -42,10 +48,10 @@ __all__ = [
     "inter_rater_reliability",
     "issue_multimodal_alert",
     "linear_weighted_kappa",
+    "open_case",
     "qualify_rater",
     "rate",
-    "run_route_one",
-    "run_route_two",
+    "resolve_case",
 ]
 
 ALERT_MODALITIES = ("tone", "vibration", "light")
@@ -219,14 +225,23 @@ class RaterProfile:
 
 @dataclass(frozen=True)
 class EscalationCase:
+    """An open escalation, waiting for its validators' ratings."""
+
     case_id: str
     route: Route
     trigger: str
     specialist_id: str
+    task: RatingTask
+    true_ord: int
+    threshold: int
+
+
+@dataclass(frozen=True)
+class CaseOutcome:
     validation_ratings: tuple[OrdRating, ...]
     validated_level: int
     resolution: Resolution
-    supervisor_action: Optional[SupervisorAction] = None
+    supervisor_action: Optional[SupervisorAction]
 
 
 def dms_observe(
@@ -356,108 +371,78 @@ def aggregate(ratings: Sequence[OrdRating]) -> int:
     return levels[len(levels) // 2]
 
 
-def _post_validation_action(
-    resolution: Resolution, validated_level: int
-) -> Optional[SupervisorAction]:
-    if resolution is not Resolution.CONFIRMED:
-        return None
-    if validated_level >= 5:
-        return SupervisorAction.RETRIEVE_VEHICLE
-    return SupervisorAction.INVITE_BREAK
-
-
-def _validate(
-    pool: Sequence[RaterProfile],
+def open_case(
+    route: Route,
     feed: Feed,
+    pool: Sequence[RaterProfile],
     k: int,
     true_ord: int,
     rng: random.Random,
+    *,
+    case_id: str,
     first_task_index: int,
-) -> tuple[RatingTask, tuple[OrdRating, ...]]:
-    task = assign_rating_tasks(
-        pool, [feed], k, rng, first_task_index=first_task_index
-    )[0]
-    by_id = {r.rater_id: r for r in pool}
-    ratings = tuple(
-        rate(by_id[rater_id], task, true_ord, rng)
-        for rater_id in task.assigned_rater_ids
-    )
-    return task, ratings
-
-
-def run_route_one(
-    flag: DmsFlag,
-    pool: Sequence[RaterProfile],
-    k: int,
-    true_ord: int,
-    cfg: DmsConfig,
-    rng: random.Random,
-    *,
-    issued_flag_ids: set[str],
-    case_id: str = "case-0",
-    first_task_index: int = 0,
-) -> tuple[AlertEvent, EscalationCase]:
-    """Detector-triggered escalation: alert the specialist first, then
-    validate the flag with k independent blinded ratings."""
-    alert = issue_multimodal_alert(flag, issued_flag_ids)
-    feed = Feed(flag.specialist_id, flag.time - cfg.observation_period, flag.time, True)
-    _, ratings = _validate(pool, feed, k, true_ord, rng, first_task_index)
-    level = aggregate(ratings)
-    resolution = (
-        Resolution.CONFIRMED
-        if level >= cfg.detect_threshold_ord
-        else Resolution.NOT_CONFIRMED
-    )
-    case = EscalationCase(
-        case_id=case_id,
-        route=Route.ROUTE_ONE,
-        trigger="dms_flag",
-        specialist_id=flag.specialist_id,
-        validation_ratings=ratings,
-        validated_level=level,
-        resolution=resolution,
-        supervisor_action=_post_validation_action(resolution, level),
-    )
-    return alert, case
-
-
-def run_route_two(
-    single_rating: OrdRating,
-    pool: Sequence[RaterProfile],
-    k: int,
-    true_ord: int,
-    rng: random.Random,
-    *,
-    specialist_id: str,
-    window: tuple[float, float],
-    high_threshold: int = 4,
-    case_id: str = "case-0",
-    first_task_index: int = 0,
+    trigger_rating: Optional[OrdRating] = None,
+    high_threshold: int,
+    detect_threshold: int,
 ) -> EscalationCase:
-    """Escalation from a single high periodic rating: the supervisor
-    checks in immediately, then k additional raters validate."""
-    if single_rating.level < high_threshold:
-        raise ValueError(
-            f"rating level {single_rating.level} below high threshold {high_threshold}"
-        )
-    validators = [r for r in pool if r.rater_id != single_rating.rater_id]
-    feed = Feed(specialist_id, window[0], window[1], True)
-    _, ratings = _validate(validators, feed, k, true_ord, rng, first_task_index)
-    level = aggregate(ratings)
-    resolution = (
-        Resolution.CONFIRMED if level >= high_threshold else Resolution.NOT_CONFIRMED
-    )
-    action = SupervisorAction.CHECK_IN
-    if resolution is Resolution.CONFIRMED and level >= 5:
-        action = SupervisorAction.RETRIEVE_VEHICLE
+    """Open an escalation: assign the escalated ``feed`` to k blinded
+    validators.
+
+    Route one follows a detector flag and is confirmed at
+    ``detect_threshold``. Route two follows a single periodic rating of at
+    least ``high_threshold`` (the supervisor checks in at once), is
+    confirmed at that threshold, and leaves out the trigger rating's rater.
+    """
+    if not feed.escalated:
+        raise ValueError("validation needs an escalated feed")
+    if route is Route.ROUTE_ONE:
+        trigger, threshold, validators = "dms_flag", detect_threshold, pool
+    else:
+        if trigger_rating is None or trigger_rating.level < high_threshold:
+            raise ValueError(
+                f"route two needs a trigger rating of at least {high_threshold}"
+            )
+        trigger, threshold = "single_high_rating", high_threshold
+        validators = [r for r in pool if r.rater_id != trigger_rating.rater_id]
+    task = assign_rating_tasks(
+        validators, [feed], k, rng, first_task_index=first_task_index
+    )[0]
     return EscalationCase(
         case_id=case_id,
-        route=Route.ROUTE_TWO,
-        trigger="single_high_rating",
-        specialist_id=specialist_id,
+        route=route,
+        trigger=trigger,
+        specialist_id=feed.specialist_id,
+        task=task,
+        true_ord=true_ord,
+        threshold=threshold,
+    )
+
+
+def resolve_case(
+    case: EscalationCase, pool: Sequence[RaterProfile], rng: random.Random
+) -> CaseOutcome:
+    """Rate an open case with its validators and decide the supervisor's
+    follow-up: retrieve the vehicle at a confirmed level 5; otherwise
+    invite a break on a confirmed route-one case. Route two keeps the
+    check-in it opened with."""
+    by_id = {r.rater_id: r for r in pool}
+    ratings = tuple(
+        rate(by_id[rater_id], case.task, case.true_ord, rng)
+        for rater_id in case.task.assigned_rater_ids
+    )
+    level = aggregate(ratings)
+    confirmed = level >= case.threshold
+    action = None
+    if confirmed and level >= 5:
+        action = SupervisorAction.RETRIEVE_VEHICLE
+    elif case.route is Route.ROUTE_TWO:
+        action = SupervisorAction.CHECK_IN
+    elif confirmed:
+        action = SupervisorAction.INVITE_BREAK
+    return CaseOutcome(
         validation_ratings=ratings,
         validated_level=level,
-        resolution=resolution,
+        resolution=Resolution.CONFIRMED if confirmed else Resolution.NOT_CONFIRMED,
         supervisor_action=action,
     )
 

@@ -55,24 +55,7 @@ def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, 
     assert EventLog.from_jsonl(data.decode("utf-8")).digest() == file_digest
 
 
-@pytest.mark.parametrize(
-    "section, field, value",
-    [
-        # Zero cadences: the minute-tick checks would divide by zero.
-        ("vigilance", "periodic_cadence_min", 0),
-        ("vigilance", "reliability_interval_min", 0.005),
-        ("behavior", "impromptu_check_min", 0),
-        ("dms", "observation_period", 0.5),
-        # Zero delays: the item would land in an already-processed slot
-        # and block every later one.
-        ("sa", "issue_delay_s", 0.5),
-        ("breaks", "duration_min", 0),
-    ],
-)
-def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, value):
-    data = json.loads(default_config(seed=3).to_json())
-    data[section][field] = value
-    data["horizon_days"] = 4
+def _assert_validate_and_simulate_exit_one(tmp_path, data, setting):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     env = dict(os.environ)
@@ -90,9 +73,46 @@ def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, val
             timeout=60,
         )
         assert proc.returncode == 1, proc.stderr
-        assert f"{section}.{field}" in proc.stderr
+        assert setting in proc.stderr
         assert "Traceback" not in proc.stderr
     assert not (tmp_path / "run" / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        # Zero cadences: the minute-tick checks would divide by zero.
+        ("vigilance", "periodic_cadence_min", 0),
+        ("vigilance", "reliability_interval_min", 0.005),
+        ("behavior", "impromptu_check_min", 0),
+        ("dms", "observation_period", 0.5),
+        # Zero delays: the item would land in an already-processed slot
+        # and block every later one.
+        ("sa", "issue_delay_s", 0.5),
+        ("breaks", "duration_min", 0),
+        # Not finite (JSON Infinity and NaN): int() of them would fail.
+        ("behavior", "manual_period_s", float("inf")),
+        ("vigilance", "flag_cooldown_min", float("inf")),
+        ("vigilance", "rating_latency_s", float("nan")),
+    ],
+)
+def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, value):
+    data = json.loads(default_config(seed=3).to_json())
+    data[section][field] = value
+    data["horizon_days"] = 4
+    _assert_validate_and_simulate_exit_one(tmp_path, data, f"{section}.{field}")
+
+
+def test_secondary_alert_outlasting_the_drain_exits_one(tmp_path):
+    # Before the drain bound, this left items on the heap that blocked
+    # every later item: 52 escalations opened and 7 resolved.
+    data = json.loads(default_config(seed=0).to_json())
+    data["sa"]["issue_delay_s"] = data["sa"]["clear_timeout_s"] = 1790
+    data["behavior"]["transition_rate_per_h"] = 20.0
+    data["horizon_days"] = 4
+    _assert_validate_and_simulate_exit_one(
+        tmp_path, data, "sa.issue_delay_s + sa.clear_timeout_s"
+    )
 
 
 def test_missing_config_exits_two_with_path(tmp_path, capsys):

@@ -368,14 +368,14 @@ class _EverySecondRunner(ScenarioRunner):
 def _odd_shift_configs():
     """Off-minute starts, scheduled breaks, frequent control transitions
     with manual periods that end mid-minute, and breaks and secondary
-    alerts that outlast the drain (their items are left on the heap and
-    block it in the next shift), across mixed toggles."""
+    alerts as long as the drain allows (their items fall due after the
+    shift ends), across mixed toggles."""
     for seed, toggles, manual_s, break_min, sa_s in (
         (0, Toggles.all_on(), 7.5, 15.0, 1.5),
-        (1, Toggles(vigilance=False), 61.0, 45.0, 1.5),
+        (1, Toggles(vigilance=False), 61.0, 30.0, 1.5),
         (2, Toggles(awareness=False, scheduling=False), 1.0, 5.0, 1.5),
         (3, Toggles.all_off(), 60.0, 15.0, 1.5),
-        (4, Toggles.all_on(), 60.0, 15.0, 1790.0),
+        (4, Toggles.all_on(), 60.0, 15.0, 900.0),
     ):
         yield cfg_with(
             seed=seed,
@@ -397,15 +397,15 @@ def _odd_shift_configs():
                 "sa.clear_timeout_s": sa_s,
             },
         )
-    # One specialist, so no other driver keeps the loop stepping: once the
-    # heap is blocked, a 7.5-minute break never logs its end, but driving
-    # resumes between minute ticks when it runs out.
+    # One specialist, so no other driver keeps the loop stepping: a
+    # 7.5-minute break ends between minute ticks, and its end item alone
+    # wakes the loop there.
     yield cfg_with(
         seed=0,
         horizon_days=4,
         **{
-            "sa.issue_delay_s": 1790.0,
-            "sa.clear_timeout_s": 1790.0,
+            "sa.issue_delay_s": 900.0,
+            "sa.clear_timeout_s": 900.0,
             "behavior.transition_rate_per_h": 20.0,
             "breaks.duration_min": 7.5,
             "behavior.impromptu_check_min": 5.0,
@@ -452,6 +452,19 @@ def test_zero_delay_item_raises_instead_of_blocking_the_heap(monkeypatch, sectio
         run_scenario(bad)
 
 
+def test_item_outlasting_the_drain_raises(monkeypatch):
+    # Validation rejects this; bypass it to reach the loop's own guard.
+    cfg = default_config(seed=0, horizon_days=4)
+    bad = dataclasses.replace(
+        cfg,
+        sa=dataclasses.replace(cfg.sa, issue_delay_s=1790.0, clear_timeout_s=1790.0),
+        behavior=dataclasses.replace(cfg.behavior, transition_rate_per_h=20.0),
+    )
+    monkeypatch.setattr(ScenarioConfig, "validate", lambda self: None)
+    with pytest.raises(RuntimeError, match="outlast the drain"):
+        run_scenario(bad)
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -484,6 +497,18 @@ def test_config_rejects_duplicate_ids():
         {"sa.issue_delay_s": float("inf")},
         {"vigilance.periodic_cadence_min": "30"},
         {"shift": {"start_min": 1320.5, "duration_min": 480, "scheduled_breaks": []}},
+        # Items that would fall due after the drain that follows a shift.
+        {"sa.issue_delay_s": 1790.0, "sa.clear_timeout_s": 1790.0},
+        {"vigilance.rating_latency_s": 1801.0},
+        {"breaks.duration_min": 31.0},
+        {"vigilance.post_confirm_break_min": 30.5},
+        {"pfs.followup_due_min": 29.5},
+        # Settings that are not finite, outside the whole-second checks.
+        {"behavior.manual_period_s": float("inf")},
+        {"vigilance.flag_cooldown_min": float("inf")},
+        {"vigilance.rating_latency_s": float("nan")},
+        {"raters": [{"rater_id": f"r{i}", "bias": float("nan") if i else 0.0} for i in range(6)]},
+        {"horizon_days": float("inf")},
     ],
 )
 def test_config_rejects_settings_the_loop_cannot_honour(override):

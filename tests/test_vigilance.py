@@ -24,10 +24,10 @@ from frmsim.vigilance import (
     inter_rater_reliability,
     issue_multimodal_alert,
     linear_weighted_kappa,
+    open_case,
     qualify_rater,
     rate,
-    run_route_one,
-    run_route_two,
+    resolve_case,
 )
 
 
@@ -224,60 +224,97 @@ def test_multi_rater_aggregate_beats_single_rater():
 # -- escalation routes -------------------------------------------------------
 
 
+def run_route_one(flag, pool, true_ord, rng, issued_flag_ids):
+    """Alert on the flag, then validate it with three raters."""
+    alert = issue_multimodal_alert(flag, issued_flag_ids)
+    feed = Feed(flag.specialist_id, flag.time - 60.0, flag.time, escalated=True)
+    case = open_case(
+        Route.ROUTE_ONE, feed, pool, 3, true_ord, rng,
+        case_id="case-0", first_task_index=0, high_threshold=4, detect_threshold=4,
+    )
+    return alert, case, resolve_case(case, pool, rng)
+
+
+def run_route_two(trigger, pool, true_ord, rng, high_threshold):
+    feed = Feed("as-0", 0.0, 60.0, escalated=True)
+    case = open_case(
+        Route.ROUTE_TWO, feed, pool, 3, true_ord, rng,
+        case_id="case-0", first_task_index=0, trigger_rating=trigger,
+        high_threshold=high_threshold, detect_threshold=4,
+    )
+    return case, resolve_case(case, pool, rng)
+
+
 def test_route_one_confirms_true_fatigue():
     rng = random.Random(14)
     issued = set()
     flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
-    alert, case = run_route_one(
-        flag, make_pool(5), 3, 4, DmsConfig(), rng, issued_flag_ids=issued
-    )
+    alert, case, outcome = run_route_one(flag, make_pool(5), 4, rng, issued)
     assert alert.flag_id == "f0"
     assert case.route is Route.ROUTE_ONE
-    assert case.resolution is Resolution.CONFIRMED
-    assert case.validated_level == 4
-    assert case.supervisor_action is SupervisorAction.INVITE_BREAK
-    assert len(case.validation_ratings) == 3
+    assert outcome.resolution is Resolution.CONFIRMED
+    assert outcome.validated_level == 4
+    assert outcome.supervisor_action is SupervisorAction.INVITE_BREAK
+    assert len(outcome.validation_ratings) == 3
 
 
 def test_route_one_rejects_false_positive():
     rng = random.Random(15)
     flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
-    _, case = run_route_one(
-        flag, make_pool(5), 3, 1, DmsConfig(), rng, issued_flag_ids=set()
-    )
-    assert case.resolution is Resolution.NOT_CONFIRMED
-    assert case.supervisor_action is None
+    _, _, outcome = run_route_one(flag, make_pool(5), 1, rng, set())
+    assert outcome.resolution is Resolution.NOT_CONFIRMED
+    assert outcome.supervisor_action is None
+
+
+def test_route_one_confirmed_level_five_requests_vehicle_retrieval():
+    rng = random.Random(19)
+    flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
+    _, _, outcome = run_route_one(flag, make_pool(5), 5, rng, set())
+    assert outcome.resolution is Resolution.CONFIRMED
+    assert outcome.validated_level == 5
+    assert outcome.supervisor_action is SupervisorAction.RETRIEVE_VEHICLE
 
 
 def test_route_two_checks_in_and_validates():
     rng = random.Random(16)
     trigger = OrdRating(rater_id="r9", task_id="t9", level=4, indicators=frozenset())
-    case = run_route_two(
-        trigger, make_pool(5), 3, 4, rng, specialist_id="as-0", window=(0, 60)
-    )
+    case, outcome = run_route_two(trigger, make_pool(5), 4, rng, 4)
     assert case.route is Route.ROUTE_TWO
-    assert case.supervisor_action is SupervisorAction.CHECK_IN
-    assert len(case.validation_ratings) == 3
-    assert all(r.rater_id != "r9" for r in case.validation_ratings)
+    assert outcome.supervisor_action is SupervisorAction.CHECK_IN
+    assert len(outcome.validation_ratings) == 3
+    assert all(r.rater_id != "r9" for r in outcome.validation_ratings)
+
+
+def test_route_two_leaves_out_the_trigger_rater():
+    rng = random.Random(20)
+    trigger = OrdRating(rater_id="r0", task_id="t9", level=4, indicators=frozenset())
+    for _ in range(20):
+        case, _ = run_route_two(trigger, make_pool(4), 4, rng, 4)
+        assert sorted(case.task.assigned_rater_ids) == ["r1", "r2", "r3"]
+
+
+def test_open_case_needs_an_escalated_feed():
+    with pytest.raises(ValueError):
+        open_case(
+            Route.ROUTE_ONE, Feed("as-0", 0.0, 60.0), make_pool(5), 3, 4,
+            random.Random(21), case_id="case-0", first_task_index=0,
+            high_threshold=4, detect_threshold=4,
+        )
 
 
 def test_route_two_rejects_low_rating():
     rng = random.Random(17)
     trigger = OrdRating(rater_id="r9", task_id="t9", level=2, indicators=frozenset())
     with pytest.raises(ValueError):
-        run_route_two(
-            trigger, make_pool(5), 3, 2, rng, specialist_id="as-0", window=(0, 60)
-        )
+        run_route_two(trigger, make_pool(5), 2, rng, 4)
 
 
 def test_confirmed_level_five_requests_vehicle_retrieval():
     rng = random.Random(18)
     trigger = OrdRating(rater_id="r9", task_id="t9", level=5, indicators=frozenset())
-    case = run_route_two(
-        trigger, make_pool(5), 3, 5, rng, specialist_id="as-0", window=(0, 60)
-    )
-    assert case.resolution is Resolution.CONFIRMED
-    assert case.supervisor_action is SupervisorAction.RETRIEVE_VEHICLE
+    _, outcome = run_route_two(trigger, make_pool(5), 5, rng, 4)
+    assert outcome.resolution is Resolution.CONFIRMED
+    assert outcome.supervisor_action is SupervisorAction.RETRIEVE_VEHICLE
 
 
 # -- reliability -------------------------------------------------------------
