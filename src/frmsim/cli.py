@@ -100,7 +100,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = cfg.with_overrides(toggles=_parse_toggle_spec(args.toggles))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log, metrics = run_scenario(cfg)
+    stats: dict = {}
+    log, metrics = run_scenario(cfg, stats=stats)
     # Encode once; the file, the manifest and the printed line share the
     # bytes' digest (the same value as ``log.digest()``).
     log_bytes = log.to_jsonl().encode("utf-8")
@@ -109,7 +110,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     (out_dir / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.config_hash(), cfg.seed)
     )
-    _write_manifest(out_dir, cfg, {"events": len(log), "log_digest": digest})
+    _write_manifest(
+        out_dir, cfg, {"events": len(log), "log_digest": digest, "stats": stats}
+    )
     print(f"wrote {out_dir / 'events.jsonl'} ({len(log)} events)")
     print(f"log digest: {digest}")
     return EXIT_OK

@@ -193,6 +193,8 @@ class BehaviorConfig:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
+        if self.speed_mps < 0:
+            raise ConfigError("speed_mps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -276,6 +278,7 @@ class ScenarioConfig:
             ("vigilance.reliability_interval_min", self.vigilance.reliability_interval_min * 60),
             ("pfs.cadence_min", self.pfs.cadence_min * 60),
             ("behavior.impromptu_check_min", self.behavior.impromptu_check_min * 60),
+            ("behavior.demand_period_min", self.behavior.demand_period_min * 60),
             ("sa.issue_delay_s", self.sa.issue_delay_s),
             ("sa.clear_timeout_s", self.sa.clear_timeout_s),
             ("breaks.duration_min", self.breaks.duration_min * 60),

@@ -6,10 +6,21 @@ interactivity gap in time or distance, must be answered before a
 deadline, a first miss triggers an immediate follow-up prompt, and a
 missed follow-up triggers an intervention. Prompts are voided without
 penalty whenever driving demand is high.
+
+Every interaction starts a new gap and draws that gap's jitter once
+(``record_interactivity``). The vehicle keeps a constant speed, so the
+second at which the gap's prompt falls due has a closed form
+(``ict_due``): the simulator computes it when the gap starts, or when an
+input to it changes, and schedules the prompt as one event instead of
+checking the gap every second. ``DemandPattern`` gives the recurring
+high-demand windows in the same closed form, so a prompt is moved past
+a window it would fall in, and a pending prompt is voided at the first
+second of the next one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -17,6 +28,7 @@ from enum import Enum
 from typing import Optional
 
 __all__ = [
+    "DemandPattern",
     "EngagementConfig",
     "IctOutcome",
     "IctPrompt",
@@ -32,7 +44,8 @@ __all__ = [
     "SaResolution",
     "TransitionCause",
     "ict_adapt",
-    "ict_tick",
+    "ict_due",
+    "ict_issue",
     "ict_resolve",
     "record_interactivity",
     "sa_evaluate",
@@ -124,6 +137,8 @@ class IctSchedulerState:
     frequency_multiplier: float = 1.0
     interventions_this_shift: int = 0
     prompt_seq: int = 0
+    # Threshold multiplier of the current gap, drawn once when it starts.
+    jitter: float = 1.0
 
     def __post_init__(self) -> None:
         if self.frequency_multiplier <= 0:
@@ -134,9 +149,12 @@ def record_interactivity(
     state: IctSchedulerState,
     now: float,
     odometer: float,
+    rng: random.Random,
+    cfg: EngagementConfig,
     demand_high: bool = False,
 ) -> Optional[IctRecord]:
-    """Register specialist/vehicle interaction, resetting gap baselines.
+    """Register specialist/vehicle interaction: a new gap starts, with
+    its baselines reset and its jitter drawn from ``rng``.
 
     A pending prompt survives ordinary interaction (only its own response
     completes it) but is voided when driving demand is high. Returns the
@@ -152,6 +170,9 @@ def record_interactivity(
         )
     state.last_interactivity_time = now
     state.last_interactivity_odometer = odometer
+    state.jitter = 1.0
+    if cfg.jitter > 0:
+        state.jitter = rng.uniform(1.0 - cfg.jitter, 1.0 + cfg.jitter)
     if state.pending is not None and demand_high:
         record = IctRecord(
             prompt_id=state.pending.prompt_id,
@@ -165,35 +186,117 @@ def record_interactivity(
     return None
 
 
-def ict_tick(
+@dataclass(frozen=True)
+class DemandPattern:
+    """Windows of high driving demand that recur every ``period_s``
+    seconds from ``origin``: demand is high at a whole second ``t`` while
+    ``start_s <= (t - origin) % period_s < end_s``."""
+
+    period_s: int
+    start_s: int
+    end_s: int
+    origin: int = 0
+
+    @classmethod
+    def from_minutes(
+        cls, period_min: float, start_min: float, duration_min: float, origin: int = 0
+    ) -> "DemandPattern":
+        """The whole seconds a window given in minutes covers. The period
+        is truncated to whole seconds and must keep at least one."""
+        period_s = int(period_min * 60)
+        if period_s < 1:
+            raise ValueError("the demand period must be at least 1 s")
+        start_s = min(period_s, max(0, math.ceil(start_min * 60)))
+        end_s = min(period_s, max(start_s, math.ceil((start_min + duration_min) * 60)))
+        return cls(period_s, start_s, end_s, origin)
+
+    def high(self, t: int) -> bool:
+        return self.start_s <= (t - self.origin) % self.period_s < self.end_s
+
+    def next_quiet(self, t: int) -> Optional[int]:
+        """The first second from ``t`` at which demand is not high, or
+        None if it always is."""
+        phase = (t - self.origin) % self.period_s
+        if not self.start_s <= phase < self.end_s:
+            return t
+        if self.start_s == 0 and self.end_s == self.period_s:
+            return None
+        return t - phase + self.end_s
+
+    def next_high(self, t: int) -> Optional[int]:
+        """The first second from ``t`` at which demand is high, or None if
+        it never is."""
+        if self.start_s == self.end_s:
+            return None
+        phase = (t - self.origin) % self.period_s
+        if phase < self.start_s:
+            return t + self.start_s - phase
+        if phase < self.end_s:
+            return t
+        return t - phase + self.period_s + self.start_s
+
+
+def ict_due(
     state: IctSchedulerState,
     now: float,
     odometer: float,
-    demand_high: bool,
-    rng: random.Random,
+    speed_mps: float,
     cfg: EngagementConfig,
-) -> Optional[IctPrompt]:
-    """Issue a prompt when the interactivity gap crosses its jittered
-    threshold; never while one is pending or demand is high."""
-    if state.pending is not None or demand_high:
+    demand: Optional[DemandPattern] = None,
+) -> Optional[tuple[float, IctTrigger]]:
+    """When the current gap issues its prompt, driving on from ``now``
+    (at ``odometer``) at a constant ``speed_mps``.
+
+    Each gap threshold is the configured gap times the frequency
+    multiplier times the gap's jitter. The prompt falls due at the first
+    whole second from ``now`` at which the time or the distance gap
+    reaches its threshold (the time gap wins a tie), moved past any
+    window of ``demand``. Returns ``(time, trigger)``, or None while a
+    prompt is pending or if demand never falls.
+    """
+    if state.pending is not None:
         return None
-    time_gap = now - state.last_interactivity_time
-    distance_gap = odometer - state.last_interactivity_odometer
-    jitter = 1.0
-    if cfg.jitter > 0:
-        jitter = rng.uniform(1.0 - cfg.jitter, 1.0 + cfg.jitter)
-    scale = state.frequency_multiplier * jitter
-    if time_gap >= cfg.gap_time_s * scale:
-        trigger = IctTrigger.GAP_TIME
-    elif distance_gap >= cfg.gap_distance_m * scale:
-        trigger = IctTrigger.GAP_DISTANCE
-    else:
-        return None
+    scale = state.frequency_multiplier * state.jitter
+    wait = math.ceil(state.last_interactivity_time + cfg.gap_time_s * scale - now)
+    trigger = IctTrigger.GAP_TIME
+    distance_left = (
+        state.last_interactivity_odometer + cfg.gap_distance_m * scale - odometer
+    )
+    if distance_left <= 0 or speed_mps > 0:
+        distance_wait = math.ceil(distance_left / speed_mps) if distance_left > 0 else 0
+        if distance_wait < wait:
+            wait, trigger = distance_wait, IctTrigger.GAP_DISTANCE
+    due = now + max(0, wait)
+    if demand is not None:
+        due = demand.next_quiet(due)
+        if due is None:
+            return None
+    return due, trigger
+
+
+def ict_issue(
+    state: IctSchedulerState, now: float, trigger: IctTrigger, cfg: EngagementConfig
+) -> IctPrompt:
+    """Issue the gap prompt that ``ict_due`` scheduled."""
+    if state.pending is not None:
+        raise ValueError("a prompt is already pending")
+    return _new_prompt(state, now, trigger, cfg)
+
+
+def _new_prompt(
+    state: IctSchedulerState,
+    now: float,
+    trigger: IctTrigger,
+    cfg: EngagementConfig,
+    followup_of: Optional[str] = None,
+) -> IctPrompt:
     prompt = IctPrompt(
         prompt_id=f"{state.specialist_id}-ict-{state.prompt_seq}",
         issued_at=now,
         deadline=now + cfg.response_deadline_s,
         trigger=trigger,
+        is_followup=followup_of is not None,
+        followup_of=followup_of,
     )
     state.prompt_seq += 1
     state.pending = prompt
@@ -256,16 +359,9 @@ def ict_resolve(
     )
     state.recent_outcomes.append(record)
     if not pending.is_followup:
-        followup = IctPrompt(
-            prompt_id=f"{state.specialist_id}-ict-{state.prompt_seq}",
-            issued_at=now,
-            deadline=now + cfg.response_deadline_s,
-            trigger=IctTrigger.FOLLOWUP,
-            is_followup=True,
-            followup_of=pending.prompt_id,
+        followup = _new_prompt(
+            state, now, IctTrigger.FOLLOWUP, cfg, followup_of=pending.prompt_id
         )
-        state.prompt_seq += 1
-        state.pending = followup
         return IctResolution(record=record, followup=followup)
     state.pending = None
     state.interventions_this_shift += 1

@@ -1,24 +1,35 @@
 """Deterministic fleet-shift simulator.
 
-One scenario is a discrete-event loop over the horizon with a 1-second
-time grid. Within a shift the loop visits a second only if something can
-happen in it: a scheduled heap item falls due, it is a minute tick
-relative to the shift start (every cadenced check runs there, and
-scheduled breaks and the shift end fall on minute ticks), or some agent
-needs per-second work. Only the engagement block needs that, while an
-agent drives outside a break (the ICT gap check draws randomness every
-such second) or until a manual-control period ends. Otherwise the loop
-jumps straight to the next such second (next-event time advance), so a
-run costs in proportion to its events and minute ticks, not to its
-simulated seconds. A skipped second would have changed nothing, so the
-log is the same as stepping every second. After the shift ends the loop
-runs ``SHIFT_DRAIN_S`` more seconds for the scheduled items still due;
-configuration validation keeps every scheduling delay within that
-drain, so each shift leaves an empty heap. All randomness flows through a
-single seeded generator in a fixed iteration order, so identical
-configurations produce byte-identical event logs. Idle off-shift periods
-are bridged with exact exponential jumps, which consume no randomness
-and leave logged behavior unchanged.
+One scenario is a discrete-event loop over the horizon on a 1-second
+time grid. Within a shift the loop visits only two kinds of second: the
+minute ticks counted from the shift start, where every cadenced check
+runs (scheduled breaks and the shift end fall on minute ticks too), and
+the seconds at which a scheduled heap item falls due. It jumps straight
+from one to the next (next-event time advance), so a run costs in
+proportion to its events and minute ticks, not to its simulated seconds.
+
+Engagement work is scheduled like everything else. A driving specialist
+has at most one live ICT item (the gap prompt, or the planned response,
+the deadline or the demand-window voiding of the pending prompt) and one
+live control item (the next control transition or the end of manual
+control). Their due times have closed forms (see ``engagement``). When
+an input changes (an interaction, a frequency adaptation, a break,
+manual control), the item is computed afresh, and the agent's generation
+token for that item marks the one it supersedes, which the loop drops
+when it falls due. No engagement item is scheduled at or after the shift end, which
+voids any pending prompt. After the shift ends the loop runs
+``SHIFT_DRAIN_S`` more seconds for the items still due; configuration
+validation keeps every scheduling delay within that drain, so each shift
+leaves an empty heap.
+
+Randomness comes from independent substreams, one per purpose (hazard,
+ict, raters, breaks, sa) per specialist plus one fleet stream for rater
+qualification, each seeded from ``sha256`` of (seed, purpose, id).
+Toggling a block or adding a specialist leaves every other stream's
+draws unchanged, which gives paired runs common random numbers, and
+identical configurations produce byte-identical event logs. Idle
+off-shift periods are bridged with exact exponential jumps, which
+consume no randomness.
 
 The protocols themselves live in the block modules; the runner draws
 their inputs, schedules and logs. An escalation is opened with
@@ -33,10 +44,13 @@ calibration.
 from __future__ import annotations
 
 import csv
+import hashlib
 import heapq
 import io
+import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,12 +107,30 @@ def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
     )
 
 
+def _substream(seed: int, purpose: str, ident: str) -> random.Random:
+    """The generator for one purpose of one specialist (or of the fleet),
+    seeded from sha256 of (seed, purpose, id)."""
+    key = json.dumps([seed, purpose, ident]).encode("utf-8")
+    return random.Random(int.from_bytes(hashlib.sha256(key).digest(), "big"))
+
+
 class _Agent:
     """Mutable per-specialist runtime state."""
 
     def __init__(self, cfg: ScenarioConfig, spec) -> None:
         self.spec = spec
         self.params = _scaled_params(cfg.model, spec.susceptibility)
+        who = spec.specialist_id
+        # hazard: incautious-behavior draws. ict: ICT responses and the
+        # break after an intervention. raters: detector observations and
+        # every rating and validation draw. breaks: self-reports, break
+        # compliance and activities, invited and impromptu breaks, peer
+        # concerns. sa: control transitions and secondary alerts.
+        self.rng_hazard = _substream(cfg.seed, "hazard", who)
+        self.rng_ict = _substream(cfg.seed, "ict", who)
+        self.rng_raters = _substream(cfg.seed, "raters", who)
+        self.rng_breaks = _substream(cfg.seed, "breaks", who)
+        self.rng_sa = _substream(cfg.seed, "sa", who)
         self.pressure = spec.initial_sleep_pressure
         self.phase = 0.0
         self.task_load = 0.0
@@ -109,13 +141,18 @@ class _Agent:
         self.in_break_until: Optional[int] = None
         self.session_start: Optional[int] = None
         self.session_had_incautious = False
+        self.speed = cfg.behavior.speed_mps
+        # Distance up to moving_since; the vehicle moves from then on.
         self.odometer = 0.0
-        self.odometer_t = 0
-        self.ict = eng.IctSchedulerState(specialist_id=spec.specialist_id)
+        self.moving_since: Optional[int] = None
+        self.ict = eng.IctSchedulerState(specialist_id=who)
         self.planned_response: Optional[float] = None
         self.outcomes_since_adapt = 0
         self.next_transition: Optional[int] = None
         self.manual_until: Optional[int] = None
+        # Generation tokens of the live ICT and control items.
+        self.ict_gen = 0
+        self.control_gen = 0
         self.pending_followup_for: Optional[str] = None
         self.last_kss: Optional[tuple[int, int]] = None  # (time, value)
         self.last_confirmed: Optional[tuple[int, int]] = None  # (time, level)
@@ -154,31 +191,49 @@ class _Agent:
             self.pressure, self.phase, self.task_load, self.params
         )
 
-    def current_odometer(self, t: int, speed: float) -> float:
-        if self.driving and not self.in_break(t):
-            self.odometer += speed * (t - self.odometer_t)
-        self.odometer_t = t
-        return self.odometer
+    def current_odometer(self, t: int) -> float:
+        if self.moving_since is None:
+            return self.odometer
+        return self.odometer + self.speed * (t - self.moving_since)
+
+    def set_moving(self, t: int, moving: bool) -> None:
+        """The vehicle starts or stops at ``t``: it moves while the
+        specialist drives outside a break."""
+        self.odometer = self.current_odometer(t)
+        self.moving_since = t if moving else None
 
     def in_break(self, t: int) -> bool:
         return self.in_break_until is not None and t < self.in_break_until
 
 
 class ScenarioRunner:
+    # Longest jump between visits while the shift runs and no item is
+    # due. Every cadenced check fires on minute ticks, so a stride that
+    # divides 60 visits more seconds and changes nothing.
+    _STRIDE_S = 60
+
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.rng = random.Random(cfg.seed)
         self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
         self._agent_by_id = {agent.spec.specialist_id: agent for agent in self.agents}
+        self._rng_qualification = _substream(cfg.seed, "qualification", "fleet")
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
         self._heap_seq = 0
+        self._heap_high_water = 0
+        self._stale_dropped = 0
+        self._visits = 0
+        self._shifts_run = 0
+        self._shifts_skipped = 0
         # Last (second, phase) slot the shift loop has processed;
         # scheduling into it or earlier would leave the item at the heap
         # head forever.
         self._popped = (-1, 2)
+        # The running shift's end and demand windows.
+        self._shift_end = 0
+        self._demand: Optional[eng.DemandPattern] = None
         self._task_seq = 0
         self._case_seq = 0
         self._flag_seq = 0
@@ -200,6 +255,8 @@ class ScenarioRunner:
             )
         heapq.heappush(self._heap, (time, phase, self._heap_seq, kind, payload))
         self._heap_seq += 1
+        if len(self._heap) > self._heap_high_water:
+            self._heap_high_water = len(self._heap)
 
     def _pop_due(self, t: int, phase: int) -> list:
         due = []
@@ -207,16 +264,37 @@ class ScenarioRunner:
             due.append(heapq.heappop(self._heap))
         return due
 
+    def stats(self) -> dict:
+        """What the run did and what it cost the loop: events per record
+        type, heap items scheduled, the heap's high-water mark, superseded
+        items dropped, seconds visited, and shifts run and skipped."""
+        return {
+            "events_by_type": dict(sorted(Counter(e.type for e in self.log).items())),
+            "heap_items": self._heap_seq,
+            "heap_high_water": self._heap_high_water,
+            "stale_items_dropped": self._stale_dropped,
+            "seconds_visited": self._visits,
+            "shifts_run": self._shifts_run,
+            "shifts_skipped": self._shifts_skipped,
+        }
+
     # -- top-level run ---------------------------------------------------
 
     def run(self) -> tuple[EventLog, Metrics]:
+        """Run one shift a day. A day's shift runs only if it ends, with
+        the ``SHIFT_DRAIN_S`` drain after it, within the horizon
+        (``horizon_days`` × 86400 s); later shifts are skipped and counted
+        in ``stats()``. The default 22:00 eight-hour shift plus drain ends
+        at 06:30 the next day, so ``horizon_days=2`` runs one shift."""
         cfg = self.cfg
         shift_len_s = cfg.shift.duration_min * 60
         for day in range(cfg.horizon_days):
             start = day * 86400 + cfg.shift.start_min * 60
             end = start + shift_len_s
             if end + SHIFT_DRAIN_S > self.horizon_s:
+                self._shifts_skipped += 1
                 continue
+            self._shifts_run += 1
             self._fast_forward_to(start)
             self._run_shift(start, end)
         return self.log, compute_metrics(self.log)
@@ -241,6 +319,11 @@ class ScenarioRunner:
     def _run_shift(self, shift_start: int, shift_end: int) -> None:
         cfg = self.cfg
         self._ensure_rater_pool(shift_start)
+        self._shift_end = shift_end
+        b = cfg.behavior
+        self._demand = eng.DemandPattern.from_minutes(
+            b.demand_period_min, b.demand_start_min, b.demand_duration_min, shift_start
+        )
 
         active = []
         for agent in self.agents:
@@ -275,48 +358,50 @@ class ScenarioRunner:
             for offset, duration in cfg.shift.scheduled_breaks
         }
 
-        # Next-event time advance. Each visited second runs exactly what a
-        # fixed 1 s step would run there; every second skipped would have
-        # done nothing. Scheduled breaks and shift_end are whole minutes
-        # after shift_start, so the minute ticks cover them.
+        # Next-event time advance over minute ticks and heap items. In a
+        # visited second: phase-0 items, scheduled breaks, engagement
+        # items (phase 1), the minute checks, the shift end, then phase-2
+        # items. Scheduled breaks and shift_end are whole minutes after
+        # shift_start, so the minute ticks cover them.
         heap = self._heap
+        stride = self._STRIDE_S
         loop_end = shift_end + SHIFT_DRAIN_S
         t = shift_start
         while True:
+            self._visits += 1
             # Agents may schedule at t even if no item fell due, so the
             # slot is marked either way.
             self._popped = (t, 0)
             if heap and heap[0][0] == t:
                 for _, _, _, kind, payload in self._pop_due(t, 0):
                     self._handle_item(t, kind, payload)
-
-            if t <= shift_end:
-                if t in scheduled_breaks:
-                    for agent in active:
-                        self._start_break(
-                            agent, t, scheduled_breaks[t], "scheduled", "scheduled"
-                        )
-                busy = False
+            elapsed = t - shift_start
+            minute_tick = t <= shift_end and elapsed % 60 == 0
+            if minute_tick and t in scheduled_breaks:
                 for agent in active:
-                    if self._agent_second(agent, t, shift_start):
-                        busy = True
+                    self._start_break(
+                        agent, t, scheduled_breaks[t], "scheduled", "scheduled"
+                    )
+            if heap and heap[0][0] == t and heap[0][1] == 1:
+                self._popped = (t, 1)
+                for _, _, _, kind, payload in self._pop_due(t, 1):
+                    self._handle_engagement_item(t, kind, payload)
+            if minute_tick:
+                for agent in active:
+                    if agent.on_shift:
+                        self._agent_minute(agent, t, elapsed)
                 if t == shift_end:
                     for agent in active:
                         self._end_shift(agent, t)
-
             if heap and heap[0][0] == t:
                 self._popped = (t, 2)
                 for _, _, _, kind, payload in self._pop_due(t, 2):
                     self._handle_item(t, kind, payload)
 
             if t < shift_end:
-                if busy:
-                    t += 1
-                    continue
-                t_next = t + 60 - (t - shift_start) % 60
+                t_next = t + stride - elapsed % stride
             else:
                 t_next = loop_end + 1  # draining: only heap items remain
-            # Every item left is due after t; a break's end is one of them.
             if heap and heap[0][0] < t_next:
                 t_next = heap[0][0]
             if t_next > loop_end:
@@ -339,23 +424,27 @@ class ScenarioRunner:
         agent.session_had_incautious = False
         agent.declines_this_shift = 0
         agent.ict.interventions_this_shift = 0
-        agent.odometer_t = t
+        agent.set_moving(t, True)
         agent.set_ctx(
             t, FatigueContext(on_task=True, monotony=cfg.behavior.monotony)
         )
-        eng.record_interactivity(agent.ict, t, agent.odometer)
         agent.planned_response = None
         self.log.append(
             t, "shift_start", agent.spec.specialist_id, day=t // 86400, dual=agent.spec.dual
         )
         if cfg.toggles.engagement:
+            self._record_interactivity(agent, t)
             self._draw_transition(agent, t)
+            self._plan_ict(agent, t)
+            self._plan_control(agent, t)
         if cfg.toggles.awareness:
             self._submit_pfs(agent, t, is_followup=False)
 
     def _end_shift(self, agent: _Agent, t: int) -> None:
         if not agent.on_shift:
             return
+        # Engagement items all fall due before the shift end, so none is
+        # left to supersede.
         if agent.ict.pending is not None:
             self._void_pending_prompt(agent, t)
         self._end_session(agent, t, "shift_end")
@@ -369,57 +458,20 @@ class ScenarioRunner:
             )
         agent.on_shift = False
         agent.driving = False
+        agent.set_moving(t, False)
         agent.in_break_until = None
         agent.manual_until = None
         agent.next_transition = None
         agent.set_ctx(t, _IDLE)
         self.log.append(t, "shift_end", agent.spec.specialist_id)
 
-    # -- per-second agent logic -----------------------------------------
+    # -- minute checks ----------------------------------------------------
 
-    def _agent_second(self, agent: _Agent, t: int, shift_start: int) -> bool:
-        """Run the agent's work for second ``t``. Returns whether second
-        ``t + 1`` needs a visit for this agent even if no heap item or
-        minute tick falls there."""
-        cfg = self.cfg
-        toggles = cfg.toggles
-        if not agent.on_shift:
-            return False
-        in_break = agent.in_break(t)
-        driving = agent.driving and not in_break
-        manual = agent.manual_until is not None and t < agent.manual_until
-        if agent.manual_until is not None and t >= agent.manual_until:
-            agent.manual_until = None
-            if toggles.engagement:
-                eng.record_interactivity(
-                    agent.ict, t, agent.current_odometer(t, cfg.behavior.speed_mps)
-                )
-
-        elapsed = t - shift_start
-        demand_high = driving and self._demand_high(elapsed)
-
-        # Only engagement works between minute ticks: the ICT and
-        # transition checks every second the agent drives outside a break
-        # and manual control, and the check for the end of manual control.
-        per_second = toggles.engagement and driving and not manual
-        if per_second:
-            self._ict_second(agent, t, demand_high)
-            if agent.next_transition is not None and t >= agent.next_transition:
-                self._control_transition(agent, t)
-
-        if elapsed % 60 == 0:
-            self._agent_minute(agent, t, elapsed, driving)
-
-        # A break begun this second shows at t + 1, where one spare visit
-        # does nothing.
-        return per_second or agent.manual_until is not None
-
-    def _agent_minute(
-        self, agent: _Agent, t: int, elapsed: int, driving: bool
-    ) -> None:
+    def _agent_minute(self, agent: _Agent, t: int, elapsed: int) -> None:
         cfg = self.cfg
         toggles = cfg.toggles
         who = agent.spec.specialist_id
+        driving = agent.driving and not agent.in_break(t)
 
         if elapsed % cfg.sample_period_s == 0:
             state = agent.state(t)
@@ -438,7 +490,7 @@ class ScenarioRunner:
         if driving:
             # Incautious-behavior hazard accrues per driving minute.
             state = agent.state(t)
-            if self.rng.random() < cfg.hazard.rate(state.task_load, state.alertness):
+            if agent.rng_hazard.random() < cfg.hazard.rate(state.task_load, state.alertness):
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True
 
@@ -469,53 +521,120 @@ class ScenarioRunner:
             ):
                 self._impromptu_check(agent, t)
 
-    # -- demand pattern --------------------------------------------------
+    # -- engagement items ---------------------------------------------------
 
-    def _demand_high(self, elapsed_s: int) -> bool:
-        b = self.cfg.behavior
-        minute = (elapsed_s / 60.0) % b.demand_period_min
-        return b.demand_start_min <= minute < b.demand_start_min + b.demand_duration_min
+    def _engaged(self, agent: _Agent) -> bool:
+        """Whether the agent has engagement items: engagement is on and
+        the agent drives outside a break. Manual control also pauses the
+        ICT items, but not the one that ends it."""
+        return (
+            self.cfg.toggles.engagement
+            and agent.on_shift
+            and agent.driving
+            and agent.in_break_until is None
+        )
+
+    def _record_interactivity(self, agent: _Agent, t: int) -> None:
+        eng.record_interactivity(
+            agent.ict, t, agent.current_odometer(t), agent.rng_ict, self.cfg.ict
+        )
+
+    def _plan_ict(self, agent: _Agent, t: int) -> None:
+        """Supersede the agent's ICT item with the next ICT event after
+        second ``t``: the gap prompt, or the end of the pending prompt
+        (demand rising, the planned response, or the deadline passing,
+        in that order on a tie)."""
+        agent.ict_gen += 1
+        if not self._engaged(agent) or agent.manual_until is not None:
+            return
+        pending = agent.ict.pending
+        after = t + 1
+        trigger = None
+        if pending is None:
+            due = eng.ict_due(
+                agent.ict,
+                after,
+                agent.current_odometer(after),
+                agent.speed,
+                self.cfg.ict,
+                self._demand,
+            )
+            if due is None:
+                return
+            at, trigger = due
+            kind = "ict_prompt"
+        else:
+            at, kind = math.floor(pending.deadline) + 1, "ict_deadline"
+            if agent.planned_response is not None:
+                respond_at = math.ceil(agent.planned_response)
+                if respond_at <= pending.deadline:
+                    at, kind = respond_at, "ict_response"
+            rises_at = self._demand.next_high(after)
+            if rises_at is not None and rises_at <= at:
+                at, kind = rises_at, "ict_demand"
+        if at < self._shift_end:
+            self._schedule(
+                at,
+                1,
+                kind,
+                specialist=agent.spec.specialist_id,
+                gen=agent.ict_gen,
+                trigger=trigger,
+            )
+
+    def _plan_control(self, agent: _Agent, t: int) -> None:
+        """Supersede the agent's control item with the end of manual
+        control or, outside it, the next control transition."""
+        agent.control_gen += 1
+        if not self._engaged(agent):
+            return
+        if agent.manual_until is not None:
+            at, kind = agent.manual_until, "manual_end"
+        elif agent.next_transition is not None:
+            at, kind = max(agent.next_transition, t + 1), "transition"
+        else:
+            return
+        if at < self._shift_end:
+            self._schedule(
+                at, 1, kind, specialist=agent.spec.specialist_id, gen=agent.control_gen
+            )
+
+    def _handle_engagement_item(self, t: int, kind: str, payload: dict) -> None:
+        cfg = self.cfg
+        agent = self._agent_by_id[payload["specialist"]]
+        control = kind in ("transition", "manual_end")
+        if payload["gen"] != (agent.control_gen if control else agent.ict_gen):
+            self._stale_dropped += 1
+            return
+        if kind == "transition":
+            self._control_transition(agent, t)
+            return
+        if kind == "manual_end":
+            agent.manual_until = None
+            self._record_interactivity(agent, t)
+            self._plan_ict(agent, t)
+            self._plan_control(agent, t)
+            return
+        state = agent.ict
+        if kind == "ict_prompt":
+            self._log_ict_prompt(agent, t, eng.ict_issue(state, t, payload["trigger"], cfg.ict))
+        elif kind == "ict_response":
+            latency = agent.planned_response - state.pending.issued_at
+            resolution = eng.ict_resolve(state, "responded", t, cfg.ict, latency_s=latency)
+            self._log_ict_outcome(agent, t, resolution)
+            # Completing an in-car task is itself engaging.
+            agent.advance_to(t)
+            agent.task_load *= 1.0 - cfg.behavior.ict_relief
+            self._record_interactivity(agent, t)
+        elif kind == "ict_deadline":
+            resolution = eng.ict_resolve(state, "deadline_passed", t, cfg.ict)
+            self._log_ict_outcome(agent, t, resolution)
+        else:  # ict_demand
+            resolution = eng.ict_resolve(state, "demand_rose", t, cfg.ict)
+            self._log_ict_outcome(agent, t, resolution)
+        self._plan_ict(agent, t)
 
     # -- ICT ---------------------------------------------------------------
-
-    def _ict_second(self, agent: _Agent, t: int, demand_high: bool) -> None:
-        cfg = self.cfg
-        pending = agent.ict.pending
-        if pending is not None:
-            if demand_high:
-                resolution = eng.ict_resolve(agent.ict, "demand_rose", t, cfg.ict)
-                self._log_ict_outcome(agent, t, resolution)
-                return
-            if agent.planned_response is not None and t >= agent.planned_response:
-                latency = agent.planned_response - pending.issued_at
-                resolution = eng.ict_resolve(
-                    agent.ict, "responded", t, cfg.ict, latency_s=latency
-                )
-                self._log_ict_outcome(agent, t, resolution)
-                # Completing an in-car task is itself engaging.
-                agent.advance_to(t)
-                agent.task_load *= 1.0 - cfg.behavior.ict_relief
-                eng.record_interactivity(
-                    agent.ict, t, agent.current_odometer(t, cfg.behavior.speed_mps)
-                )
-                return
-            if t > pending.deadline:
-                resolution = eng.ict_resolve(agent.ict, "deadline_passed", t, cfg.ict)
-                self._log_ict_outcome(agent, t, resolution)
-                return
-            return
-        if demand_high:
-            return
-        prompt = eng.ict_tick(
-            agent.ict,
-            t,
-            agent.current_odometer(t, cfg.behavior.speed_mps),
-            demand_high,
-            self.rng,
-            cfg.ict,
-        )
-        if prompt is not None:
-            self._log_ict_prompt(agent, t, prompt)
 
     def _log_ict_prompt(self, agent: _Agent, t: int, prompt: eng.IctPrompt) -> None:
         self.log.append(
@@ -534,13 +653,13 @@ class ScenarioRunner:
         b = self.cfg.behavior
         alertness = agent.alertness(t)
         miss_p = min(0.98, b.ict_miss_base_p + (1.0 - alertness) ** 3)
-        if self.rng.random() < miss_p:
+        if agent.rng_ict.random() < miss_p:
             agent.planned_response = None
             return
         latency = (
             b.ict_latency_base_s
             + b.ict_latency_fatigue_s * (1.0 - alertness)
-            + self.rng.uniform(0.0, 3.0)
+            + agent.rng_ict.uniform(0.0, 3.0)
         )
         latency = min(latency, self.cfg.ict.response_deadline_s - 1.0)
         agent.planned_response = prompt.issued_at + max(1.0, latency)
@@ -576,15 +695,13 @@ class ScenarioRunner:
             self._record_fatigue_event(agent, t, "severe", "ict_intervention")
             agent.advance_to(t)
             agent.task_load *= 1.0 - cfg.behavior.alert_relief
-            eng.record_interactivity(
-                agent.ict, t, agent.current_odometer(t, cfg.behavior.speed_mps)
-            )
+            self._record_interactivity(agent, t)
             if resolution.pull_over_recommended:
                 self.log.append(t, "pull_over", who, prompt_id=record.prompt_id)
                 self._start_break(
                     agent, t, self.cfg.breaks.duration_min, "pull_over", "pull_over"
                 )
-            elif self.rng.random() < 0.9:
+            elif agent.rng_ict.random() < 0.9:
                 self._schedule(
                     t + 60,
                     0,
@@ -600,7 +717,8 @@ class ScenarioRunner:
             self.log.append(t, "ict_adapt", who, multiplier=round(multiplier, 6))
 
     def _void_pending_prompt(self, agent: _Agent, t: int) -> None:
-        # The driving task went away (break, shift end); no penalty.
+        # The driving task went away (break, manual control, shift end);
+        # no penalty. The caller plans the agent's next ICT item.
         resolution = eng.ict_resolve(agent.ict, "demand_rose", t, self.cfg.ict)
         self._log_ict_outcome(agent, t, resolution)
 
@@ -611,14 +729,15 @@ class ScenarioRunner:
         if rate_per_s <= 0:
             agent.next_transition = None
             return
-        agent.next_transition = t + max(1, int(self.rng.expovariate(rate_per_s)))
+        agent.next_transition = t + max(1, int(agent.rng_sa.expovariate(rate_per_s)))
 
     def _control_transition(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
         b = cfg.behavior
         who = agent.spec.specialist_id
         alertness = agent.alertness(t)
-        cause = self.rng.choices(
+        rng = agent.rng_sa
+        cause = rng.choices(
             (
                 eng.TransitionCause.PEDAL,
                 eng.TransitionCause.BUTTON,
@@ -630,10 +749,10 @@ class ScenarioRunner:
         responsive_p = min(0.95, max(0.1, alertness + 0.1))
         inp = eng.SaDecisionInput(
             transition_cause=cause,
-            speed=b.speed_mps + self.rng.uniform(0.0, 10.0),
-            input_before=self.rng.random() < responsive_p,
-            input_after=self.rng.random() < responsive_p,
-            emergency=self.rng.random() < b.emergency_p,
+            speed=b.speed_mps + rng.uniform(0.0, 10.0),
+            input_before=rng.random() < responsive_p,
+            input_after=rng.random() < responsive_p,
+            emergency=rng.random() < b.emergency_p,
         )
         self.log.append(
             t,
@@ -645,13 +764,11 @@ class ScenarioRunner:
             input_after=inp.input_after,
             emergency=inp.emergency,
         )
-        agent.manual_until = t + int(b.manual_period_s)
+        agent.manual_until = t + max(1, int(b.manual_period_s))
         if agent.ict.pending is not None:
             # Taking manual control is peak driving demand.
             self._void_pending_prompt(agent, t)
-        eng.record_interactivity(
-            agent.ict, t, agent.current_odometer(t, b.speed_mps)
-        )
+        self._record_interactivity(agent, t)
         decision = eng.sa_evaluate(inp, cfg.sa)
         self.log.append(
             t,
@@ -664,8 +781,8 @@ class ScenarioRunner:
             sa_id = f"sa-{self._sa_seq}"
             self._sa_seq += 1
             clear_p = min(0.98, b.sa_clear_base_p + 0.4 * alertness)
-            if self.rng.random() < clear_p:
-                input_latency = self.rng.uniform(1.0, cfg.sa.clear_timeout_s * 0.8)
+            if rng.random() < clear_p:
+                input_latency = rng.uniform(1.0, cfg.sa.clear_timeout_s * 0.8)
             else:
                 input_latency = None
             outcome = eng.sa_resolve(decision, input_latency, cfg.sa)
@@ -683,6 +800,8 @@ class ScenarioRunner:
                 resolve_delay_s=resolve_delay_s,
             )
         self._draw_transition(agent, t)
+        self._plan_ict(agent, t)
+        self._plan_control(agent, t)
 
     # -- vigilance ---------------------------------------------------------
 
@@ -700,7 +819,7 @@ class ScenarioRunner:
             passed = vig.qualify_rater(
                 rater,
                 test_set,
-                self.rng,
+                self._rng_qualification,
                 exact_match_threshold=policy.qualification_match_threshold,
             )
             self.log.append(
@@ -718,6 +837,7 @@ class ScenarioRunner:
 
     def _open_case(
         self,
+        agent: _Agent,
         t: int,
         route: vig.Route,
         feed: vig.Feed,
@@ -733,7 +853,7 @@ class ScenarioRunner:
             self._qualified_pool,
             cfg.vigilance.k_validation_raters,
             true_ord,
-            self.rng,
+            agent.rng_raters,
             case_id=f"case-{self._case_seq}",
             first_task_index=self._task_seq,
             trigger_rating=trigger_rating,
@@ -769,7 +889,7 @@ class ScenarioRunner:
         flag = vig.dms_observe(
             true_ord,
             cfg.dms,
-            self.rng,
+            agent.rng_raters,
             flag_id=f"flag-{self._flag_seq}",
             specialist_id=who,
             time=t,
@@ -783,13 +903,12 @@ class ScenarioRunner:
             t, "alert", who, flag_id=flag.flag_id, modalities=list(alert.modalities)
         )
         if cfg.toggles.engagement:
-            eng.record_interactivity(
-                agent.ict, t, agent.current_odometer(t, cfg.behavior.speed_mps)
-            )
+            self._record_interactivity(agent, t)
+            self._plan_ict(agent, t)
         agent.advance_to(t)
         agent.task_load *= 1.0 - cfg.behavior.alert_relief
         feed = vig.Feed(who, t - cfg.dms.observation_period, t, escalated=True)
-        resolve_at = self._open_case(t, vig.Route.ROUTE_ONE, feed, true_ord)
+        resolve_at = self._open_case(agent, t, vig.Route.ROUTE_ONE, feed, true_ord)
         agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)
 
     def _periodic_rating(self, agent: _Agent, t: int) -> None:
@@ -801,7 +920,7 @@ class ScenarioRunner:
             self._qualified_pool,
             [vig.Feed(who, window_start, t)],
             cfg.vigilance.k_validation_raters,
-            self.rng,
+            agent.rng_raters,
             first_task_index=self._task_seq,
         )[0]
         self._task_seq += 1
@@ -809,11 +928,11 @@ class ScenarioRunner:
         rater = next(
             r for r in self._qualified_pool if r.rater_id == task.assigned_rater_ids[0]
         )
-        rating = vig.rate(rater, task, true_ord, self.rng)
+        rating = vig.rate(rater, task, true_ord, agent.rng_raters)
         self._log_rating(t, who, rating)
         if rating.level >= cfg.vigilance.route_two_threshold:
             feed = vig.Feed(who, window_start, t, escalated=True)
-            self._open_case(t, vig.Route.ROUTE_TWO, feed, true_ord, rating)
+            self._open_case(agent, t, vig.Route.ROUTE_TWO, feed, true_ord, rating)
 
     def _log_rating(self, t: int, who: str, rating: vig.OrdRating) -> None:
         self.log.append(
@@ -832,7 +951,7 @@ class ScenarioRunner:
         self, t: int, agent: _Agent, case: vig.EscalationCase
     ) -> None:
         who = case.specialist_id
-        outcome = vig.resolve_case(case, self._qualified_pool, self.rng)
+        outcome = vig.resolve_case(case, self._qualified_pool, agent.rng_raters)
         for rating in outcome.validation_ratings:
             self._log_rating(t, who, rating)
         level = outcome.validated_level
@@ -859,8 +978,7 @@ class ScenarioRunner:
             if agent.ict.pending is not None:
                 self._void_pending_prompt(agent, t)
             self._end_session(agent, t, "vehicle_retrieved")
-            agent.driving = False
-            agent.set_ctx(t, _IDLE)
+            self._stop_driving(agent, t)
         else:
             self._start_break(
                 agent,
@@ -924,7 +1042,7 @@ class ScenarioRunner:
     def _submit_pfs(self, agent: _Agent, t: int, is_followup: bool) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
-        kss = to_kss(agent.state(t), self.rng, agent.params)
+        kss = to_kss(agent.state(t), agent.rng_breaks, agent.params)
         record_id = f"pfs-{who}-{agent.pfs_seq}"
         agent.pfs_seq += 1
         record, outcome = aw.submit_pfs(
@@ -948,7 +1066,7 @@ class ScenarioRunner:
         )
         agent.last_kss = (t, kss)
         if outcome.action is aw.PfsAction.SUGGEST_BREAK_AND_FOLLOWUP:
-            if self.rng.random() < cfg.pfs.break_compliance and agent.driving:
+            if agent.rng_breaks.random() < cfg.pfs.break_compliance and agent.driving:
                 agent.pending_followup_for = record.record_id
                 self._schedule(
                     t + 60,
@@ -982,10 +1100,11 @@ class ScenarioRunner:
         # A peer grants no detection benefit; once an hour they may raise
         # a concern ticket with small probability.
         b = self.cfg.behavior
-        if to_ord_truth(agent.state(t)) >= 4 and self.rng.random() < b.peer_concern_p_per_h:
+        rng = agent.rng_breaks
+        if to_ord_truth(agent.state(t)) >= 4 and rng.random() < b.peer_concern_p_per_h:
             channel = (
                 aw.ConcernChannel.SUPERVISOR_DIRECT
-                if self.rng.random() < 0.7
+                if rng.random() < 0.7
                 else aw.ConcernChannel.ANONYMOUS_SURVEY
             )
             ticket = aw.open_concern(
@@ -1051,7 +1170,7 @@ class ScenarioRunner:
             reason=offer.reason,
             duration_min=offer.duration_min,
         )
-        if self.rng.random() < cfg.behavior.invited_decline_p:
+        if agent.rng_breaks.random() < cfg.behavior.invited_decline_p:
             agent.declines_this_shift += 1
             self.log.append(
                 t, "invited_break_declined", who, declines=agent.declines_this_shift
@@ -1071,10 +1190,10 @@ class ScenarioRunner:
 
     def _impromptu_check(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
-        perceived = to_kss(agent.state(t), self.rng, agent.params)
+        perceived = to_kss(agent.state(t), agent.rng_breaks, agent.params)
         if perceived < cfg.behavior.impromptu_kss_threshold:
             return
-        if self.rng.random() >= cfg.behavior.impromptu_p:
+        if agent.rng_breaks.random() >= cfg.behavior.impromptu_p:
             return
         event = sched.request_impromptu_break(
             agent.spec.specialist_id,
@@ -1109,9 +1228,8 @@ class ScenarioRunner:
         if agent.ict.pending is not None:
             self._void_pending_prompt(agent, t)
         self._end_session(agent, t, "reassigned")
-        agent.driving = False
         # Auxiliary work is off the vehicle: no monitoring, lighter load.
-        agent.set_ctx(t, _IDLE)
+        self._stop_driving(agent, t)
 
     # -- breaks and sessions ---------------------------------------------
 
@@ -1123,12 +1241,15 @@ class ScenarioRunner:
         if agent.ict.pending is not None:
             self._void_pending_prompt(agent, t)
         self._end_session(agent, t, f"break:{initiator}")
-        activity = self.rng.choices(
+        activity = agent.rng_breaks.choices(
             _BREAK_ACTIVITIES, weights=self.cfg.behavior.break_activity_weights
         )[0]
         until = t + int(duration_min * 60)
         agent.in_break_until = until
         agent.manual_until = None
+        agent.set_moving(t, False)
+        self._plan_ict(agent, t)
+        self._plan_control(agent, t)
         agent.set_ctx(
             t,
             FatigueContext(on_task=False, in_break=True, break_activity=activity),
@@ -1153,16 +1274,17 @@ class ScenarioRunner:
             return
         agent.session_start = t
         agent.session_had_incautious = False
+        agent.set_moving(t, True)
         agent.set_ctx(
             t, FatigueContext(on_task=True, monotony=self.cfg.behavior.monotony)
         )
         if self.cfg.toggles.engagement:
-            eng.record_interactivity(
-                agent.ict, t, agent.current_odometer(t, self.cfg.behavior.speed_mps)
-            )
+            self._record_interactivity(agent, t)
+            self._plan_ict(agent, t)
+            self._plan_control(agent, t)
         if self.cfg.toggles.awareness:
             if agent.pending_followup_for is not None:
-                if self.rng.random() < self.cfg.pfs.followup_compliance:
+                if agent.rng_breaks.random() < self.cfg.pfs.followup_compliance:
                     self._schedule(t + 60, 0, "pfs_followup", specialist=who)
                 else:
                     self._schedule(
@@ -1173,6 +1295,14 @@ class ScenarioRunner:
                     )
             else:
                 self._schedule(t + 60, 0, "pfs_regular", specialist=who)
+
+    def _stop_driving(self, agent: _Agent, t: int) -> None:
+        """The agent leaves the vehicle for the rest of the shift."""
+        agent.driving = False
+        agent.set_moving(t, False)
+        agent.set_ctx(t, _IDLE)
+        self._plan_ict(agent, t)
+        self._plan_control(agent, t)
 
     def _end_session(self, agent: _Agent, t: int, cause: str) -> None:
         if agent.session_start is None:
@@ -1241,9 +1371,16 @@ class ScenarioRunner:
             raise RuntimeError(f"unknown scheduled item kind {kind!r}")
 
 
-def run_scenario(cfg: ScenarioConfig) -> tuple[EventLog, Metrics]:
-    """Execute one scenario; identical configs yield identical logs."""
-    return ScenarioRunner(cfg).run()
+def run_scenario(
+    cfg: ScenarioConfig, stats: Optional[dict] = None
+) -> tuple[EventLog, Metrics]:
+    """Execute one scenario; identical configs yield identical logs. If
+    ``stats`` is a dict, the run's ``ScenarioRunner.stats()`` go into it."""
+    runner = ScenarioRunner(cfg)
+    result = runner.run()
+    if stats is not None:
+        stats.update(runner.stats())
+    return result
 
 
 # -- ablation -----------------------------------------------------------

@@ -10,7 +10,13 @@ import pytest
 
 from frmsim.cli import main
 from frmsim.config import ScenarioConfig, Toggles, default_config
-from frmsim.engagement import EngagementConfig, IctSchedulerState, ict_resolve, ict_tick
+from frmsim.engagement import (
+    EngagementConfig,
+    IctSchedulerState,
+    ict_due,
+    ict_issue,
+    ict_resolve,
+)
 from frmsim.events import EventLog
 from frmsim.fatigue import (
     AlertnessState,
@@ -90,7 +96,10 @@ def test_03_ict_escalation_property(capsys):
         for _ in range(rng.randint(2, 12)):
             now += rng.uniform(1.0, 900.0)
             if state.pending is None:
-                ict_tick(state, now, 0.0, False, rng, cfg)
+                # Standing still: only the time gap can issue a prompt.
+                due, trigger = ict_due(state, now, 0.0, 0.0, cfg)
+                if due == now:
+                    ict_issue(state, now, trigger, cfg)
                 continue
             pending = state.pending
             was_followup = pending.is_followup

@@ -30,6 +30,23 @@ def test_simulate_writes_outputs_and_exits_zero(config_path, tmp_path, capsys):
     assert len(manifest["config_hash"]) == 64
 
 
+def test_simulate_manifest_records_run_stats(config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    log = EventLog.from_jsonl((out / "events.jsonl").read_text())
+    counts = {}
+    for event in log:
+        counts[event.type] = counts.get(event.type, 0) + 1
+    assert stats["events_by_type"] == counts
+    # The default two-day horizon holds one shift: the second day's
+    # shift would end after it.
+    assert (stats["shifts_run"], stats["shifts_skipped"]) == (1, 1)
+    assert 0 < stats["heap_high_water"] <= stats["heap_items"]
+    assert 0 <= stats["stale_items_dropped"] < stats["heap_items"]
+    assert stats["seconds_visited"] <= default_config().shift.duration_min + 1 + stats["heap_items"]
+
+
 def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, monkeypatch):
     encodes = []
     to_jsonl = EventLog.to_jsonl

@@ -1,8 +1,11 @@
 import random
+import statistics
 
 import pytest
 
+from frmsim.config import BehaviorConfig
 from frmsim.engagement import (
+    DemandPattern,
     EngagementConfig,
     IctOutcome,
     IctSchedulerState,
@@ -13,8 +16,9 @@ from frmsim.engagement import (
     SaResolution,
     TransitionCause,
     ict_adapt,
+    ict_due,
+    ict_issue,
     ict_resolve,
-    ict_tick,
     record_interactivity,
     sa_evaluate,
     sa_resolve,
@@ -22,6 +26,7 @@ from frmsim.engagement import (
 
 CFG = EngagementConfig()
 NO_JITTER = EngagementConfig(jitter=0.0)
+SPEED = BehaviorConfig().speed_mps
 
 
 def make_state(t=0.0, odo=0.0):
@@ -30,28 +35,42 @@ def make_state(t=0.0, odo=0.0):
     )
 
 
+def tick(state, now, odometer=0.0, cfg=NO_JITTER, demand=None):
+    """Issue the gap prompt if the gap rule makes it due at ``now``, with
+    the vehicle at ``odometer`` and standing still."""
+    due = ict_due(state, now, odometer, 0.0, cfg, demand)
+    if due is None or due[0] != now:
+        return None
+    return ict_issue(state, now, due[1], cfg)
+
+
+def interact(state, now, odometer, cfg=NO_JITTER, **kwargs):
+    return record_interactivity(state, now, odometer, random.Random(0), cfg, **kwargs)
+
+
 # -- interactivity ------------------------------------------------------------
 
 
 def test_interactivity_resets_baselines():
     state = make_state()
-    record_interactivity(state, 120.0, 500.0)
+    interact(state, 120.0, 500.0, CFG)
     assert state.last_interactivity_time == 120.0
     assert state.last_interactivity_odometer == 500.0
+    assert 1.0 - CFG.jitter <= state.jitter <= 1.0 + CFG.jitter
 
 
 def test_interactivity_does_not_clear_pending_prompt():
     state = make_state()
-    prompt = ict_tick(state, 400.0, 0.0, False, random.Random(0), NO_JITTER)
+    prompt = tick(state, 400.0)
     assert prompt is not None
-    record_interactivity(state, 401.0, 10.0)
+    interact(state, 401.0, 10.0)
     assert state.pending is not None
 
 
 def test_interactivity_voids_pending_under_high_demand():
     state = make_state()
-    ict_tick(state, 400.0, 0.0, False, random.Random(0), NO_JITTER)
-    record = record_interactivity(state, 401.0, 10.0, demand_high=True)
+    tick(state, 400.0)
+    record = interact(state, 401.0, 10.0, demand_high=True)
     assert record is not None
     assert record.outcome is IctOutcome.VOIDED_BY_DEMAND
     assert state.pending is None
@@ -60,9 +79,9 @@ def test_interactivity_voids_pending_under_high_demand():
 def test_time_and_odometer_regression_rejected():
     state = make_state(t=100.0, odo=50.0)
     with pytest.raises(ValueError):
-        record_interactivity(state, 99.0, 60.0)
+        interact(state, 99.0, 60.0)
     with pytest.raises(ValueError):
-        record_interactivity(state, 101.0, 40.0)
+        interact(state, 101.0, 40.0)
 
 
 # -- prompt triggering --------------------------------------------------------
@@ -70,34 +89,48 @@ def test_time_and_odometer_regression_rejected():
 
 def test_zero_gap_no_prompt():
     state = make_state()
-    assert ict_tick(state, 0.0, 0.0, False, random.Random(0), NO_JITTER) is None
+    assert tick(state, 0.0) is None
 
 
 def test_time_gap_threshold_arithmetic():
     # T=300 s, no jitter, unit multiplier: gap 301 fires, 299 does not.
     state = make_state()
-    assert ict_tick(state, 299.0, 0.0, False, random.Random(0), NO_JITTER) is None
-    prompt = ict_tick(state, 301.0, 0.0, False, random.Random(0), NO_JITTER)
+    assert ict_due(state, 0.0, 0.0, 0.0, NO_JITTER) == (300.0, IctTrigger.GAP_TIME)
+    assert tick(state, 299.0) is None
+    prompt = tick(state, 301.0)
     assert prompt is not None
     assert prompt.trigger is IctTrigger.GAP_TIME
 
 
 def test_distance_gap_triggers():
     state = make_state()
-    prompt = ict_tick(state, 10.0, 3500.0, False, random.Random(0), NO_JITTER)
+    prompt = tick(state, 10.0, 3500.0)
     assert prompt is not None
     assert prompt.trigger is IctTrigger.GAP_DISTANCE
+    # At 12 m/s the 3000 m gap closes after 250 s, before the 300 s one.
+    assert ict_due(make_state(), 0.0, 0.0, SPEED, NO_JITTER) == (
+        250.0,
+        IctTrigger.GAP_DISTANCE,
+    )
 
 
 def test_high_demand_blocks_prompts():
-    state = make_state()
-    assert ict_tick(state, 9999.0, 99999.0, True, random.Random(0), NO_JITTER) is None
+    always = DemandPattern(period_s=60, start_s=0, end_s=60)
+    assert ict_due(make_state(), 9999.0, 99999.0, SPEED, NO_JITTER, always) is None
+    # A prompt due inside a window moves to the window's end.
+    window = DemandPattern(period_s=3600, start_s=240, end_s=540)
+    assert ict_due(make_state(), 0.0, 0.0, SPEED, NO_JITTER, window) == (
+        540,
+        IctTrigger.GAP_DISTANCE,
+    )
 
 
 def test_at_most_one_pending_prompt():
     state = make_state()
-    assert ict_tick(state, 400.0, 0.0, False, random.Random(0), NO_JITTER) is not None
-    assert ict_tick(state, 900.0, 9000.0, False, random.Random(0), NO_JITTER) is None
+    assert tick(state, 400.0) is not None
+    assert ict_due(state, 900.0, 9000.0, SPEED, NO_JITTER) is None
+    with pytest.raises(ValueError):
+        ict_issue(state, 900.0, IctTrigger.GAP_TIME, NO_JITTER)
 
 
 def test_jitter_never_fires_before_lower_bound():
@@ -106,14 +139,83 @@ def test_jitter_never_fires_before_lower_bound():
     lower = cfg.gap_time_s * (1.0 - cfg.jitter)
     for _ in range(2000):
         state = make_state()
+        record_interactivity(state, 0.0, 0.0, rng, cfg)
         gap = rng.uniform(0, lower - 1e-6)
-        assert ict_tick(state, gap, 0.0, False, rng, cfg) is None
+        assert tick(state, gap, cfg=cfg) is None
+
+
+def test_jitter_is_drawn_once_per_gap():
+    # Default settings at 12 m/s: the 3000 m distance gap (250 s) closes
+    # first, so with 20% jitter every gap lasts 200-300 s and 250 s on
+    # average. Redrawing the jitter every second instead would end each
+    # gap at the first redraw that crosses, about 212 s in.
+    rng = random.Random(6)
+    cfg = EngagementConfig()
+    state = make_state()
+    gaps = []
+    now, odometer = 0, 0.0
+    for _ in range(10_000):
+        record_interactivity(state, now, odometer, rng, cfg)
+        due, trigger = ict_due(state, now, odometer, SPEED, cfg)
+        assert trigger is IctTrigger.GAP_DISTANCE
+        gaps.append(due - now)
+        odometer += SPEED * (due - now)
+        now = due
+    assert 200 <= min(gaps) and max(gaps) <= 300
+    assert abs(statistics.mean(gaps) - 250.0) <= 0.02 * 250.0
+
+
+def test_due_time_is_the_first_second_a_per_second_check_fires():
+    # The closed form against the gap rule checked second by second:
+    # driving at a constant speed from the gap start, outside demand. The
+    # trigger is the gap that crossed first, the time gap on a tie.
+    rng = random.Random(8)
+    for _ in range(300):
+        cfg = EngagementConfig(
+            gap_time_s=rng.uniform(30, 400), gap_distance_m=rng.uniform(100, 5000)
+        )
+        speed = rng.choice((0.0, rng.uniform(1, 30)))
+        demand = DemandPattern.from_minutes(
+            rng.uniform(2, 30), rng.uniform(0, 10), rng.uniform(0, 5), origin=rng.randrange(100)
+        )
+        state = make_state()
+        state.frequency_multiplier = rng.choice((0.25, 0.5, 1.0))
+        start = rng.randrange(1000)
+        record_interactivity(state, start, 7.0, rng, cfg)
+        scale = state.frequency_multiplier * state.jitter
+        t = start
+        trigger = None
+        while True:
+            if trigger is None:
+                if t - start >= cfg.gap_time_s * scale:
+                    trigger = IctTrigger.GAP_TIME
+                elif speed * (t - start) >= cfg.gap_distance_m * scale:
+                    trigger = IctTrigger.GAP_DISTANCE
+            if trigger is not None and not demand.high(t):
+                break
+            t += 1
+        assert ict_due(state, start, 7.0, speed, cfg, demand) == (t, trigger)
+
+
+def test_demand_pattern_next_seconds_match_its_predicate():
+    rng = random.Random(9)
+    for _ in range(200):
+        demand = DemandPattern.from_minutes(
+            rng.uniform(0.5, 10), rng.uniform(-1, 10), rng.uniform(-1, 10), origin=rng.randrange(600)
+        )
+        span = range(1200)
+        high = [demand.high(t) for t in span]
+        for t in range(0, 600, 7):
+            quiet = next((u for u in span[t:] if not high[u]), None)
+            rise = next((u for u in span[t:] if high[u]), None)
+            assert demand.next_quiet(t) == quiet
+            assert demand.next_high(t) == rise
 
 
 def test_multiplier_scales_threshold():
     state = make_state()
     state.frequency_multiplier = 0.5
-    prompt = ict_tick(state, 151.0, 0.0, False, random.Random(0), NO_JITTER)
+    prompt = tick(state, 151.0)
     assert prompt is not None
 
 
@@ -121,7 +223,7 @@ def test_multiplier_scales_threshold():
 
 
 def _issue(state, now=400.0):
-    prompt = ict_tick(state, now, 0.0, False, random.Random(0), NO_JITTER)
+    prompt = tick(state, now)
     assert prompt is not None
     return prompt
 
@@ -172,20 +274,15 @@ def test_missed_followup_triggers_exactly_one_intervention():
 def test_second_intervention_recommends_pull_over():
     state = make_state()
     for expected_pull_over in (False, True):
-        prompt = ict_tick(
+        prompt = tick(
             state,
             state.last_interactivity_time + 400.0,
             state.last_interactivity_odometer,
-            False,
-            random.Random(0),
-            NO_JITTER,
         )
         first = ict_resolve(state, "deadline_passed", prompt.deadline + 1, CFG)
         second = ict_resolve(state, "deadline_passed", first.followup.deadline + 1, CFG)
         assert second.pull_over_recommended is expected_pull_over
-        record_interactivity(
-            state, first.followup.deadline + 2, state.last_interactivity_odometer
-        )
+        interact(state, first.followup.deadline + 2, state.last_interactivity_odometer)
 
 
 def test_demand_rose_voids_without_penalty():
@@ -214,7 +311,7 @@ def test_randomized_sequences_intervention_iff_followup_miss():
         for _ in range(rng.randint(1, 40)):
             now += rng.uniform(1, 600)
             if state.pending is None:
-                ict_tick(state, now, 0.0, False, rng, NO_JITTER)
+                tick(state, now)
                 continue
             pending = state.pending
             was_followup = pending.is_followup
@@ -252,7 +349,7 @@ def _run_outcomes(state, outcomes, latency=2.0):
     now = state.last_interactivity_time
     for outcome in outcomes:
         now += 400.0
-        prompt = ict_tick(state, now, 0.0, False, random.Random(0), NO_JITTER)
+        prompt = tick(state, now)
         if prompt is None:
             prompt = state.pending
         if outcome == "completed":

@@ -67,7 +67,7 @@ def escalation_config(seed: int):
             periodic_cadence_min=10.0,
         ),
         raters=tuple(
-            dataclasses.replace(r, bias=0.45, noise_sd=0.15) for r in base.raters
+            dataclasses.replace(r, bias=0.5, noise_sd=0.15) for r in base.raters
         ),
     )
     cfg.validate()
@@ -98,6 +98,27 @@ def golden() -> dict:
 
 def test_golden_file_covers_the_matrix(golden):
     assert set(golden) == set(matrix())
+
+
+def test_escalation_case_reaches_every_outcome():
+    log, _ = run_scenario(escalation_config(seed=0))
+    cases = {
+        (e.data["route"], e.data["resolution"], e.data["supervisor_action"])
+        for e in log
+        if e.type == "escalation_resolved"
+    }
+    assert cases == {
+        ("route_one", "confirmed", "invite_break"),
+        ("route_one", "confirmed", "retrieve_vehicle"),
+        ("route_one", "not_confirmed", None),
+        ("route_two", "confirmed", "check_in"),
+        ("route_two", "confirmed", "retrieve_vehicle"),
+        ("route_two", "not_confirmed", "check_in"),
+    }
+    assert {e.data["outcome"] for e in log if e.type == "sa_resolved"} == {
+        "cleared",
+        "support_alerted",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))

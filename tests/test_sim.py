@@ -360,9 +360,7 @@ def test_calibration_requires_countermeasures_off():
 class _EverySecondRunner(ScenarioRunner):
     """Reference loop: visits every second of the shift."""
 
-    def _agent_second(self, agent, t, shift_start):
-        super()._agent_second(agent, t, shift_start)
-        return t + 1
+    _STRIDE_S = 1
 
 
 def _odd_shift_configs():
@@ -417,24 +415,91 @@ def _odd_shift_configs():
 
 def test_next_event_loop_matches_every_second_reference():
     for cfg in _odd_shift_configs():
-        fast = ScenarioRunner(cfg).run()[0]
-        reference = _EverySecondRunner(cfg).run()[0]
-        assert fast.digest() == reference.digest()
+        fast = ScenarioRunner(cfg)
+        reference = _EverySecondRunner(cfg)
+        assert fast.run()[0].digest() == reference.run()[0].digest()
+        shifts = fast.stats()["shifts_run"]
+        assert reference.stats()["seconds_visited"] > shifts * 300 * 60
 
 
-def test_engagement_off_visits_only_minute_ticks_and_items(monkeypatch):
-    visits = []
-    original = ScenarioRunner._agent_second
-
-    def counting(self, agent, t, shift_start):
-        visits.append(t)
-        return original(self, agent, t, shift_start)
-
-    monkeypatch.setattr(ScenarioRunner, "_agent_second", counting)
+def test_engagement_off_visits_only_minute_ticks_and_items():
     cfg = default_config(seed=0).with_overrides(toggles=Toggles(engagement=False))
-    run_scenario(cfg)
+    stats = {}
+    run_scenario(cfg, stats=stats)
     minute_ticks = cfg.shift.duration_min + 1
-    assert minute_ticks <= len(visits) < 2 * minute_ticks
+    assert minute_ticks <= stats["seconds_visited"] < 2 * minute_ticks
+
+
+def test_all_on_visits_only_minute_ticks_and_items():
+    # Engagement work is scheduled too, so no second is visited for
+    # anything but a minute tick or a heap item.
+    for cfg in (default_config(seed=0), *_odd_shift_configs()):
+        stats = {}
+        run_scenario(cfg, stats=stats)
+        minute_ticks = stats["shifts_run"] * (cfg.shift.duration_min + 1)
+        assert stats["events_by_type"].get("ict_prompt", 0) > 0 or not cfg.toggles.engagement
+        assert stats["seconds_visited"] <= minute_ticks + stats["heap_items"]
+
+
+def test_horizon_runs_only_shifts_that_drain_within_it():
+    # The default 22:00 shift ends at 06:00 and drains until 06:30 the
+    # next day, so two days hold one shift and three hold two.
+    for days, shifts in ((1, 0), (2, 1), (3, 2)):
+        stats = {}
+        log, _ = run_scenario(default_config(seed=0, horizon_days=days), stats=stats)
+        assert stats["shifts_run"] == shifts
+        assert stats["shifts_skipped"] == days - shifts
+        assert sum(1 for e in log if e.type == "shift_start") == shifts
+
+
+def test_odometer_does_not_move_across_a_break():
+    cfg = default_config(seed=0)
+    runner = ScenarioRunner(cfg)
+    agent = runner.agents[0]
+    start = cfg.shift.start_min * 60
+    runner._shift_end = start + cfg.shift.duration_min * 60
+    runner._start_shift(agent, start)
+    runner._start_break(agent, start + 600, 20, "scheduled", "scheduled")
+    at_break = agent.current_odometer(start + 600)
+    assert at_break == 600 * cfg.behavior.speed_mps
+    runner._handle_break_end(start + 1800, agent)
+    assert agent.current_odometer(start + 1800) == at_break
+    assert agent.current_odometer(start + 1860) == at_break + 60 * cfg.behavior.speed_mps
+
+
+def test_response_deadline_under_a_second_counts_every_prompt_missed():
+    # A response takes at least 1 s, so none can beat a 0.5 s deadline.
+    log, _ = run_scenario(cfg_with(seed=0, **{"ict.response_deadline_s": 0.5}))
+    outcomes = {e.data["outcome"] for e in log if e.type == "ict_outcome"}
+    assert "missed" in outcomes
+    assert "completed" not in outcomes
+
+
+def _records_by_specialist(log):
+    records = {}
+    for e in log:
+        records.setdefault(e.specialist, []).append((e.time, e.type, e.data))
+    return records
+
+
+def test_adding_a_specialist_leaves_the_others_unchanged():
+    fleet = [
+        {"specialist_id": f"as-{i}", "susceptibility": 0.9 + 0.1 * i, "dual": i == 1}
+        for i in range(5)
+    ]
+    common = dict(
+        seed=12,
+        horizon_days=3,
+        toggles=Toggles.all_off().__dict__,
+        shift={"start_min": 1320, "duration_min": 480, "scheduled_breaks": [[240, 20]]},
+    )
+    four, _ = run_scenario(cfg_with(fleet=fleet[:4], **common))
+    five, _ = run_scenario(cfg_with(fleet=fleet, **common))
+    by_four, by_five = _records_by_specialist(four), _records_by_specialist(five)
+    assert set(by_five) == set(by_four) | {"as-4"}
+    for who, records in by_four.items():
+        assert by_five[who] == records
+    assert any(t == "incautious" for records in by_four.values() for _, t, _ in records)
 
 
 @pytest.mark.parametrize(
@@ -509,6 +574,10 @@ def test_config_rejects_duplicate_ids():
         {"vigilance.rating_latency_s": float("nan")},
         {"raters": [{"rater_id": f"r{i}", "bias": float("nan") if i else 0.0} for i in range(6)]},
         {"horizon_days": float("inf")},
+        # Demand windows need a period of at least 1 s, and the odometer
+        # cannot run backwards.
+        {"behavior.demand_period_min": 0},
+        {"behavior.speed_mps": -1.0},
     ],
 )
 def test_config_rejects_settings_the_loop_cannot_honour(override):
