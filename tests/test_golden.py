@@ -17,6 +17,7 @@ import dataclasses
 from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
+from configs import odd_shift_configs
 from logchecks import BLOCK_RECORD_TYPES, only
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -84,6 +85,8 @@ def matrix() -> dict:
             cases[f"default/{name}/seed{seed}"] = default_config(seed=seed, toggles=toggles)
     cases["dual_fleet5/all_on/seed5"] = dual_fleet_config(seed=5)
     cases["escalation3/all_on/seed0"] = escalation_config(seed=0)
+    for i, cfg in enumerate(odd_shift_configs()):
+        cases[f"odd_shift{i}/seed{cfg.seed}"] = cfg
     return cases
 
 

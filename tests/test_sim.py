@@ -15,6 +15,7 @@ from frmsim.sim import (
     session_length_stats,
 )
 
+from configs import odd_shift_configs
 from logchecks import BLOCK_RECORD_TYPES, assert_log_conserved, cfg_with, only
 
 
@@ -363,58 +364,8 @@ class _EverySecondRunner(ScenarioRunner):
     _STRIDE_S = 1
 
 
-def _odd_shift_configs():
-    """Off-minute starts, scheduled breaks, frequent control transitions
-    with manual periods that end mid-minute, and breaks and secondary
-    alerts as long as the drain allows (their items fall due after the
-    shift ends), across mixed toggles."""
-    for seed, toggles, manual_s, break_min, sa_s in (
-        (0, Toggles.all_on(), 7.5, 15.0, 1.5),
-        (1, Toggles(vigilance=False), 61.0, 30.0, 1.5),
-        (2, Toggles(awareness=False, scheduling=False), 1.0, 5.0, 1.5),
-        (3, Toggles.all_off(), 60.0, 15.0, 1.5),
-        (4, Toggles.all_on(), 60.0, 15.0, 900.0),
-    ):
-        yield cfg_with(
-            seed=seed,
-            horizon_days=3,
-            fleet=[
-                {"specialist_id": f"as-{i}", "susceptibility": 1.0 + 0.2 * i, "dual": i == 1}
-                for i in range(3)
-            ],
-            shift={"start_min": 1333, "duration_min": 300, "scheduled_breaks": [[97, 13]]},
-            toggles=toggles.__dict__,
-            sample_period_s=90,
-            **{
-                "behavior.transition_rate_per_h": 12.0,
-                "behavior.manual_period_s": manual_s,
-                "behavior.demand_start_min": 10.5,
-                "breaks.duration_min": break_min,
-                "vigilance.periodic_cadence_min": 7.25,
-                "sa.issue_delay_s": sa_s,
-                "sa.clear_timeout_s": sa_s,
-            },
-        )
-    # One specialist, so no other driver keeps the loop stepping: a
-    # 7.5-minute break ends between minute ticks, and its end item alone
-    # wakes the loop there.
-    yield cfg_with(
-        seed=0,
-        horizon_days=4,
-        **{
-            "sa.issue_delay_s": 900.0,
-            "sa.clear_timeout_s": 900.0,
-            "behavior.transition_rate_per_h": 20.0,
-            "breaks.duration_min": 7.5,
-            "behavior.impromptu_check_min": 5.0,
-            "behavior.impromptu_kss_threshold": 5,
-            "behavior.impromptu_p": 1.0,
-        },
-    )
-
-
 def test_next_event_loop_matches_every_second_reference():
-    for cfg in _odd_shift_configs():
+    for cfg in odd_shift_configs():
         fast = ScenarioRunner(cfg)
         reference = _EverySecondRunner(cfg)
         assert fast.run()[0].digest() == reference.run()[0].digest()
@@ -433,7 +384,7 @@ def test_engagement_off_visits_only_minute_ticks_and_items():
 def test_all_on_visits_only_minute_ticks_and_items():
     # Engagement work is scheduled too, so no second is visited for
     # anything but a minute tick or a heap item.
-    for cfg in (default_config(seed=0), *_odd_shift_configs()):
+    for cfg in (default_config(seed=0), *odd_shift_configs()):
         stats = {}
         run_scenario(cfg, stats=stats)
         minute_ticks = stats["shifts_run"] * (cfg.shift.duration_min + 1)
