@@ -358,21 +358,6 @@ def test_calibration_requires_countermeasures_off():
 # -- shift loop ---------------------------------------------------------------
 
 
-class _EverySecondRunner(ScenarioRunner):
-    """Reference loop: visits every second of the shift."""
-
-    _STRIDE_S = 1
-
-
-def test_next_event_loop_matches_every_second_reference():
-    for cfg in odd_shift_configs():
-        fast = ScenarioRunner(cfg)
-        reference = _EverySecondRunner(cfg)
-        assert fast.run()[0].digest() == reference.run()[0].digest()
-        shifts = fast.stats()["shifts_run"]
-        assert reference.stats()["seconds_visited"] > shifts * 300 * 60
-
-
 def test_engagement_off_visits_only_minute_ticks_and_items():
     cfg = default_config(seed=0).with_overrides(toggles=Toggles(engagement=False))
     stats = {}
