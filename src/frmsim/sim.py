@@ -1,12 +1,17 @@
 """Deterministic fleet-shift simulator.
 
 One scenario is a discrete-event loop over the horizon on a 1-second
-time grid. Within a shift the loop visits only two kinds of second: the
-minute ticks counted from the shift start, where every cadenced check
-runs (scheduled breaks and the shift end fall on minute ticks too), and
-the seconds at which a scheduled heap item falls due. It jumps straight
-from one to the next (next-event time advance), so a run costs in
-proportion to its events and minute ticks, not to its simulated seconds.
+time grid. Within a shift, time advances by events only: the loop pops
+the next item off one heap, ordered by (second, phase, push order), and
+dispatches it to the runner's ``_on_<kind>`` handler. The phases order
+the work that falls due in one second: ordinary items (break ends,
+follow-up surveys, secondary alerts), then scheduled breaks, engagement
+items, the fleet's minute checks (and, on the last minute, the shift
+end), and last the escalation validations, which may fall due in the
+second their case opened. The minute item runs every active
+specialist's cadenced checks and re-schedules itself a minute later
+until the shift end, so a run costs in proportion to its items, not to
+its simulated seconds.
 
 Engagement work is scheduled like everything else. A driving specialist
 has at most one live ICT item (the gap prompt, or the planned response,
@@ -15,9 +20,9 @@ live control item (the next control transition or the end of manual
 control). Their due times have closed forms (see ``engagement``). When
 an input changes (an interaction, a frequency adaptation, a break,
 manual control), the item is computed afresh, and the agent's generation
-token for that item marks the one it supersedes, which the loop drops
-when it falls due. No engagement item is scheduled at or after the shift end, which
-voids any pending prompt. After the shift ends the loop runs
+token for that item marks the one it supersedes, which its handler drops
+when it falls due. No engagement item is scheduled at or after the shift
+end, which voids any pending prompt. After the shift ends the loop runs
 ``SHIFT_DRAIN_S`` more seconds for the items still due; configuration
 validation keeps every scheduling delay within that drain, so each shift
 leaves an empty heap.
@@ -86,6 +91,15 @@ SIGNAL_RECENCY_S = 1800
 RETRAIN_SHIFTS_OFF = 1
 
 _BREAK_ACTIVITIES = (BreakActivity.REST, BreakActivity.PHYSICAL, BreakActivity.SOCIAL)
+
+# Phases order the items that fall due in the same second. A validation
+# comes after the minute checks because a rating latency under a second
+# schedules it into the second its case opened.
+_PHASE_ITEM = 0
+_PHASE_SCHEDULED_BREAK = 1
+_PHASE_ENGAGEMENT = 2
+_PHASE_MINUTE = 3
+_PHASE_VALIDATION = 4
 
 _IDLE = FatigueContext(on_task=False)
 _ASLEEP = FatigueContext(on_task=False, asleep=True)
@@ -207,17 +221,11 @@ class _Agent:
 
 
 class ScenarioRunner:
-    # Longest jump between visits while the shift runs and no item is
-    # due. Every cadenced check fires on minute ticks, so a stride that
-    # divides 60 visits more seconds and changes nothing.
-    _STRIDE_S = 60
-
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
         self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
-        self._agent_by_id = {agent.spec.specialist_id: agent for agent in self.agents}
         self._rng_qualification = _substream(cfg.seed, "qualification", "fleet")
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
@@ -230,9 +238,11 @@ class ScenarioRunner:
         # Last (second, phase) slot the shift loop has processed;
         # scheduling into it or earlier would leave the item at the heap
         # head forever.
-        self._popped = (-1, 2)
-        # The running shift's end and demand windows.
+        self._popped = (-1, _PHASE_ITEM)
+        # The running shift's bounds and demand windows.
+        self._shift_start = 0
         self._shift_end = 0
+        self._scheduled_breaks: dict[int, int] = {}
         self._demand: Optional[eng.DemandPattern] = None
         self._task_seq = 0
         self._case_seq = 0
@@ -257,12 +267,6 @@ class ScenarioRunner:
         self._heap_seq += 1
         if len(self._heap) > self._heap_high_water:
             self._heap_high_water = len(self._heap)
-
-    def _pop_due(self, t: int, phase: int) -> list:
-        due = []
-        while self._heap and self._heap[0][0] == t and self._heap[0][1] == phase:
-            due.append(heapq.heappop(self._heap))
-        return due
 
     def stats(self) -> dict:
         """What the run did and what it cost the loop: events per record
@@ -319,6 +323,7 @@ class ScenarioRunner:
     def _run_shift(self, shift_start: int, shift_end: int) -> None:
         cfg = self.cfg
         self._ensure_rater_pool(shift_start)
+        self._shift_start = shift_start
         self._shift_end = shift_end
         b = cfg.behavior
         self._demand = eng.DemandPattern.from_minutes(
@@ -353,65 +358,62 @@ class ScenarioRunner:
         if not active:
             return
 
-        scheduled_breaks = {
+        # A duplicated offset keeps its last duration.
+        self._scheduled_breaks = {
             shift_start + offset * 60: duration
             for offset, duration in cfg.shift.scheduled_breaks
         }
+        self._schedule_minute(shift_start, active)
 
-        # Next-event time advance over minute ticks and heap items. In a
-        # visited second: phase-0 items, scheduled breaks, engagement
-        # items (phase 1), the minute checks, the shift end, then phase-2
-        # items. Scheduled breaks and shift_end are whole minutes after
-        # shift_start, so the minute ticks cover them.
         heap = self._heap
-        stride = self._STRIDE_S
         loop_end = shift_end + SHIFT_DRAIN_S
-        t = shift_start
-        while True:
-            self._visits += 1
-            # Agents may schedule at t even if no item fell due, so the
-            # slot is marked either way.
-            self._popped = (t, 0)
-            if heap and heap[0][0] == t:
-                for _, _, _, kind, payload in self._pop_due(t, 0):
-                    self._handle_item(t, kind, payload)
-            elapsed = t - shift_start
-            minute_tick = t <= shift_end and elapsed % 60 == 0
-            if minute_tick and t in scheduled_breaks:
-                for agent in active:
-                    self._start_break(
-                        agent, t, scheduled_breaks[t], "scheduled", "scheduled"
-                    )
-            if heap and heap[0][0] == t and heap[0][1] == 1:
-                self._popped = (t, 1)
-                for _, _, _, kind, payload in self._pop_due(t, 1):
-                    self._handle_engagement_item(t, kind, payload)
-            if minute_tick:
-                for agent in active:
-                    if agent.on_shift:
-                        self._agent_minute(agent, t, elapsed)
-                if t == shift_end:
-                    for agent in active:
-                        self._end_shift(agent, t)
-            if heap and heap[0][0] == t:
-                self._popped = (t, 2)
-                for _, _, _, kind, payload in self._pop_due(t, 2):
-                    self._handle_item(t, kind, payload)
-
-            if t < shift_end:
-                t_next = t + stride - elapsed % stride
-            else:
-                t_next = loop_end + 1  # draining: only heap items remain
-            if heap and heap[0][0] < t_next:
-                t_next = heap[0][0]
-            if t_next > loop_end:
-                break
-            t = t_next
+        visited = None
+        while heap and heap[0][0] <= loop_end:
+            t, phase, _, kind, payload = heapq.heappop(heap)
+            self._popped = (t, phase)
+            if t != visited:
+                visited = t
+                self._visits += 1
+            getattr(self, "_on_" + kind)(t, **payload)
         if heap:
             # Validation bounds every delay by the drain.
             raise RuntimeError(
                 f"{len(heap)} items outlast the drain after the shift ending at {shift_end}"
             )
+
+    def _schedule_minute(self, t: int, agents: list) -> None:
+        """Schedule the fleet's minute at ``t``, led by the scheduled break
+        that starts then, if any. The fleet has one such item on the heap
+        at a time."""
+        duration = self._scheduled_breaks.get(t)
+        if duration is None:
+            self._schedule(t, _PHASE_MINUTE, "minute", agents=agents)
+        else:
+            self._schedule(
+                t,
+                _PHASE_SCHEDULED_BREAK,
+                "scheduled_break",
+                agents=agents,
+                duration_min=duration,
+            )
+
+    def _on_scheduled_break(self, t: int, agents: list, duration_min: int) -> None:
+        for agent in agents:
+            self._start_break(agent, t, duration_min, "scheduled", "scheduled")
+        self._schedule(t, _PHASE_MINUTE, "minute", agents=agents)
+
+    def _on_minute(self, t: int, agents: list) -> None:
+        """Every active agent's cadenced checks; on the last minute, the
+        shift end."""
+        elapsed = t - self._shift_start
+        for agent in agents:
+            if agent.on_shift:
+                self._agent_minute(agent, t, elapsed)
+        if t < self._shift_end:
+            self._schedule_minute(t + 60, agents)
+        else:
+            for agent in agents:
+                self._end_shift(agent, t)
 
     # -- shift boundaries ---------------------------------------------
 
@@ -549,7 +551,6 @@ class ScenarioRunner:
             return
         pending = agent.ict.pending
         after = t + 1
-        trigger = None
         if pending is None:
             due = eng.ict_due(
                 agent.ict,
@@ -562,24 +563,20 @@ class ScenarioRunner:
             if due is None:
                 return
             at, trigger = due
-            kind = "ict_prompt"
+            kind, payload = "ict_prompt", {"trigger": trigger}
         else:
-            at, kind = math.floor(pending.deadline) + 1, "ict_deadline"
+            at, signal = math.floor(pending.deadline) + 1, "deadline_passed"
             if agent.planned_response is not None:
                 respond_at = math.ceil(agent.planned_response)
                 if respond_at <= pending.deadline:
-                    at, kind = respond_at, "ict_response"
+                    at, signal = respond_at, "responded"
             rises_at = self._demand.next_high(after)
             if rises_at is not None and rises_at <= at:
-                at, kind = rises_at, "ict_demand"
+                at, signal = rises_at, "demand_rose"
+            kind, payload = "ict_resolve", {"signal": signal}
         if at < self._shift_end:
             self._schedule(
-                at,
-                1,
-                kind,
-                specialist=agent.spec.specialist_id,
-                gen=agent.ict_gen,
-                trigger=trigger,
+                at, _PHASE_ENGAGEMENT, kind, agent=agent, gen=agent.ict_gen, **payload
             )
 
     def _plan_control(self, agent: _Agent, t: int) -> None:
@@ -595,43 +592,52 @@ class ScenarioRunner:
         else:
             return
         if at < self._shift_end:
-            self._schedule(
-                at, 1, kind, specialist=agent.spec.specialist_id, gen=agent.control_gen
-            )
+            self._schedule(at, _PHASE_ENGAGEMENT, kind, agent=agent, gen=agent.control_gen)
 
-    def _handle_engagement_item(self, t: int, kind: str, payload: dict) -> None:
-        cfg = self.cfg
-        agent = self._agent_by_id[payload["specialist"]]
-        control = kind in ("transition", "manual_end")
-        if payload["gen"] != (agent.control_gen if control else agent.ict_gen):
-            self._stale_dropped += 1
-            return
-        if kind == "transition":
+    def _live(self, gen: int, current: int) -> bool:
+        """Whether an engagement item's generation token is the agent's
+        current one; a superseded item is counted and dropped."""
+        if gen == current:
+            return True
+        self._stale_dropped += 1
+        return False
+
+    def _on_transition(self, t: int, agent: _Agent, gen: int) -> None:
+        if self._live(gen, agent.control_gen):
             self._control_transition(agent, t)
+
+    def _on_manual_end(self, t: int, agent: _Agent, gen: int) -> None:
+        if not self._live(gen, agent.control_gen):
             return
-        if kind == "manual_end":
-            agent.manual_until = None
-            self._record_interactivity(agent, t)
-            self._plan_ict(agent, t)
-            self._plan_control(agent, t)
+        agent.manual_until = None
+        self._record_interactivity(agent, t)
+        self._plan_ict(agent, t)
+        self._plan_control(agent, t)
+
+    def _on_ict_prompt(
+        self, t: int, agent: _Agent, gen: int, trigger: eng.IctTrigger
+    ) -> None:
+        if not self._live(gen, agent.ict_gen):
             return
-        state = agent.ict
-        if kind == "ict_prompt":
-            self._log_ict_prompt(agent, t, eng.ict_issue(state, t, payload["trigger"], cfg.ict))
-        elif kind == "ict_response":
-            latency = agent.planned_response - state.pending.issued_at
-            resolution = eng.ict_resolve(state, "responded", t, cfg.ict, latency_s=latency)
-            self._log_ict_outcome(agent, t, resolution)
+        self._log_ict_prompt(agent, t, eng.ict_issue(agent.ict, t, trigger, self.cfg.ict))
+        self._plan_ict(agent, t)
+
+    def _on_ict_resolve(self, t: int, agent: _Agent, gen: int, signal: str) -> None:
+        """End the pending prompt: the planned response arrives, the
+        deadline passes, or demand rises."""
+        if not self._live(gen, agent.ict_gen):
+            return
+        cfg = self.cfg
+        latency = None
+        if signal == "responded":
+            latency = agent.planned_response - agent.ict.pending.issued_at
+        resolution = eng.ict_resolve(agent.ict, signal, t, cfg.ict, latency_s=latency)
+        self._log_ict_outcome(agent, t, resolution)
+        if signal == "responded":
             # Completing an in-car task is itself engaging.
             agent.advance_to(t)
             agent.task_load *= 1.0 - cfg.behavior.ict_relief
             self._record_interactivity(agent, t)
-        elif kind == "ict_deadline":
-            resolution = eng.ict_resolve(state, "deadline_passed", t, cfg.ict)
-            self._log_ict_outcome(agent, t, resolution)
-        else:  # ict_demand
-            resolution = eng.ict_resolve(state, "demand_rose", t, cfg.ict)
-            self._log_ict_outcome(agent, t, resolution)
         self._plan_ict(agent, t)
 
     # -- ICT ---------------------------------------------------------------
@@ -704,9 +710,9 @@ class ScenarioRunner:
             elif agent.rng_ict.random() < 0.9:
                 self._schedule(
                     t + 60,
-                    0,
+                    _PHASE_ITEM,
                     "break_start",
-                    specialist=who,
+                    agent=agent,
                     duration_min=self.cfg.breaks.duration_min,
                     initiator="intervention",
                     reason="ict_intervention",
@@ -792,9 +798,9 @@ class ScenarioRunner:
                 resolve_delay_s = int(cfg.sa.clear_timeout_s)
             self._schedule(
                 t + int(decision.delay_s or 0),
-                0,
+                _PHASE_ITEM,
                 "sa_issue",
-                specialist=who,
+                agent=agent,
                 sa_id=sa_id,
                 outcome=outcome,
                 resolve_delay_s=resolve_delay_s,
@@ -879,7 +885,9 @@ class ScenarioRunner:
             )
             self._log_task(t, case.task)
         resolve_at = t + int(cfg.vigilance.rating_latency_s)
-        self._schedule(resolve_at, 2, "escalation_validate", specialist=who, case=case)
+        self._schedule(
+            resolve_at, _PHASE_VALIDATION, "escalation_validate", agent=agent, case=case
+        )
         return resolve_at
 
     def _dms_observation(self, agent: _Agent, t: int) -> None:
@@ -947,7 +955,7 @@ class ScenarioRunner:
         )
         self._validation_ratings.append(rating)
 
-    def _resolve_escalation(
+    def _on_escalation_validate(
         self, t: int, agent: _Agent, case: vig.EscalationCase
     ) -> None:
         who = case.specialist_id
@@ -1070,9 +1078,9 @@ class ScenarioRunner:
                 agent.pending_followup_for = record.record_id
                 self._schedule(
                     t + 60,
-                    0,
+                    _PHASE_ITEM,
                     "break_start",
-                    specialist=who,
+                    agent=agent,
                     duration_min=cfg.breaks.duration_min,
                     initiator="pfs",
                     reason="high_kss",
@@ -1180,9 +1188,9 @@ class ScenarioRunner:
             return
         self._schedule(
             t + 60,
-            0,
+            _PHASE_ITEM,
             "break_start",
-            specialist=who,
+            agent=agent,
             duration_min=offer.duration_min,
             initiator="invited",
             reason=offer.reason,
@@ -1263,9 +1271,9 @@ class ScenarioRunner:
             duration_min=duration_min,
             activity=activity.value,
         )
-        self._schedule(until, 0, "break_end", specialist=agent.spec.specialist_id)
+        self._schedule(until, _PHASE_ITEM, "break_end", agent=agent)
 
-    def _handle_break_end(self, t: int, agent: _Agent) -> None:
+    def _on_break_end(self, t: int, agent: _Agent) -> None:
         who = agent.spec.specialist_id
         agent.in_break_until = None
         self.log.append(t, "break_end", who)
@@ -1285,16 +1293,16 @@ class ScenarioRunner:
         if self.cfg.toggles.awareness:
             if agent.pending_followup_for is not None:
                 if agent.rng_breaks.random() < self.cfg.pfs.followup_compliance:
-                    self._schedule(t + 60, 0, "pfs_followup", specialist=who)
+                    self._schedule(t + 60, _PHASE_ITEM, "pfs_followup", agent=agent)
                 else:
                     self._schedule(
                         t + int(self.cfg.pfs.followup_due_min * 60),
-                        0,
+                        _PHASE_ITEM,
                         "pfs_reminder",
-                        specialist=who,
+                        agent=agent,
                     )
             else:
-                self._schedule(t + 60, 0, "pfs_regular", specialist=who)
+                self._schedule(t + 60, _PHASE_ITEM, "pfs_regular", agent=agent)
 
     def _stop_driving(self, agent: _Agent, t: int) -> None:
         """The agent leaves the vehicle for the rest of the shift."""
@@ -1320,55 +1328,55 @@ class ScenarioRunner:
         agent.session_start = None
         agent.session_had_incautious = False
 
-    # -- scheduled item dispatch ------------------------------------------
+    # -- ordinary items ----------------------------------------------------
 
-    def _handle_item(self, t: int, kind: str, payload: dict) -> None:
-        who = payload["specialist"]
-        agent = self._agent_by_id[who]
-        if kind == "break_start":
-            self._start_break(
-                agent,
-                t,
-                payload["duration_min"],
-                payload["initiator"],
-                payload["reason"],
-            )
-        elif kind == "break_end":
-            self._handle_break_end(t, agent)
-        elif kind == "pfs_followup":
-            if agent.pending_followup_for is not None:
-                self._submit_pfs(agent, t, is_followup=True)
-        elif kind == "pfs_regular":
-            if agent.on_shift and agent.driving:
-                self._submit_pfs(agent, t, is_followup=False)
-        elif kind == "pfs_reminder":
-            if agent.pending_followup_for is not None:
-                self.log.append(
-                    t, "pfs_reminder", who, pending=agent.pending_followup_for
-                )
-                self._schedule(t + 60, 0, "pfs_followup", specialist=who)
-        elif kind == "sa_issue":
-            self.log.append(t, "sa_issued", who, sa_id=payload["sa_id"])
-            self._schedule(
-                t + payload["resolve_delay_s"],
-                0,
-                "sa_resolve",
-                specialist=who,
-                sa_id=payload["sa_id"],
-                outcome=payload["outcome"],
-            )
-        elif kind == "sa_resolve":
+    def _on_break_start(
+        self, t: int, agent: _Agent, duration_min: float, initiator: str, reason: str
+    ) -> None:
+        self._start_break(agent, t, duration_min, initiator, reason)
+
+    def _on_pfs_followup(self, t: int, agent: _Agent) -> None:
+        if agent.pending_followup_for is not None:
+            self._submit_pfs(agent, t, is_followup=True)
+
+    def _on_pfs_regular(self, t: int, agent: _Agent) -> None:
+        if agent.on_shift and agent.driving:
+            self._submit_pfs(agent, t, is_followup=False)
+
+    def _on_pfs_reminder(self, t: int, agent: _Agent) -> None:
+        if agent.pending_followup_for is not None:
             self.log.append(
                 t,
-                "sa_resolved",
-                who,
-                sa_id=payload["sa_id"],
-                outcome=payload["outcome"].value,
+                "pfs_reminder",
+                agent.spec.specialist_id,
+                pending=agent.pending_followup_for,
             )
-        elif kind == "escalation_validate":
-            self._resolve_escalation(t, agent, payload["case"])
-        else:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown scheduled item kind {kind!r}")
+            self._schedule(t + 60, _PHASE_ITEM, "pfs_followup", agent=agent)
+
+    def _on_sa_issue(
+        self,
+        t: int,
+        agent: _Agent,
+        sa_id: str,
+        outcome: eng.SaResolution,
+        resolve_delay_s: int,
+    ) -> None:
+        self.log.append(t, "sa_issued", agent.spec.specialist_id, sa_id=sa_id)
+        self._schedule(
+            t + resolve_delay_s,
+            _PHASE_ITEM,
+            "sa_resolve",
+            agent=agent,
+            sa_id=sa_id,
+            outcome=outcome,
+        )
+
+    def _on_sa_resolve(
+        self, t: int, agent: _Agent, sa_id: str, outcome: eng.SaResolution
+    ) -> None:
+        self.log.append(
+            t, "sa_resolved", agent.spec.specialist_id, sa_id=sa_id, outcome=outcome.value
+        )
 
 
 def run_scenario(

@@ -398,7 +398,7 @@ def test_odometer_does_not_move_across_a_break():
     runner._start_break(agent, start + 600, 20, "scheduled", "scheduled")
     at_break = agent.current_odometer(start + 600)
     assert at_break == 600 * cfg.behavior.speed_mps
-    runner._handle_break_end(start + 1800, agent)
+    runner._on_break_end(start + 1800, agent)
     assert agent.current_odometer(start + 1800) == at_break
     assert agent.current_odometer(start + 1860) == at_break + 60 * cfg.behavior.speed_mps
 
