@@ -1,6 +1,5 @@
-"""Periodic fatigue survey flow, self-report trend aggregation, concern
-escalation tickets, and comparison of automated flags against
-self-reports.
+"""Periodic fatigue survey flow, self-report trend aggregation, and
+safety-concern tickets.
 
 Self-reports never feed a formal drowsiness rating; they gate break
 suggestions and supervisor outreach only.
@@ -19,14 +18,10 @@ __all__ = [
     "ConcernChannel",
     "ConcernStatus",
     "ConcernTicket",
-    "DmsVsPfsReport",
     "PfsAction",
     "PfsOutcome",
     "PfsRecord",
     "TrendSummary",
-    "advance_concern",
-    "concern_from_record",
-    "cross_check_dms_vs_pfs",
     "open_concern",
     "pfs_trend",
     "submit_pfs",
@@ -201,9 +196,6 @@ class ConcernStatus(str, Enum):
     RESOLVED = "resolved"
 
 
-_STATUS_ORDER = (ConcernStatus.OPEN, ConcernStatus.ASSESSED, ConcernStatus.RESOLVED)
-
-
 @dataclass(frozen=True)
 class ConcernTicket:
     ticket_id: str
@@ -229,18 +221,6 @@ class ConcernTicket:
         return record
 
 
-def concern_from_record(record: dict) -> ConcernTicket:
-    return ConcernTicket(
-        ticket_id=record["ticket_id"],
-        channel=ConcernChannel(record["channel"]),
-        anonymous=record["anonymous"],
-        status=ConcernStatus(record["status"]),
-        summary=record["summary"],
-        specialist_id=record.get("specialist_id"),
-        status_history=tuple(ConcernStatus(s) for s in record["status_history"]),
-    )
-
-
 def open_concern(
     channel: ConcernChannel,
     summary: str,
@@ -261,58 +241,3 @@ def open_concern(
         summary=summary,
         specialist_id=None if anonymous else specialist_id,
     )
-
-
-def advance_concern(ticket: ConcernTicket, new_status: ConcernStatus) -> ConcernTicket:
-    """Move a ticket to the next status; the open-assessed-resolved
-    order is append-only and cannot be skipped."""
-    current_index = _STATUS_ORDER.index(ticket.status)
-    new_index = _STATUS_ORDER.index(new_status)
-    if new_index != current_index + 1:
-        raise ValueError(
-            f"cannot move ticket from {ticket.status.value} to {new_status.value}"
-        )
-    return ConcernTicket(
-        ticket_id=ticket.ticket_id,
-        channel=ticket.channel,
-        anonymous=ticket.anonymous,
-        status=new_status,
-        summary=ticket.summary,
-        specialist_id=ticket.specialist_id,
-        status_history=ticket.status_history + (new_status,),
-    )
-
-
-@dataclass(frozen=True)
-class DmsVsPfsReport:
-    hits: int
-    misses: int
-    false_alarms: int
-
-
-def cross_check_dms_vs_pfs(
-    dms_flag_times: Sequence[float],
-    pfs_records: Sequence[PfsRecord],
-    proximity_window_s: float,
-    *,
-    kss_threshold: int = KSS_BREAK_THRESHOLD,
-) -> DmsVsPfsReport:
-    """Compare automated flags against subsequent high self-reports.
-
-    A high-KSS survey with a flag in the preceding window is a hit,
-    without one a miss; a flag with no high survey in the following
-    window is a false alarm.
-    """
-    flags = sorted(dms_flag_times)
-    high = sorted(r.timestamp for r in pfs_records if r.kss >= kss_threshold)
-    hits = 0
-    misses = 0
-    for t in high:
-        if any(t - proximity_window_s <= f <= t for f in flags):
-            hits += 1
-        else:
-            misses += 1
-    false_alarms = sum(
-        1 for f in flags if not any(f <= t <= f + proximity_window_s for t in high)
-    )
-    return DmsVsPfsReport(hits=hits, misses=misses, false_alarms=false_alarms)

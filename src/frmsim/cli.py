@@ -253,7 +253,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for e in log
         if e.type == "pfs"
     ]
-    horizon = log.events[-1].time if len(log) else 0
+    horizon = log.last_time
     print("== self-report trend ==")
     print(trend_to_csv(pfs_trend(pfs_records, (0, horizon))), end="")
 

@@ -151,14 +151,11 @@ def record_interactivity(
     odometer: float,
     rng: random.Random,
     cfg: EngagementConfig,
-    demand_high: bool = False,
-) -> Optional[IctRecord]:
+) -> None:
     """Register specialist/vehicle interaction: a new gap starts, with
-    its baselines reset and its jitter drawn from ``rng``.
-
-    A pending prompt survives ordinary interaction (only its own response
-    completes it) but is voided when driving demand is high. Returns the
-    voided record, if any.
+    its baselines reset and its jitter drawn from ``rng``. A pending
+    prompt survives it: only its own response completes it, and rising
+    demand voids it through ``ict_resolve``.
     """
     if now < state.last_interactivity_time:
         raise ValueError(
@@ -173,17 +170,6 @@ def record_interactivity(
     state.jitter = 1.0
     if cfg.jitter > 0:
         state.jitter = rng.uniform(1.0 - cfg.jitter, 1.0 + cfg.jitter)
-    if state.pending is not None and demand_high:
-        record = IctRecord(
-            prompt_id=state.pending.prompt_id,
-            trigger=state.pending.trigger,
-            outcome=IctOutcome.VOIDED_BY_DEMAND,
-            followup_of=state.pending.followup_of,
-        )
-        state.pending = None
-        state.recent_outcomes.append(record)
-        return record
-    return None
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ class EventLog:
         return event
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        return tuple(self._events)
+    def last_time(self) -> int:
+        """Timestamp of the last record, or 0 for an empty log."""
+        return self._events[-1].time if self._events else 0
 
     def __len__(self) -> int:
         return len(self._events)

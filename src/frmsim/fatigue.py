@@ -236,14 +236,11 @@ def to_kss(state: AlertnessState, rng: random.Random, params: ModelParams) -> in
     return max(1, min(9, kss))
 
 
-def to_ord_truth(
-    state: AlertnessState, band_edges: tuple[float, ...] = DEFAULT_ORD_EDGES
-) -> int:
-    """Ground-truth observer drowsiness level 1..5 from alertness bands."""
-    if list(band_edges) != sorted(band_edges, reverse=True) or len(band_edges) != 4:
-        raise ValueError("band_edges must be four descending values")
+def to_ord_truth(state: AlertnessState) -> int:
+    """Ground-truth observer drowsiness level 1..5 from the alertness
+    bands of ``DEFAULT_ORD_EDGES``."""
     level = 1
-    for edge in band_edges:
+    for edge in DEFAULT_ORD_EDGES:
         if state.alertness < edge:
             level += 1
     return level

@@ -121,7 +121,7 @@ def compute_metrics(log: EventLog) -> Metrics:
             if _require(data, "resolution", event.type) == "confirmed":
                 confirmations.setdefault(who, []).append(event.time)
 
-    last_time = log.events[-1].time if len(log) else 0
+    last_time = log.last_time
     for who in list(episode_open):
         close_episode(who, last_time)
 

@@ -7,9 +7,6 @@ from frmsim.awareness import (
     ConcernStatus,
     PfsAction,
     PfsRecord,
-    advance_concern,
-    concern_from_record,
-    cross_check_dms_vs_pfs,
     open_concern,
     pfs_trend,
     submit_pfs,
@@ -131,9 +128,7 @@ def test_anonymous_ticket_round_trips_without_identity():
     )
     record = ticket.to_record()
     assert "specialist_id" not in record
-    restored = concern_from_record(record)
-    assert restored.specialist_id is None
-    assert restored.channel is ConcernChannel.ANONYMOUS_SURVEY
+    assert record["channel"] == ConcernChannel.ANONYMOUS_SURVEY.value
 
 
 def test_identified_ticket_keeps_identity():
@@ -150,70 +145,6 @@ def test_identified_ticket_keeps_identity():
 def test_anonymous_channel_requires_anonymity():
     with pytest.raises(ValueError):
         open_concern(ConcernChannel.ANONYMOUS_SURVEY, "x", anonymous=False)
-
-
-def test_status_order_is_append_only():
-    ticket = open_concern(ConcernChannel.FIELD_SAFETY_PROGRAM, "x", anonymous=True)
-    with pytest.raises(ValueError):
-        advance_concern(ticket, ConcernStatus.RESOLVED)
-    assessed = advance_concern(ticket, ConcernStatus.ASSESSED)
-    resolved = advance_concern(assessed, ConcernStatus.RESOLVED)
-    assert resolved.status_history == (
-        ConcernStatus.OPEN,
-        ConcernStatus.ASSESSED,
-        ConcernStatus.RESOLVED,
-    )
-    with pytest.raises(ValueError):
-        advance_concern(resolved, ConcernStatus.ASSESSED)
-
-
-# -- automated-flag versus self-report cross-check -------------------------------
-
-
-def _pfs_at(times_kss):
-    return [
-        PfsRecord(record_id=f"p{i}", specialist_id="as-0", timestamp=t, kss=k)
-        for i, (t, k) in enumerate(times_kss)
-    ]
-
-
-def test_flag_shortly_before_high_report_is_hit():
-    report = cross_check_dms_vs_pfs([940.0], _pfs_at([(1000.0, 7)]), 300.0)
-    assert (report.hits, report.misses, report.false_alarms) == (1, 0, 0)
-
-
-def test_high_report_without_flag_is_miss():
-    report = cross_check_dms_vs_pfs([], _pfs_at([(1000.0, 7)]), 300.0)
-    assert (report.hits, report.misses, report.false_alarms) == (0, 1, 0)
-
-
-def test_no_high_reports_no_hits_or_misses():
-    report = cross_check_dms_vs_pfs([100.0], _pfs_at([(120.0, 3)]), 300.0)
-    assert report.hits == 0
-    assert report.misses == 0
-    assert report.false_alarms == 1
-
-
-def test_cross_check_against_interval_oracle():
-    rng = random.Random(14)
-    window = 300.0
-    for _ in range(100):
-        flags = sorted(rng.uniform(0, 5000) for _ in range(rng.randint(0, 6)))
-        surveys = [
-            (rng.uniform(0, 5000), rng.randint(1, 9)) for _ in range(rng.randint(0, 8))
-        ]
-        report = cross_check_dms_vs_pfs(flags, _pfs_at(surveys), window)
-        high = [t for t, k in surveys if k >= 6]
-        hits = sum(1 for t in high if any(t - window <= f <= t for f in flags))
-        misses = len(high) - hits
-        false_alarms = sum(
-            1 for f in flags if not any(f <= t <= f + window for t in high)
-        )
-        assert (report.hits, report.misses, report.false_alarms) == (
-            hits,
-            misses,
-            false_alarms,
-        )
 
 
 def test_formal_rating_interface_takes_no_survey_input():

@@ -44,8 +44,8 @@ def tick(state, now, odometer=0.0, cfg=NO_JITTER, demand=None):
     return ict_issue(state, now, due[1], cfg)
 
 
-def interact(state, now, odometer, cfg=NO_JITTER, **kwargs):
-    return record_interactivity(state, now, odometer, random.Random(0), cfg, **kwargs)
+def interact(state, now, odometer, cfg=NO_JITTER):
+    record_interactivity(state, now, odometer, random.Random(0), cfg)
 
 
 # -- interactivity ------------------------------------------------------------
@@ -65,15 +65,6 @@ def test_interactivity_does_not_clear_pending_prompt():
     assert prompt is not None
     interact(state, 401.0, 10.0)
     assert state.pending is not None
-
-
-def test_interactivity_voids_pending_under_high_demand():
-    state = make_state()
-    tick(state, 400.0)
-    record = interact(state, 401.0, 10.0, demand_high=True)
-    assert record is not None
-    assert record.outcome is IctOutcome.VOIDED_BY_DEMAND
-    assert state.pending is None
 
 
 def test_time_and_odometer_regression_rejected():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from frmsim.fatigue import (
+    DEFAULT_ORD_EDGES,
     AlertnessState,
     BreakActivity,
     FatigueContext,
@@ -173,6 +174,11 @@ def test_ord_endpoints_and_monotone_sweep():
         assert 1 <= level <= 5
         assert level >= previous
         previous = level
+
+
+def test_ord_edges_are_four_descending_values():
+    assert len(DEFAULT_ORD_EDGES) == 4
+    assert all(hi > lo for hi, lo in zip(DEFAULT_ORD_EDGES, DEFAULT_ORD_EDGES[1:]))
 
 
 def test_additive_components_never_raise_alertness():
