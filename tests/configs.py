@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from frmsim.config import Toggles
+import random
+
+from frmsim.config import Toggles, default_config
 
 from logchecks import cfg_with
 
@@ -55,3 +57,75 @@ def odd_shift_configs():
             "behavior.impromptu_p": 1.0,
         },
     )
+
+
+def random_config(rng: random.Random) -> dict:
+    """A configuration document drawn from ``rng``: a small fleet over two
+    or three days with mixed toggles, an off-minute shift start, scheduled
+    breaks (a repeated offset among them), and cadences, delays, demand
+    windows and control periods from one second up to the drain. A few
+    draws let a secondary alert outlast the drain, which validation
+    rejects."""
+    data = default_config(seed=rng.randrange(1000)).to_dict()
+    duration = rng.choice((60, 97, 180, 300))
+    breaks = [
+        [rng.randrange(duration - 10), rng.randint(1, 10)] for _ in range(rng.randint(0, 2))
+    ]
+    if breaks and rng.random() < 0.3:
+        breaks.append([breaks[0][0], rng.randint(1, 10)])
+    data["horizon_days"] = rng.randint(2, 3)
+    data["fleet"] = [
+        {
+            "specialist_id": f"as-{i}",
+            "susceptibility": rng.uniform(0.5, 3.0),
+            "initial_sleep_pressure": rng.uniform(0.0, 0.6),
+            "stage": rng.choice(("single_qualified", "dual_qualified", "trainee")),
+            "dual": rng.random() < 0.5,
+        }
+        for i in range(rng.randint(1, 3))
+    ]
+    data["shift"] = {
+        "start_min": rng.randrange(1440),
+        "duration_min": duration,
+        "scheduled_breaks": breaks,
+    }
+    data["toggles"] = {name: rng.random() < 0.6 for name in data["toggles"]}
+    data["sample_period_s"] = rng.choice((1, 45, 60, 90, 600))
+    data["dms"]["observation_period"] = rng.choice((1.0, 45.0, 60.0, 150.0))
+    data["vigilance"].update(
+        periodic_cadence_min=rng.choice((0.5, 7.25, 30.0)),
+        rating_latency_s=rng.choice((0.5, 1.0, 30.0, 1800.0)),
+        flag_cooldown_min=rng.choice((0.0, 10.0)),
+        reliability_interval_min=rng.choice((1.0, 60.0)),
+        post_confirm_break_min=rng.choice((1 / 60, 15.0, 30.0)),
+    )
+    data["ict"].update(
+        gap_time_s=rng.uniform(1.0, 600.0),
+        gap_distance_m=rng.uniform(1.0, 6000.0),
+        jitter=rng.choice((0.0, 0.2, 0.9)),
+        response_deadline_s=rng.choice((0.5, 5.0, 30.0, 4000.0)),
+        adapt_window=rng.randint(1, 10),
+    )
+    sa_s = rng.choice((1.0, 1.5, 5.0, 900.0, 1000.0))
+    data["sa"].update(issue_delay_s=sa_s, clear_timeout_s=rng.choice((1.0, 10.0, sa_s)))
+    data["breaks"].update(
+        duration_min=rng.choice((1 / 60, 7.5, 15.0, 30.0)),
+        cooldown_min=rng.choice((0.0, 60.0)),
+    )
+    data["pfs"].update(
+        cadence_min=rng.choice((1.0, 17.5, 120.0)),
+        followup_due_min=rng.choice((1 / 60, 5.0, 29.0)),
+    )
+    data["behavior"].update(
+        monotony=rng.random(),
+        impromptu_check_min=rng.choice((1.0, 5.0, 15.0)),
+        impromptu_kss_threshold=rng.randint(1, 9),
+        impromptu_p=rng.random(),
+        transition_rate_per_h=rng.choice((0.0, 1.0, 20.0)),
+        manual_period_s=rng.choice((0.5, 7.5, 60.0, 3000.0)),
+        demand_period_min=rng.choice((0.5, 7.0, 60.0)),
+        demand_start_min=rng.uniform(0.0, 60.0),
+        demand_duration_min=rng.uniform(0.0, 60.0),
+        speed_mps=rng.choice((0.0, 12.0, 30.0)),
+    )
+    return data
