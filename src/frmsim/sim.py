@@ -404,7 +404,7 @@ class ScenarioRunner:
 
     def _on_minute(self, t: int, agents: list) -> None:
         """Every active agent's cadenced checks; on the last minute, the
-        shift end."""
+        shift end (shift lengths are whole minutes)."""
         elapsed = t - self._shift_start
         for agent in agents:
             if agent.on_shift:
