@@ -221,13 +221,13 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def to_kss(state: AlertnessState, rng: random.Random, params: ModelParams) -> int:
+def to_kss(alertness: float, rng: random.Random, params: ModelParams) -> int:
     """Self-reported sleepiness on the 9-point scale (1 alert .. 9 sleepy).
 
     Quantizes (1 - alertness) affinely onto 1..9, adds report noise
     clamped at three standard deviations, rounds, and clamps to [1, 9].
     """
-    sleepiness = 1.0 - state.alertness
+    sleepiness = 1.0 - alertness
     if params.report_noise_sd > 0:
         limit = 3.0 * params.report_noise_sd
         noise = rng.gauss(0.0, params.report_noise_sd)
@@ -236,11 +236,11 @@ def to_kss(state: AlertnessState, rng: random.Random, params: ModelParams) -> in
     return max(1, min(9, kss))
 
 
-def to_ord_truth(state: AlertnessState) -> int:
+def to_ord_truth(alertness: float) -> int:
     """Ground-truth observer drowsiness level 1..5 from the alertness
     bands of ``DEFAULT_ORD_EDGES``."""
     level = 1
     for edge in DEFAULT_ORD_EDGES:
-        if state.alertness < edge:
+        if alertness < edge:
             level += 1
     return level

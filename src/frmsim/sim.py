@@ -66,7 +66,6 @@ from . import vigilance as vig
 from .config import SHIFT_DRAIN_S, ConfigError, HazardConfig, ScenarioConfig, Toggles
 from .events import EventLog
 from .fatigue import (
-    AlertnessState,
     BreakActivity,
     FatigueContext,
     ModelParams,
@@ -198,12 +197,6 @@ class _Agent:
     def alertness(self, t: int) -> float:
         self.advance_to(t)
         return compose_alertness(self.pressure, self.phase, self.task_load, self.params)
-
-    def state(self, t: int) -> AlertnessState:
-        self.advance_to(t)
-        return AlertnessState.from_components(
-            self.pressure, self.phase, self.task_load, self.params
-        )
 
     def current_odometer(self, t: int) -> float:
         if self.moving_since is None:
@@ -476,23 +469,23 @@ class ScenarioRunner:
         driving = agent.driving and not agent.in_break(t)
 
         if elapsed % cfg.sample_period_s == 0:
-            state = agent.state(t)
+            alertness = agent.alertness(t)
             self.log.append(
                 t,
                 "state_sample",
                 who,
-                alertness=round(state.alertness, 6),
-                ord=to_ord_truth(state),
-                task_load=round(state.task_load, 6),
-                pressure=round(state.homeostatic_pressure, 6),
+                alertness=round(alertness, 6),
+                ord=to_ord_truth(alertness),
+                task_load=round(agent.task_load, 6),
+                pressure=round(agent.pressure, 6),
                 on_task=driving,
                 period_s=cfg.sample_period_s,
             )
 
         if driving:
             # Incautious-behavior hazard accrues per driving minute.
-            state = agent.state(t)
-            if agent.rng_hazard.random() < cfg.hazard.rate(state.task_load, state.alertness):
+            alertness = agent.alertness(t)
+            if agent.rng_hazard.random() < cfg.hazard.rate(agent.task_load, alertness):
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True
 
@@ -893,7 +886,7 @@ class ScenarioRunner:
     def _dms_observation(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
-        true_ord = to_ord_truth(agent.state(t))
+        true_ord = to_ord_truth(agent.alertness(t))
         flag = vig.dms_observe(
             true_ord,
             cfg.dms,
@@ -922,7 +915,7 @@ class ScenarioRunner:
     def _periodic_rating(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
-        true_ord = to_ord_truth(agent.state(t))
+        true_ord = to_ord_truth(agent.alertness(t))
         window_start = t - cfg.vigilance.periodic_cadence_min * 60
         task = vig.assign_rating_tasks(
             self._qualified_pool,
@@ -1050,7 +1043,7 @@ class ScenarioRunner:
     def _submit_pfs(self, agent: _Agent, t: int, is_followup: bool) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
-        kss = to_kss(agent.state(t), agent.rng_breaks, agent.params)
+        kss = to_kss(agent.alertness(t), agent.rng_breaks, agent.params)
         record_id = f"pfs-{who}-{agent.pfs_seq}"
         agent.pfs_seq += 1
         record, outcome = aw.submit_pfs(
@@ -1109,7 +1102,7 @@ class ScenarioRunner:
         # a concern ticket with small probability.
         b = self.cfg.behavior
         rng = agent.rng_breaks
-        if to_ord_truth(agent.state(t)) >= 4 and rng.random() < b.peer_concern_p_per_h:
+        if to_ord_truth(agent.alertness(t)) >= 4 and rng.random() < b.peer_concern_p_per_h:
             channel = (
                 aw.ConcernChannel.SUPERVISOR_DIRECT
                 if rng.random() < 0.7
@@ -1198,7 +1191,7 @@ class ScenarioRunner:
 
     def _impromptu_check(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
-        perceived = to_kss(agent.state(t), agent.rng_breaks, agent.params)
+        perceived = to_kss(agent.alertness(t), agent.rng_breaks, agent.params)
         if perceived < cfg.behavior.impromptu_kss_threshold:
             return
         if agent.rng_breaks.random() >= cfg.behavior.impromptu_p:

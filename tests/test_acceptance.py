@@ -334,15 +334,15 @@ def test_11_fatigue_model_numerics(capsys):
     # Self-report and observer scales: endpoints and monotonicity.
     quiet = ModelParams(report_noise_sd=0.0)
     rng = random.Random(0)
-    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0), rng, quiet) == 1
-    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0), rng, quiet) == 9
-    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0)) == 1
-    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0)) == 5
+    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness, rng, quiet) == 1
+    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness, rng, quiet) == 9
+    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness) == 1
+    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness) == 5
     last_kss, last_ord = 0, 0
     for i in range(101):
         s = AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100)
-        kss = to_kss(s, rng, quiet)
-        level = to_ord_truth(s)
+        kss = to_kss(s.alertness, rng, quiet)
+        level = to_ord_truth(s.alertness)
         assert kss >= last_kss and level >= last_ord
         last_kss, last_ord = kss, level
     with capsys.disabled():

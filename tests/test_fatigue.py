@@ -126,10 +126,10 @@ def _oracle_kss(alertness: float) -> int:
 def test_kss_endpoints_and_midpoint():
     quiet = ModelParams(report_noise_sd=0.0)
     rng = random.Random(0)
-    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0), rng, quiet) == 1
-    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0), rng, quiet) == 9
+    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness, rng, quiet) == 1
+    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness, rng, quiet) == 9
     mid = AlertnessState(0.5, 12.0, 0.5, 0.5)
-    assert to_kss(mid, rng, quiet) == _oracle_kss(0.5)
+    assert to_kss(mid.alertness, rng, quiet) == _oracle_kss(0.5)
 
 
 def test_kss_matches_quantizer_oracle_noiseless():
@@ -138,7 +138,7 @@ def test_kss_matches_quantizer_oracle_noiseless():
     for i in range(101):
         alertness = i / 100
         state = AlertnessState(0.0, 0.0, 0.0, alertness)
-        assert to_kss(state, rng, quiet) == _oracle_kss(alertness)
+        assert to_kss(state.alertness, rng, quiet) == _oracle_kss(alertness)
 
 
 def test_kss_monotone_noiseless():
@@ -147,7 +147,7 @@ def test_kss_monotone_noiseless():
     previous = None
     for i in range(101):
         state = AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100)
-        value = to_kss(state, rng, quiet)
+        value = to_kss(state.alertness, rng, quiet)
         if previous is not None:
             assert value >= previous
         previous = value
@@ -155,22 +155,22 @@ def test_kss_monotone_noiseless():
 
 def test_kss_noise_is_clamped_and_deterministic():
     state = make_state()
-    values_a = [to_kss(state, random.Random(5), PARAMS) for _ in range(3)]
-    values_b = [to_kss(state, random.Random(5), PARAMS) for _ in range(3)]
+    values_a = [to_kss(state.alertness, random.Random(5), PARAMS) for _ in range(3)]
+    values_b = [to_kss(state.alertness, random.Random(5), PARAMS) for _ in range(3)]
     assert values_a == values_b
     base = _oracle_kss(state.alertness)
     limit = math.ceil(8 * 3 * PARAMS.report_noise_sd) + 1
     rng = random.Random(77)
     for _ in range(500):
-        assert abs(to_kss(state, rng, PARAMS) - base) <= limit
+        assert abs(to_kss(state.alertness, rng, PARAMS) - base) <= limit
 
 
 def test_ord_endpoints_and_monotone_sweep():
-    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0)) == 1
-    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0)) == 5
+    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness) == 1
+    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness) == 5
     previous = 0
     for i in range(101):
-        level = to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100))
+        level = to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100).alertness)
         assert 1 <= level <= 5
         assert level >= previous
         previous = level
