@@ -249,13 +249,14 @@ class ScenarioConfig:
     behavior: BehaviorConfig = BehaviorConfig()
     hazard: HazardConfig = HazardConfig()
     toggles: Toggles = Toggles()
-    sample_period_s: int = 60
+    # Period of the opt-in full-state ``state_sample`` trace; 0 is off.
+    sample_period_s: int = 0
 
     def validate(self) -> None:
         if self.horizon_days < 0:
             raise ConfigError("horizon_days must be nonnegative")
-        if self.sample_period_s <= 0:
-            raise ConfigError("sample_period_s must be positive")
+        if self.sample_period_s < 0:
+            raise ConfigError("sample_period_s must be nonnegative")
         ids = [s.specialist_id for s in self.fleet]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate specialist ids")
@@ -375,7 +376,7 @@ class ScenarioConfig:
                 behavior=_build(BehaviorConfig, data["behavior"]),
                 hazard=_build(HazardConfig, data["hazard"]),
                 toggles=_build(Toggles, data["toggles"]),
-                sample_period_s=int(data.get("sample_period_s", 60)),
+                sample_period_s=int(data.get("sample_period_s", 0)),
             )
             cfg.validate()
         except ConfigError:

@@ -66,7 +66,17 @@ def _require(event_data: dict, key: str, event_type: str):
 
 
 def compute_metrics(log: EventLog) -> Metrics:
-    """Fold an event log into run metrics. Pure function of the log."""
+    """Fold an event log into run metrics. Pure function of the log.
+
+    On-task time, time at ORD >= 4 and the high-drowsiness episodes fold
+    from ``ord_change`` records. Each one opens a span of its ``(ord,
+    on_task)`` pair that runs to the specialist's next ``ord_change`` or
+    to their ``shift_end``; the minute tick at the shift end counts one
+    more whole minute. A shift without an ``ord_change`` record (a log
+    from before these records existed) or a span without a ``shift_end``
+    raises ``ValueError``. The optional ``state_sample`` trace is not
+    folded.
+    """
     time_ord_min = 0.0
     on_task_min = 0.0
     fatigue_events = 0
@@ -76,10 +86,25 @@ def compute_metrics(log: EventLog) -> Metrics:
     incautious = 0
     buckets = {name: [0, 0] for name in SESSION_BUCKETS}
 
-    # Per-specialist high-drowsiness episodes from on-task state samples.
+    # Per-specialist (since, ord, on_task) of the last ord_change, or
+    # None from a shift_start until the shift's first ord_change.
+    spans: dict[str, tuple[int, int, bool] | None] = {}
+    # Per-specialist high-drowsiness episodes: on task at ORD >= 4.
     episode_open: dict[str, int] = {}
     episodes: dict[str, list[tuple[int, int]]] = {}
     confirmations: dict[str, list[int]] = {}
+
+    def close_span(who: str, end: int) -> None:
+        nonlocal time_ord_min, on_task_min
+        span = spans.get(who)
+        if span is None:
+            return
+        since, level, on_task = span
+        if on_task:
+            minutes = (end - since) / 60.0
+            on_task_min += minutes
+            if level >= 4:
+                time_ord_min += minutes
 
     def close_episode(who: str, end: int) -> None:
         start = episode_open.pop(who, None)
@@ -89,17 +114,26 @@ def compute_metrics(log: EventLog) -> Metrics:
     for event in log:
         who = event.specialist
         data = event.data
-        if event.type == "state_sample":
-            period_min = _require(data, "period_s", event.type) / 60.0
-            if data.get("on_task"):
-                on_task_min += period_min
-                if _require(data, "ord", event.type) >= 4:
-                    time_ord_min += period_min
-                    episode_open.setdefault(who, event.time)
-                else:
-                    close_episode(who, event.time)
+        if event.type == "ord_change":
+            level = _require(data, "ord", event.type)
+            on_task = _require(data, "on_task", event.type)
+            close_span(who, event.time)
+            spans[who] = (event.time, level, on_task)
+            if on_task and level >= 4:
+                episode_open.setdefault(who, event.time)
             else:
                 close_episode(who, event.time)
+        elif event.type == "shift_start":
+            spans[who] = None
+        elif event.type == "shift_end":
+            if spans.get(who) is None:
+                raise ValueError(
+                    f"shift of {who} ending at t={event.time} has no ord_change "
+                    "record: the log predates ord_change records and its "
+                    "state_sample records are not folded; re-run the scenario"
+                )
+            close_span(who, event.time + 60)
+            spans[who] = None
         elif event.type == "fatigue_event":
             fatigue_events += 1
         elif event.type == "ict_intervention":
@@ -121,14 +155,19 @@ def compute_metrics(log: EventLog) -> Metrics:
             if _require(data, "resolution", event.type) == "confirmed":
                 confirmations.setdefault(who, []).append(event.time)
 
+    for who, span in spans.items():
+        if span is not None:
+            raise ValueError(
+                f"ord_change span of {who} from t={span[0]} has no shift_end record"
+            )
     last_time = log.last_time
     for who in list(episode_open):
         close_episode(who, last_time)
 
     latencies: list[float] = []
-    for who, spans in episodes.items():
+    for who, windows in episodes.items():
         confirmed = sorted(confirmations.get(who, []))
-        for start, end in spans:
+        for start, end in windows:
             hit = next(
                 (t for t in confirmed if start <= t <= end + DETECTION_GRACE_S), None
             )

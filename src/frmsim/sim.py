@@ -13,6 +13,15 @@ specialist's cadenced checks and re-schedules itself a minute later
 until the shift end, so a run costs in proportion to its items, not to
 its simulated seconds.
 
+The minute item also samples each specialist's ground-truth ORD level
+and whether they are on task (driving outside a break). It logs an
+``ord_change`` record only when that pair differs from the one last
+logged in the shift, and every shift logs one at its start; the metrics
+fold on-task time and time at ORD >= 4 from these records. A positive
+``sample_period_s`` adds a full-state ``state_sample`` trace on the
+minutes into the shift that are multiples of it; nothing folds the
+trace, and it changes no other record.
+
 Engagement work is scheduled like everything else. A driving specialist
 has at most one live ICT item (the gap prompt, or the planned response,
 the deadline or the demand-window voiding of the pending prompt) and one
@@ -175,6 +184,8 @@ class _Agent:
         self.lifecycle = sched.SpecialistLifecycle(stage=spec.stage)
         self.shifts_until_return = 0
         self.pfs_seq = 0
+        # (ord, on_task) of the last ord_change record this shift.
+        self.logged_pair: Optional[tuple[int, bool]] = None
 
     # -- lazy fatigue integration ------------------------------------
 
@@ -418,6 +429,7 @@ class ScenarioRunner:
         agent.session_start = t
         agent.session_had_incautious = False
         agent.declines_this_shift = 0
+        agent.logged_pair = None
         agent.ict.interventions_this_shift = 0
         agent.set_moving(t, True)
         agent.set_ctx(
@@ -468,23 +480,27 @@ class ScenarioRunner:
         who = agent.spec.specialist_id
         driving = agent.driving and not agent.in_break(t)
 
-        if elapsed % cfg.sample_period_s == 0:
-            alertness = agent.alertness(t)
+        alertness = agent.alertness(t)
+        level = to_ord_truth(alertness)
+        if (level, driving) != agent.logged_pair:
+            agent.logged_pair = (level, driving)
+            self.log.append(t, "ord_change", who, ord=level, on_task=driving)
+        period_s = cfg.sample_period_s
+        if period_s and elapsed % period_s == 0:
             self.log.append(
                 t,
                 "state_sample",
                 who,
                 alertness=round(alertness, 6),
-                ord=to_ord_truth(alertness),
+                ord=level,
                 task_load=round(agent.task_load, 6),
                 pressure=round(agent.pressure, 6),
                 on_task=driving,
-                period_s=cfg.sample_period_s,
+                period_s=period_s,
             )
 
         if driving:
             # Incautious-behavior hazard accrues per driving minute.
-            alertness = agent.alertness(t)
             if agent.rng_hazard.random() < cfg.hazard.rate(agent.task_load, alertness):
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True

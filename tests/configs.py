@@ -90,7 +90,7 @@ def random_config(rng: random.Random) -> dict:
         "scheduled_breaks": breaks,
     }
     data["toggles"] = {name: rng.random() < 0.6 for name in data["toggles"]}
-    data["sample_period_s"] = rng.choice((1, 45, 60, 90, 600))
+    data["sample_period_s"] = rng.choice((0, 1, 45, 60, 90, 600))
     data["dms"]["observation_period"] = rng.choice((1.0, 45.0, 60.0, 150.0))
     data["vigilance"].update(
         periodic_cadence_min=rng.choice((0.5, 7.25, 30.0)),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from frmsim.config import ScenarioConfig, Toggles, default_config
 from frmsim.events import EventLog
+from frmsim.metrics import DETECTION_GRACE_S
+from frmsim.sim import run_scenario
 
 # Record types owned by each countermeasure block; a disabled block must
 # contribute none of its types to the log.
@@ -75,6 +79,57 @@ def assert_log_conserved(log: EventLog) -> None:
     for name, counts in (("prompt", prompts), ("sa", sa_issued), ("case", cases)):
         for key, count in counts.items():
             assert count == 1, f"{name} {key} has {count} terminal records"
+
+
+def fold_state_samples(log: EventLog) -> dict:
+    """Oracle: the ORD metrics folded from the ``state_sample`` trace, as
+    ``compute_metrics`` folded them before ``ord_change`` records. Each
+    sample credits its ``period_s``; an episode opens at an on-task
+    sample at ORD >= 4 and closes at the next sample that is not one, or
+    at the end of the log."""
+    time_ord_min = 0.0
+    on_task_min = 0.0
+    episode_open: dict[str, int] = {}
+    episodes: list[tuple[str, int, int]] = []
+    confirmations: dict[str, list[int]] = {}
+    for event in log:
+        who = event.specialist
+        if event.type == "state_sample":
+            if event.data["on_task"]:
+                on_task_min += event.data["period_s"] / 60.0
+                if event.data["ord"] >= 4:
+                    time_ord_min += event.data["period_s"] / 60.0
+                    episode_open.setdefault(who, event.time)
+                    continue
+            if who in episode_open:
+                episodes.append((who, episode_open.pop(who), event.time))
+        elif event.type == "escalation_resolved" and event.data["resolution"] == "confirmed":
+            confirmations.setdefault(who, []).append(event.time)
+    episodes.extend((who, start, log.last_time) for who, start in episode_open.items())
+    latencies = []
+    for who, start, end in episodes:
+        hits = [
+            t for t in confirmations.get(who, []) if start <= t <= end + DETECTION_GRACE_S
+        ]
+        if hits:
+            latencies.append(min(hits) - start)
+    return {
+        "time_at_ord_ge4_min": time_ord_min,
+        "on_task_min": on_task_min,
+        "mean_detection_latency_s": sum(latencies) / len(latencies) if latencies else None,
+    }
+
+
+def assert_trace_observes_only(cfg: ScenarioConfig) -> None:
+    """Run ``cfg`` without and with the state trace at 60 s. The trace
+    adds only ``state_sample`` records and leaves the metrics unchanged,
+    and the metrics equal the oracle's fold of the trace."""
+    plain_log, plain = run_scenario(dataclasses.replace(cfg, sample_period_s=0))
+    traced_log, traced = run_scenario(dataclasses.replace(cfg, sample_period_s=60))
+    assert not any(event.type == "state_sample" for event in plain_log)
+    assert [e for e in traced_log if e.type != "state_sample"] == list(plain_log)
+    assert traced == plain
+    assert dataclasses.replace(traced, **fold_state_samples(traced_log)) == traced
 
 
 def cfg_with(seed: int = 0, **dotted) -> ScenarioConfig:

@@ -242,6 +242,45 @@ def test_report_truncated_line_exits_two_with_line_number(config_path, tmp_path,
     assert f"line {len(lines)}" in capsys.readouterr().err
 
 
+def test_metrics_do_not_depend_on_sample_period(tmp_path, capsys):
+    rows = set()
+    for period in (0, 1, 45, 60, 90, 600):
+        config = tmp_path / f"config{period}.json"
+        config.write_text(default_config(seed=3, sample_period_s=period).to_json())
+        out = tmp_path / f"run{period}"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        header, row = (out / "metrics.csv").read_text().splitlines()
+        assert header.split(",")[0] == "config_hash"
+        rows.add(row.split(",", 1)[1])
+    assert len(rows) == 1
+
+
+def test_report_rejects_log_without_ord_change_records(tmp_path, capsys):
+    # A log written before ord_change records existed: the on-task state
+    # is only in per-minute state_sample records.
+    log = EventLog(seed=0, config_hash="x")
+    log.append(0, "shift_start", "as-0", day=0, dual=False)
+    for t in (0, 60, 120):
+        log.append(
+            t,
+            "state_sample",
+            "as-0",
+            alertness=0.3,
+            ord=4,
+            task_load=0.9,
+            pressure=0.5,
+            on_task=True,
+            period_s=60,
+        )
+    log.append(120, "shift_end", "as-0")
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_text(log.to_jsonl())
+    assert main(["report", "--log", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert "no ord_change record" in err
+    assert "Traceback" not in err
+
+
 def test_validate_config_ok(config_path, capsys):
     assert main(["validate-config", "--config", str(config_path)]) == 0
     assert "config ok" in capsys.readouterr().out

@@ -1,17 +1,19 @@
 """Generated configurations through the CLI: a configuration that
 ``validate-config`` accepts must simulate, conserve its log, report
-metrics that match the stored file, and visit no more seconds than its
-minute ticks and heap items; one it rejects must make ``simulate`` exit
-1 as well."""
+metrics that match the stored file, visit no more seconds than its
+minute ticks and heap items, and fold the same metrics from its
+``ord_change`` records as the oracle folds from the state trace; one it
+rejects must make ``simulate`` exit 1 as well."""
 
 import json
 import random
 
 from frmsim.cli import main
+from frmsim.config import ScenarioConfig
 from frmsim.events import EventLog
 
 from configs import random_config
-from logchecks import assert_log_conserved
+from logchecks import assert_log_conserved, assert_trace_observes_only
 
 N_CONFIGS = 8
 
@@ -39,4 +41,5 @@ def test_generated_configs_simulate_conserve_and_report(tmp_path, capsys):
         stats = json.loads((out / "manifest.json").read_text())["stats"]
         minute_ticks = stats["shifts_run"] * (data["shift"]["duration_min"] + 1)
         assert stats["seconds_visited"] <= minute_ticks + stats["heap_items"]
+        assert_trace_observes_only(ScenarioConfig.from_dict(data))
     assert simulated >= N_CONFIGS // 2

@@ -18,7 +18,7 @@ from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
 from configs import odd_shift_configs
-from logchecks import BLOCK_RECORD_TYPES, only
+from logchecks import BLOCK_RECORD_TYPES, assert_trace_observes_only, only
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 SEEDS = (0, 1)
@@ -128,6 +128,11 @@ def test_escalation_case_reaches_every_outcome():
 def test_log_digest_matches_golden(name, golden):
     log, _ = run_scenario(matrix()[name])
     assert log.digest() == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(matrix()))
+def test_ord_change_fold_matches_the_state_trace(name):
+    assert_trace_observes_only(matrix()[name])
 
 
 if __name__ == "__main__":

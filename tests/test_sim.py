@@ -192,12 +192,11 @@ def _hand_log(records):
 
 
 def test_detection_latency_from_hand_built_log():
-    sample = {"period_s": 60, "on_task": True, "alertness": 0.3, "task_load": 0.9, "pressure": 0.5}
     log = _hand_log(
         [
-            (0, "state_sample", "as-0", dict(sample, ord=3)),
-            (60, "state_sample", "as-0", dict(sample, ord=4)),
-            (120, "state_sample", "as-0", dict(sample, ord=4)),
+            (0, "shift_start", "as-0", {"day": 0, "dual": False}),
+            (0, "ord_change", "as-0", {"ord": 3, "on_task": True}),
+            (60, "ord_change", "as-0", {"ord": 4, "on_task": True}),
             (
                 150,
                 "escalation_resolved",
@@ -211,12 +210,42 @@ def test_detection_latency_from_hand_built_log():
                     "supervisor_action": "invite_break",
                 },
             ),
-            (180, "state_sample", "as-0", dict(sample, ord=3)),
+            (180, "ord_change", "as-0", {"ord": 3, "on_task": True}),
+            (180, "shift_end", "as-0", {}),
         ]
     )
     metrics = compute_metrics(log)
     assert metrics.mean_detection_latency_s == 90.0
     assert metrics.time_at_ord_ge4_min == 2.0
+
+
+def test_ord_change_spans_run_to_the_next_change_or_the_shift_end():
+    log = _hand_log(
+        [
+            (0, "shift_start", "as-0", {"day": 0, "dual": False}),
+            (0, "ord_change", "as-0", {"ord": 4, "on_task": True}),
+            (120, "ord_change", "as-0", {"ord": 4, "on_task": False}),
+            (300, "ord_change", "as-0", {"ord": 5, "on_task": True}),
+            (420, "shift_end", "as-0", {}),
+        ]
+    )
+    metrics = compute_metrics(log)
+    # 2 minutes, then 0 off task, then 2 minutes plus the shift end's tick.
+    assert metrics.on_task_min == 5.0
+    assert metrics.time_at_ord_ge4_min == 5.0
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [(0, "shift_start", "as-0", {}), (60, "shift_end", "as-0", {})],
+        [(0, "ord_change", "as-0", {"ord": 1, "on_task": True})],
+    ],
+    ids=["shift_without_ord_change", "span_without_shift_end"],
+)
+def test_unfoldable_ord_spans_rejected(records):
+    with pytest.raises(ValueError):
+        compute_metrics(_hand_log(records))
 
 
 def test_empty_log_zero_metrics():
@@ -234,7 +263,7 @@ def test_metrics_recomputed_from_disk_match():
 
 
 def test_malformed_record_rejected():
-    log = _hand_log([(0, "state_sample", "as-0", {"on_task": True})])
+    log = _hand_log([(0, "ord_change", "as-0", {"on_task": True})])
     with pytest.raises(ValueError):
         compute_metrics(log)
 
