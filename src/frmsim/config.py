@@ -4,12 +4,13 @@ JSON document; the hash of the canonical form stamps every output."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 from .engagement import EngagementConfig, SaConfig
 from .fatigue import ModelParams
@@ -305,79 +306,22 @@ class ScenarioConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "horizon_days": self.horizon_days,
-            "fleet": [
-                {
-                    "specialist_id": s.specialist_id,
-                    "susceptibility": s.susceptibility,
-                    "initial_sleep_pressure": s.initial_sleep_pressure,
-                    "stage": s.stage.value,
-                    "dual": s.dual,
-                }
-                for s in self.fleet
-            ],
-            "shift": {
-                "start_min": self.shift.start_min,
-                "duration_min": self.shift.duration_min,
-                "scheduled_breaks": [list(b) for b in self.shift.scheduled_breaks],
-            },
-            "model": _plain_dict(self.model),
-            "dms": _plain_dict(self.dms),
-            "raters": [_plain_dict(r) for r in self.raters],
-            "vigilance": _plain_dict(self.vigilance),
-            "ict": _plain_dict(self.ict),
-            "sa": _plain_dict(self.sa),
-            "breaks": _plain_dict(self.breaks),
-            "pfs": _plain_dict(self.pfs),
-            "behavior": _plain_dict(self.behavior),
-            "hazard": _plain_dict(self.hazard),
-            "toggles": _plain_dict(self.toggles),
-            "sample_period_s": self.sample_period_s,
-        }
+        return {"schema_version": SCHEMA_VERSION, **_encode(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        """Build and validate a configuration from its plain document. At
+        every level an unknown key, a non-integer ``int`` field or a
+        boolean number is an error naming its dotted path
+        (``config.fleet[0].dual``), and an omitted field takes its default."""
         try:
-            version = data["schema_version"]
-            if version != SCHEMA_VERSION:
-                raise ConfigError(f"unsupported schema_version {version}")
-            cfg = cls(
-                seed=int(data["seed"]),
-                horizon_days=int(data["horizon_days"]),
-                fleet=tuple(
-                    SpecialistDef(
-                        specialist_id=s["specialist_id"],
-                        susceptibility=s.get("susceptibility", 1.0),
-                        initial_sleep_pressure=s.get("initial_sleep_pressure", 0.1),
-                        stage=Stage(s.get("stage", Stage.SINGLE_QUALIFIED.value)),
-                        dual=s.get("dual", False),
-                    )
-                    for s in data["fleet"]
-                ),
-                shift=ShiftConfig(
-                    start_min=data["shift"]["start_min"],
-                    duration_min=data["shift"]["duration_min"],
-                    scheduled_breaks=tuple(
-                        (int(o), int(d))
-                        for o, d in data["shift"].get("scheduled_breaks", [])
-                    ),
-                ),
-                model=_build(ModelParams, data["model"]),
-                dms=_build(DmsConfig, data["dms"]),
-                raters=tuple(_build(RaterProfile, r) for r in data["raters"]),
-                vigilance=_build(VigilancePolicy, data["vigilance"]),
-                ict=_build(EngagementConfig, data["ict"]),
-                sa=_build(SaConfig, data["sa"]),
-                breaks=_build(BreakPolicy, data["breaks"]),
-                pfs=_build(PfsPolicy, data["pfs"]),
-                behavior=_build(BehaviorConfig, data["behavior"]),
-                hazard=_build(HazardConfig, data["hazard"]),
-                toggles=_build(Toggles, data["toggles"]),
-                sample_period_s=int(data.get("sample_period_s", 0)),
-            )
+            if not isinstance(data, dict):
+                raise ConfigError("config must be an object")
+            body = dict(data)
+            version = body.pop("schema_version", None)
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ConfigError(f"unsupported schema_version {version!r}")
+            cfg = _decode(cls, body, "config")
             cfg.validate()
         except ConfigError:
             raise
@@ -405,12 +349,14 @@ class ScenarioConfig:
     def with_overrides(
         self, seed: Optional[int] = None, toggles: Optional[Toggles] = None
     ) -> "ScenarioConfig":
-        data = self.to_dict()
+        changes: dict[str, Any] = {}
         if seed is not None:
-            data["seed"] = seed
+            changes["seed"] = seed
         if toggles is not None:
-            data["toggles"] = _plain_dict(toggles)
-        return ScenarioConfig.from_dict(data)
+            changes["toggles"] = toggles
+        cfg = replace(self, **changes)
+        cfg.validate()
+        return cfg
 
 
 def _non_finite_path(node: Any) -> Optional[str]:
@@ -431,32 +377,71 @@ def _non_finite_path(node: Any) -> Optional[str]:
     return None
 
 
-def _plain_dict(obj: Any) -> dict:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[f.name] = value
-    return out
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """A dataclass's field types by name, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _build(cls: type, data: dict) -> Any:
-    kwargs = {}
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _encode(value: Any) -> Any:
+    """The plain JSON form of a config value: a dataclass becomes a dict
+    of its fields, a tuple a list, an enum its value."""
+    if type(value) in _KINDS:
+        return value
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {name: _encode(getattr(value, name)) for name in _field_types(type(value))}
+    return value
+
+
+def _decode(tp: Any, value: Any, path: str) -> Any:
+    """The value of type ``tp`` whose plain JSON form is ``value``; errors
+    name ``path``. Numbers are kept as given, so an integer in a float
+    field encodes back unchanged."""
+    kind = _KINDS.get(tp)
+    if kind is not None:
+        valid = isinstance(value, (int, float) if tp is float else tp)
+        if not valid or (isinstance(value, bool) and tp is not bool):
+            raise ConfigError(f"{path} must be {kind}, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object")
+        types = _field_types(tp)
+        for key in value:
+            if key not in types:
+                raise ConfigError(f"{path}.{key} is not a known field")
+        kwargs = {key: _decode(types[key], item, f"{path}.{key}") for key, item in value.items()}
+        try:
+            return tp(**kwargs)
+        except (TypeError, ValueError) as exc:  # a missing field, or a check
+            raise ConfigError(f"{path}: {exc}") from exc
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path} must have {len(args)} items")
+        return tuple(
+            _decode(item_tp, item, f"{path}[{i}]")
+            for i, (item_tp, item) in enumerate(zip(args, value))
+        )
+    if not (isinstance(tp, type) and issubclass(tp, Enum)):
+        raise TypeError(f"{path} has unsupported type {tp!r}")
+    try:
+        return tp(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in tp)
+        raise ConfigError(f"{path} must be one of {choices}, got {value!r}") from None
 
 
 def default_config(seed: int = 0, **overrides) -> ScenarioConfig:

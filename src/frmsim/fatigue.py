@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "AlertnessState",
     "BreakActivity",
     "FatigueContext",
     "ModelParams",
     "DEFAULT_ORD_EDGES",
+    "advance_components",
     "circadian_dip",
     "compose_alertness",
-    "step_alertness",
     "to_kss",
     "to_ord_truth",
 ]
@@ -109,43 +108,6 @@ class FatigueContext:
             raise ValueError("in_break implies not on_task")
 
 
-@dataclass(frozen=True)
-class AlertnessState:
-    """Instantaneous model state; ``alertness`` is derived from the rest."""
-
-    homeostatic_pressure: float
-    circadian_phase: float
-    task_load: float
-    alertness: float
-
-    @classmethod
-    def from_components(
-        cls,
-        homeostatic_pressure: float,
-        circadian_phase: float,
-        task_load: float,
-        params: ModelParams,
-    ) -> "AlertnessState":
-        return cls(
-            homeostatic_pressure=homeostatic_pressure,
-            circadian_phase=circadian_phase,
-            task_load=task_load,
-            alertness=compose_alertness(
-                homeostatic_pressure, circadian_phase, task_load, params
-            ),
-        )
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.homeostatic_pressure <= 1.0:
-            raise ValueError("homeostatic_pressure out of [0, 1]")
-        if not 0.0 <= self.circadian_phase < 24.0:
-            raise ValueError("circadian_phase out of [0, 24)")
-        if not 0.0 <= self.task_load <= 1.0:
-            raise ValueError("task_load out of [0, 1]")
-        if not 0.0 <= self.alertness <= 1.0:
-            raise ValueError("alertness out of [0, 1]")
-
-
 def circadian_dip(phase: float, params: ModelParams) -> float:
     """Sleepiness contribution of the 24 h rhythm, peaking at the trough hour."""
     angle = 2.0 * math.pi * (phase - params.circadian_trough_hour) / 24.0
@@ -172,12 +134,10 @@ def advance_components(
     ctx: FatigueContext,
     params: ModelParams,
 ) -> tuple[float, float, float]:
-    """Advance the raw components by ``dt_s`` seconds under a constant context.
-
-    Exposed separately from :func:`step_alertness` so callers holding
-    plain floats (the simulation hot loop) avoid per-tick dataclass
-    construction.
-    """
+    """Advance (sleep pressure, circadian phase, task load) by ``dt_s``
+    seconds under a constant context; each component stays in its range
+    ([0, 1], [0, 24) and [0, 1]). Compose the result with
+    :func:`compose_alertness`."""
     hours = dt_s / 3600.0
     if ctx.asleep:
         pressure = pressure * math.exp(-hours / params.homeostat_decay_tau)
@@ -194,27 +154,6 @@ def advance_components(
             tau_min *= _RECOVERY_TAU_SCALE[ctx.break_activity]
         task_load = task_load * math.exp(-(dt_s / 60.0) / tau_min)
     return _clamp01(pressure), phase, _clamp01(task_load)
-
-
-def step_alertness(
-    state: AlertnessState, dt: float, ctx: FatigueContext, params: ModelParams
-) -> AlertnessState:
-    """Advance ``state`` by ``dt`` seconds under context ``ctx``."""
-    if not isinstance(dt, (int, float)) or math.isnan(dt) or math.isinf(dt):
-        raise ValueError(f"invalid dt: {dt!r}")
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if dt == 0:
-        return state
-    pressure, phase, task_load = advance_components(
-        state.homeostatic_pressure,
-        state.circadian_phase,
-        state.task_load,
-        dt,
-        ctx,
-        params,
-    )
-    return AlertnessState.from_components(pressure, phase, task_load, params)
 
 
 def _round_half_up(x: float) -> int:

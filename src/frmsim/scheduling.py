@@ -1,6 +1,7 @@
-"""Adaptive scheduling: forward shift rotation planning, smart breaks
-(invited and impromptu), auxiliary task reassignment, and the specialist
-lifecycle with its fatigue-event gateways."""
+"""Adaptive scheduling: forward shift rotation planning, invited-break
+triggers, and the specialist lifecycle with its fatigue-event gateways.
+The simulator grants impromptu breaks and reassigns fatigued specialists
+to auxiliary work itself."""
 
 from __future__ import annotations
 
@@ -9,9 +10,6 @@ from enum import Enum
 from typing import Optional
 
 __all__ = [
-    "AlreadyAuxiliaryError",
-    "AssignmentChange",
-    "BreakEvent",
     "BreakPolicy",
     "BreakSignalBundle",
     "FatigueSeverity",
@@ -19,21 +17,17 @@ __all__ = [
     "InvitedBreak",
     "LifecycleEvent",
     "LifecyclePolicy",
-    "OffShiftError",
     "RotationConstraints",
     "RotationDirection",
     "RotationPlan",
     "ShiftSpec",
     "SpecialistLifecycle",
     "Stage",
-    "TaskAssignment",
     "Transition",
     "Violation",
     "evaluate_break_triggers",
     "lifecycle_step",
     "plan_rotation",
-    "reassign_auxiliary",
-    "request_impromptu_break",
     "rotation_from_records",
     "rotation_to_records",
     "validate_rotation",
@@ -337,76 +331,6 @@ def evaluate_break_triggers(
     if reason is None:
         return None
     return InvitedBreak(time_min=now_min, duration_min=policy.duration_min, reason=reason)
-
-
-class OffShiftError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class BreakEvent:
-    specialist_id: str
-    time_min: float
-    duration_min: float
-    initiator: str
-    reason: str
-
-
-def request_impromptu_break(
-    specialist_id: str,
-    now_min: float,
-    on_shift: bool,
-    *,
-    duration_min: float = 15.0,
-    reason: str = "self_initiated",
-) -> BreakEvent:
-    """Self-initiated break: always granted while on shift, never debounced."""
-    if not on_shift:
-        raise OffShiftError(f"{specialist_id} requested a break while off shift")
-    return BreakEvent(
-        specialist_id=specialist_id,
-        time_min=now_min,
-        duration_min=duration_min,
-        initiator="self",
-        reason=reason,
-    )
-
-
-class TaskAssignment(str, Enum):
-    DRIVING = "driving"
-    AUXILIARY = "auxiliary"
-
-
-class AlreadyAuxiliaryError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class AssignmentChange:
-    specialist_id: str
-    time_min: float
-    from_assignment: TaskAssignment
-    to_assignment: TaskAssignment
-    reason: str
-
-
-def reassign_auxiliary(
-    specialist_id: str,
-    current: TaskAssignment,
-    reason: str,
-    now_min: float,
-) -> AssignmentChange:
-    """Move a fatigued specialist to non-safety-critical work. Carries no
-    lifecycle penalty; callers re-staff the vehicle separately."""
-    if current is TaskAssignment.AUXILIARY:
-        raise AlreadyAuxiliaryError(f"{specialist_id} is already on auxiliary tasks")
-    return AssignmentChange(
-        specialist_id=specialist_id,
-        time_min=now_min,
-        from_assignment=current,
-        to_assignment=TaskAssignment.AUXILIARY,
-        reason=reason,
-    )
 
 
 class Stage(str, Enum):

@@ -5,13 +5,13 @@ time grid. Within a shift, time advances by events only: the loop pops
 the next item off one heap, ordered by (second, phase, push order), and
 dispatches it to the runner's ``_on_<kind>`` handler. The phases order
 the work that falls due in one second: ordinary items (break ends,
-follow-up surveys, secondary alerts), then scheduled breaks, engagement
-items, the fleet's minute checks (and, on the last minute, the shift
-end), and last the escalation validations, which may fall due in the
-second their case opened. The minute item runs every active
-specialist's cadenced checks and re-schedules itself a minute later
-until the shift end, so a run costs in proportion to its items, not to
-its simulated seconds.
+follow-up surveys, secondary alerts), then scheduled breaks (all pushed
+when the shift starts), engagement items, the fleet's minute checks
+(and, on the last minute, the shift end), and last the escalation
+validations, which may fall due in the second their case opened. The
+minute item runs every active specialist's cadenced checks and
+re-schedules itself a minute later until the shift end, so a run costs
+in proportion to its items, not to its simulated seconds.
 
 The minute item also samples each specialist's ground-truth ORD level
 and whether they are on task (driving outside a break). It logs an
@@ -246,14 +246,12 @@ class ScenarioRunner:
         # The running shift's bounds and demand windows.
         self._shift_start = 0
         self._shift_end = 0
-        self._scheduled_breaks: dict[int, int] = {}
         self._demand: Optional[eng.DemandPattern] = None
         self._task_seq = 0
         self._case_seq = 0
         self._flag_seq = 0
         self._sa_seq = 0
         self._ticket_seq = 0
-        self._issued_flags: set[str] = set()
         self._validation_ratings: list[vig.OrdRating] = []
         self._qualified_pool: list[vig.RaterProfile] = []
         self._qualified_done = False
@@ -363,11 +361,16 @@ class ScenarioRunner:
             return
 
         # A duplicated offset keeps its last duration.
-        self._scheduled_breaks = {
-            shift_start + offset * 60: duration
-            for offset, duration in cfg.shift.scheduled_breaks
-        }
-        self._schedule_minute(shift_start, active)
+        breaks = dict(cfg.shift.scheduled_breaks)
+        for offset, duration in breaks.items():
+            self._schedule(
+                shift_start + offset * 60,
+                _PHASE_SCHEDULED_BREAK,
+                "scheduled_break",
+                agents=active,
+                duration_min=duration,
+            )
+        self._schedule(shift_start, _PHASE_MINUTE, "minute", agents=active)
 
         heap = self._heap
         loop_end = shift_end + SHIFT_DRAIN_S
@@ -385,26 +388,9 @@ class ScenarioRunner:
                 f"{len(heap)} items outlast the drain after the shift ending at {shift_end}"
             )
 
-    def _schedule_minute(self, t: int, agents: list) -> None:
-        """Schedule the fleet's minute at ``t``, led by the scheduled break
-        that starts then, if any. The fleet has one such item on the heap
-        at a time."""
-        duration = self._scheduled_breaks.get(t)
-        if duration is None:
-            self._schedule(t, _PHASE_MINUTE, "minute", agents=agents)
-        else:
-            self._schedule(
-                t,
-                _PHASE_SCHEDULED_BREAK,
-                "scheduled_break",
-                agents=agents,
-                duration_min=duration,
-            )
-
     def _on_scheduled_break(self, t: int, agents: list, duration_min: int) -> None:
         for agent in agents:
             self._start_break(agent, t, duration_min, "scheduled", "scheduled")
-        self._schedule(t, _PHASE_MINUTE, "minute", agents=agents)
 
     def _on_minute(self, t: int, agents: list) -> None:
         """Every active agent's cadenced checks; on the last minute, the
@@ -414,7 +400,7 @@ class ScenarioRunner:
             if agent.on_shift:
                 self._agent_minute(agent, t, elapsed)
         if t < self._shift_end:
-            self._schedule_minute(t + 60, agents)
+            self._schedule(t + 60, _PHASE_MINUTE, "minute", agents=agents)
         else:
             for agent in agents:
                 self._end_shift(agent, t)
@@ -511,7 +497,7 @@ class ScenarioRunner:
                 and elapsed % int(cfg.dms.observation_period) == 0
                 and t >= agent.dms_cooldown_until
             ):
-                self._dms_observation(agent, t)
+                self._dms_observation(agent, t, level)
             if elapsed > 0 and elapsed % int(cfg.vigilance.periodic_cadence_min * 60) == 0:
                 self._periodic_rating(agent, t)
             if elapsed > 0 and elapsed % int(cfg.vigilance.reliability_interval_min * 60) == 0:
@@ -899,25 +885,16 @@ class ScenarioRunner:
         )
         return resolve_at
 
-    def _dms_observation(self, agent: _Agent, t: int) -> None:
+    def _dms_observation(self, agent: _Agent, t: int, true_ord: int) -> None:
         cfg = self.cfg
         who = agent.spec.specialist_id
-        true_ord = to_ord_truth(agent.alertness(t))
-        flag = vig.dms_observe(
-            true_ord,
-            cfg.dms,
-            agent.rng_raters,
-            flag_id=f"flag-{self._flag_seq}",
-            specialist_id=who,
-            time=t,
-        )
-        if flag is None:
+        if not vig.dms_observe(true_ord, cfg.dms, agent.rng_raters):
             return
+        flag_id = f"flag-{self._flag_seq}"
         self._flag_seq += 1
-        self.log.append(t, "dms_flag", who, flag_id=flag.flag_id, true_ord=true_ord)
-        alert = vig.issue_multimodal_alert(flag, self._issued_flags)
+        self.log.append(t, "dms_flag", who, flag_id=flag_id, true_ord=true_ord)
         self.log.append(
-            t, "alert", who, flag_id=flag.flag_id, modalities=list(alert.modalities)
+            t, "alert", who, flag_id=flag_id, modalities=list(vig.ALERT_MODALITIES)
         )
         if cfg.toggles.engagement:
             self._record_interactivity(agent, t)
@@ -1212,33 +1189,24 @@ class ScenarioRunner:
             return
         if agent.rng_breaks.random() >= cfg.behavior.impromptu_p:
             return
-        event = sched.request_impromptu_break(
-            agent.spec.specialist_id,
-            t / 60.0,
-            on_shift=agent.on_shift,
-            duration_min=cfg.breaks.duration_min,
-        )
         self.log.append(
             t,
             "impromptu_break",
             agent.spec.specialist_id,
             perceived_kss=perceived,
-            duration_min=event.duration_min,
+            duration_min=cfg.breaks.duration_min,
         )
         self._start_break(
-            agent, t, event.duration_min, event.initiator, "self_assessed_fatigue"
+            agent, t, cfg.breaks.duration_min, "self", "self_assessed_fatigue"
         )
 
     def _reassign_auxiliary(self, agent: _Agent, t: int, reason: str) -> None:
-        change = sched.reassign_auxiliary(
-            agent.spec.specialist_id, sched.TaskAssignment.DRIVING, reason, t / 60.0
-        )
         self.log.append(
             t,
             "assignment_change",
             agent.spec.specialist_id,
-            from_assignment=change.from_assignment.value,
-            to_assignment=change.to_assignment.value,
+            from_assignment="driving",
+            to_assignment="auxiliary",
             reason=reason,
             restaffed=True,
         )

@@ -24,12 +24,10 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
-    "AlertEvent",
+    "ALERT_MODALITIES",
     "CaseOutcome",
     "DmsConfig",
-    "DmsFlag",
     "DROWSINESS_INDICATORS",
-    "DuplicateFlagError",
     "EscalationCase",
     "Feed",
     "InsufficientRatersError",
@@ -46,7 +44,6 @@ __all__ = [
     "assign_rating_tasks",
     "dms_observe",
     "inter_rater_reliability",
-    "issue_multimodal_alert",
     "linear_weighted_kappa",
     "open_case",
     "qualify_rater",
@@ -118,10 +115,6 @@ class SupervisorAction(str, Enum):
     RETRIEVE_VEHICLE = "retrieve_vehicle"
 
 
-class DuplicateFlagError(ValueError):
-    pass
-
-
 class InsufficientRatersError(ValueError):
     pass
 
@@ -149,21 +142,6 @@ class DmsConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.observation_period <= 0:
             raise ValueError("observation_period must be positive")
-
-
-@dataclass(frozen=True)
-class DmsFlag:
-    flag_id: str
-    specialist_id: str
-    time: float
-
-
-@dataclass(frozen=True)
-class AlertEvent:
-    flag_id: str
-    specialist_id: str
-    time: float
-    modalities: tuple[str, ...] = ALERT_MODALITIES
 
 
 @dataclass(frozen=True)
@@ -244,33 +222,14 @@ class CaseOutcome:
     supervisor_action: Optional[SupervisorAction]
 
 
-def dms_observe(
-    true_ord: int,
-    cfg: DmsConfig,
-    rng: random.Random,
-    *,
-    flag_id: str = "flag-0",
-    specialist_id: str = "",
-    time: float = 0.0,
-) -> Optional[DmsFlag]:
-    """Single noisy detector observation of the ground-truth level."""
+def dms_observe(true_ord: int, cfg: DmsConfig, rng: random.Random) -> bool:
+    """Whether a single noisy detector observation of the ground-truth
+    level flags the specialist; one draw either way."""
     if not 1 <= true_ord <= 5:
         raise ValueError("true_ord must be in 1..5")
     if true_ord >= cfg.detect_threshold_ord:
-        fires = rng.random() >= cfg.false_negative_rate
-    else:
-        fires = rng.random() < cfg.false_positive_rate
-    if not fires:
-        return None
-    return DmsFlag(flag_id=flag_id, specialist_id=specialist_id, time=time)
-
-
-def issue_multimodal_alert(flag: DmsFlag, issued_flag_ids: set[str]) -> AlertEvent:
-    """In-cabin alert for a detector flag; one alert per flag id, ever."""
-    if flag.flag_id in issued_flag_ids:
-        raise DuplicateFlagError(f"alert already issued for flag {flag.flag_id}")
-    issued_flag_ids.add(flag.flag_id)
-    return AlertEvent(flag_id=flag.flag_id, specialist_id=flag.specialist_id, time=flag.time)
+        return rng.random() >= cfg.false_negative_rate
+    return rng.random() < cfg.false_positive_rate
 
 
 def assign_rating_tasks(

@@ -19,10 +19,10 @@ from frmsim.engagement import (
 )
 from frmsim.events import EventLog
 from frmsim.fatigue import (
-    AlertnessState,
     FatigueContext,
     ModelParams,
-    step_alertness,
+    advance_components,
+    compose_alertness,
     to_kss,
     to_ord_truth,
 )
@@ -316,33 +316,32 @@ def test_10_conservation_suite(capsys):
 def test_11_fatigue_model_numerics(capsys):
     params = ModelParams()
     # Exponential recovery against the closed form, 1e-9 relative.
-    state = AlertnessState.from_components(0.2, 8.0, 1.0, params)
     ctx = FatigueContext(on_task=False, in_break=True)
-    stepped = step_alertness(state, 20 * 60, ctx, params)
+    _, _, task_load = advance_components(0.2, 8.0, 1.0, 20 * 60, ctx, params)
     expected = math.exp(-1.0)
-    assert abs(stepped.task_load - expected) / expected < 1e-9
+    assert abs(task_load - expected) / expected < 1e-9
 
     # Eight monotonous hours, 60 s steps, pointwise non-increasing.
-    state = AlertnessState.from_components(0.1, 20.0, 0.0, params)
+    state = (0.1, 20.0, 0.0)
     ctx = FatigueContext(on_task=True, monotony=1.0)
-    previous = state.alertness
+    previous = compose_alertness(*state, params)
     for _ in range(8 * 60):
-        state = step_alertness(state, 60, ctx, params)
-        assert state.alertness <= previous + 1e-12
-        previous = state.alertness
+        state = advance_components(*state, 60, ctx, params)
+        alertness = compose_alertness(*state, params)
+        assert alertness <= previous + 1e-12
+        previous = alertness
 
     # Self-report and observer scales: endpoints and monotonicity.
     quiet = ModelParams(report_noise_sd=0.0)
     rng = random.Random(0)
-    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness, rng, quiet) == 1
-    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness, rng, quiet) == 9
-    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness) == 1
-    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness) == 5
+    assert to_kss(1.0, rng, quiet) == 1
+    assert to_kss(0.0, rng, quiet) == 9
+    assert to_ord_truth(1.0) == 1
+    assert to_ord_truth(0.0) == 5
     last_kss, last_ord = 0, 0
     for i in range(101):
-        s = AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100)
-        kss = to_kss(s.alertness, rng, quiet)
-        level = to_ord_truth(s.alertness)
+        kss = to_kss(1.0 - i / 100, rng, quiet)
+        level = to_ord_truth(1.0 - i / 100)
         assert kss >= last_kss and level >= last_ord
         last_kss, last_ord = kss, level
     with capsys.disabled():

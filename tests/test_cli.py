@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from frmsim.cli import main
-from frmsim.config import default_config
+from frmsim.config import ConfigError, ScenarioConfig, default_config
 from frmsim.events import EventLog
 
 
@@ -118,6 +119,42 @@ def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, val
     data[section][field] = value
     data["horizon_days"] = 4
     _assert_validate_and_simulate_exit_one(tmp_path, data, f"{section}.{field}")
+
+
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (("sample_period",), 60, "config.sample_period"),
+        (("fleet", 0, "suceptibility"), 3.0, "config.fleet[0].suceptibility"),
+        (("shift", "scheduled_break"), [], "config.shift.scheduled_break"),
+        (("dms", "mystery"), 1, "config.dms.mystery"),
+        (("raters", 2, "nois_sd"), 0.1, "config.raters[2].nois_sd"),
+        (("toggles", "educaton"), True, "config.toggles.educaton"),
+        (("horizon_days",), 2.9, "config.horizon_days"),
+        (("seed",), "3", "config.seed"),
+        (("seed",), True, "config.seed"),
+    ],
+    ids=[
+        "top-unknown",
+        "fleet-unknown",
+        "shift-unknown",
+        "block-unknown",
+        "rater-unknown",
+        "toggles-unknown",
+        "horizon-float",
+        "seed-string",
+        "seed-bool",
+    ],
+)
+def test_config_codec_error_names_the_path(tmp_path, keys, value, path):
+    data = default_config(seed=0).to_dict()
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        ScenarioConfig.from_dict(data)
+    _assert_validate_and_simulate_exit_one(tmp_path, data, path)
 
 
 def test_secondary_alert_outlasting_the_drain_exits_one(tmp_path):

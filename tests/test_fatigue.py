@@ -5,13 +5,12 @@ import pytest
 
 from frmsim.fatigue import (
     DEFAULT_ORD_EDGES,
-    AlertnessState,
     BreakActivity,
     FatigueContext,
     ModelParams,
+    advance_components,
     circadian_dip,
     compose_alertness,
-    step_alertness,
     to_kss,
     to_ord_truth,
 )
@@ -19,34 +18,33 @@ from frmsim.fatigue import (
 PARAMS = ModelParams()
 
 
-def make_state(pressure=0.2, phase=8.0, task_load=0.3, params=PARAMS):
-    return AlertnessState.from_components(pressure, phase, task_load, params)
+def make_state(pressure=0.2, phase=8.0, task_load=0.3):
+    """Model components: (sleep pressure, circadian phase, task load)."""
+    return pressure, phase, task_load
+
+
+def step(state, dt, ctx):
+    return advance_components(*state, dt, ctx, PARAMS)
+
+
+def alertness(state):
+    return compose_alertness(*state, PARAMS)
 
 
 def test_zero_step_is_identity():
+    # Up to the rounding of 1 - (1 - x) in the closed forms.
     state = make_state()
     ctx = FatigueContext(on_task=True, monotony=0.5)
-    assert step_alertness(state, 0, ctx, PARAMS) == state
-
-
-def test_invalid_dt_rejected():
-    state = make_state()
-    ctx = FatigueContext(on_task=True, monotony=0.5)
-    with pytest.raises(ValueError):
-        step_alertness(state, -1.0, ctx, PARAMS)
-    with pytest.raises(ValueError):
-        step_alertness(state, float("nan"), ctx, PARAMS)
-    with pytest.raises(ValueError):
-        step_alertness(state, float("inf"), ctx, PARAMS)
+    assert step(state, 0, ctx) == pytest.approx(state, abs=1e-15)
 
 
 def test_break_recovery_matches_closed_form():
     # One recovery-tau of rest decays task load by exactly e^-1.
     state = make_state(task_load=1.0)
     ctx = FatigueContext(on_task=False, in_break=True)
-    stepped = step_alertness(state, 20 * 60, ctx, PARAMS)
+    _, _, task_load = step(state, 20 * 60, ctx)
     expected = 1.0 * math.exp(-1.0)
-    assert abs(stepped.task_load - expected) / expected < 1e-9
+    assert abs(task_load - expected) / expected < 1e-9
 
 
 def test_break_recovery_closed_form_any_duration():
@@ -54,9 +52,9 @@ def test_break_recovery_closed_form_any_duration():
     ctx = FatigueContext(on_task=False, in_break=True)
     for minutes in (1, 5, 20, 45, 90):
         state = make_state(task_load=0.7)
-        stepped = step_alertness(state, minutes * 60, ctx, PARAMS)
+        _, _, task_load = step(state, minutes * 60, ctx)
         expected = 0.7 * math.exp(-minutes / PARAMS.task_recovery_tau)
-        assert abs(stepped.task_load - expected) <= 1e-9 * max(expected, 1e-12)
+        assert abs(task_load - expected) <= 1e-9 * max(expected, 1e-12)
 
 
 def test_eight_hour_monotonous_trace_non_increasing():
@@ -64,11 +62,11 @@ def test_eight_hour_monotonous_trace_non_increasing():
     # so alertness can only fall.
     state = make_state(pressure=0.1, phase=20.0, task_load=0.0)
     ctx = FatigueContext(on_task=True, monotony=1.0)
-    previous = state.alertness
+    previous = alertness(state)
     for _ in range(8 * 60):
-        state = step_alertness(state, 60, ctx, PARAMS)
-        assert state.alertness <= previous + 1e-12
-        previous = state.alertness
+        state = step(state, 60, ctx)
+        assert alertness(state) <= previous + 1e-12
+        previous = alertness(state)
 
 
 def test_boundedness_under_random_step_sequences():
@@ -85,11 +83,12 @@ def test_boundedness_under_random_step_sequences():
             pressure=rng.random(), phase=rng.uniform(0, 24) % 24, task_load=rng.random()
         )
         for _ in range(50):
-            state = step_alertness(state, rng.uniform(0, 7200), rng.choice(contexts), PARAMS)
-            assert 0.0 <= state.homeostatic_pressure <= 1.0
-            assert 0.0 <= state.circadian_phase < 24.0
-            assert 0.0 <= state.task_load <= 1.0
-            assert 0.0 <= state.alertness <= 1.0
+            state = step(state, rng.uniform(0, 7200), rng.choice(contexts))
+            pressure, phase, task_load = state
+            assert 0.0 <= pressure <= 1.0
+            assert 0.0 <= phase < 24.0
+            assert 0.0 <= task_load <= 1.0
+            assert 0.0 <= alertness(state) <= 1.0
 
 
 def test_break_strictly_decreases_task_load():
@@ -98,23 +97,23 @@ def test_break_strictly_decreases_task_load():
     for _ in range(100):
         load = rng.uniform(1e-6, 1.0)
         state = make_state(task_load=load)
-        stepped = step_alertness(state, rng.uniform(1, 3600), ctx, PARAMS)
-        assert stepped.task_load < load
+        _, _, task_load = step(state, rng.uniform(1, 3600), ctx)
+        assert task_load < load
 
 
 def test_homeostat_direction():
     awake = FatigueContext(on_task=False)
     asleep = FatigueContext(on_task=False, asleep=True)
     state = make_state(pressure=0.5)
-    assert step_alertness(state, 3600, awake, PARAMS).homeostatic_pressure > 0.5
-    assert step_alertness(state, 3600, asleep, PARAMS).homeostatic_pressure < 0.5
+    assert step(state, 3600, awake)[0] > 0.5
+    assert step(state, 3600, asleep)[0] < 0.5
 
 
 def test_circadian_phase_wraps():
     state = make_state(phase=23.5)
     ctx = FatigueContext(on_task=False)
-    stepped = step_alertness(state, 3600, ctx, PARAMS)
-    assert 0.0 <= stepped.circadian_phase < 1.0
+    _, phase, _ = step(state, 3600, ctx)
+    assert 0.0 <= phase < 1.0
 
 
 def _oracle_kss(alertness: float) -> int:
@@ -126,19 +125,17 @@ def _oracle_kss(alertness: float) -> int:
 def test_kss_endpoints_and_midpoint():
     quiet = ModelParams(report_noise_sd=0.0)
     rng = random.Random(0)
-    assert to_kss(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness, rng, quiet) == 1
-    assert to_kss(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness, rng, quiet) == 9
-    mid = AlertnessState(0.5, 12.0, 0.5, 0.5)
-    assert to_kss(mid.alertness, rng, quiet) == _oracle_kss(0.5)
+    assert to_kss(1.0, rng, quiet) == 1
+    assert to_kss(0.0, rng, quiet) == 9
+    assert to_kss(0.5, rng, quiet) == _oracle_kss(0.5)
 
 
 def test_kss_matches_quantizer_oracle_noiseless():
     quiet = ModelParams(report_noise_sd=0.0)
     rng = random.Random(0)
     for i in range(101):
-        alertness = i / 100
-        state = AlertnessState(0.0, 0.0, 0.0, alertness)
-        assert to_kss(state.alertness, rng, quiet) == _oracle_kss(alertness)
+        level = i / 100
+        assert to_kss(level, rng, quiet) == _oracle_kss(level)
 
 
 def test_kss_monotone_noiseless():
@@ -146,31 +143,30 @@ def test_kss_monotone_noiseless():
     rng = random.Random(0)
     previous = None
     for i in range(101):
-        state = AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100)
-        value = to_kss(state.alertness, rng, quiet)
+        value = to_kss(1.0 - i / 100, rng, quiet)
         if previous is not None:
             assert value >= previous
         previous = value
 
 
 def test_kss_noise_is_clamped_and_deterministic():
-    state = make_state()
-    values_a = [to_kss(state.alertness, random.Random(5), PARAMS) for _ in range(3)]
-    values_b = [to_kss(state.alertness, random.Random(5), PARAMS) for _ in range(3)]
+    level = alertness(make_state())
+    values_a = [to_kss(level, random.Random(5), PARAMS) for _ in range(3)]
+    values_b = [to_kss(level, random.Random(5), PARAMS) for _ in range(3)]
     assert values_a == values_b
-    base = _oracle_kss(state.alertness)
+    base = _oracle_kss(level)
     limit = math.ceil(8 * 3 * PARAMS.report_noise_sd) + 1
     rng = random.Random(77)
     for _ in range(500):
-        assert abs(to_kss(state.alertness, rng, PARAMS) - base) <= limit
+        assert abs(to_kss(level, rng, PARAMS) - base) <= limit
 
 
 def test_ord_endpoints_and_monotone_sweep():
-    assert to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0).alertness) == 1
-    assert to_ord_truth(AlertnessState(1.0, 4.0, 1.0, 0.0).alertness) == 5
+    assert to_ord_truth(1.0) == 1
+    assert to_ord_truth(0.0) == 5
     previous = 0
     for i in range(101):
-        level = to_ord_truth(AlertnessState(0.0, 0.0, 0.0, 1.0 - i / 100).alertness)
+        level = to_ord_truth(1.0 - i / 100)
         assert 1 <= level <= 5
         assert level >= previous
         previous = level
@@ -217,6 +213,6 @@ def test_params_validation():
 def test_step_determinism():
     state = make_state()
     ctx = FatigueContext(on_task=True, monotony=0.8)
-    a = step_alertness(state, 330, ctx, PARAMS)
-    b = step_alertness(state, 330, ctx, PARAMS)
+    a = step(state, 330, ctx)
+    b = step(state, 330, ctx)
     assert a == b

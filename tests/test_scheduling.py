@@ -4,25 +4,20 @@ import random
 import pytest
 
 from frmsim.scheduling import (
-    AlreadyAuxiliaryError,
     BreakPolicy,
     BreakSignalBundle,
     FatigueSeverity,
     InvalidTransitionError,
     LifecycleEvent,
     LifecyclePolicy,
-    OffShiftError,
     RotationConstraints,
     RotationDirection,
     ShiftSpec,
     SpecialistLifecycle,
     Stage,
-    TaskAssignment,
     evaluate_break_triggers,
     lifecycle_step,
     plan_rotation,
-    reassign_auxiliary,
-    request_impromptu_break,
     validate_rotation,
 )
 
@@ -207,32 +202,6 @@ def test_cooldown_debounces_invited_breaks():
         bundle, POLICY, now_min=161.0, last_invited_min=100.0
     )
     assert later is not None
-
-
-def test_impromptu_break_granted_at_any_kss():
-    event = request_impromptu_break("as-0", 50.0, on_shift=True)
-    assert event.initiator == "self"
-    with pytest.raises(OffShiftError):
-        request_impromptu_break("as-0", 50.0, on_shift=False)
-
-
-def test_impromptu_breaks_never_debounced():
-    first = request_impromptu_break("as-0", 50.0, on_shift=True)
-    second = request_impromptu_break("as-0", 51.0, on_shift=True)
-    assert first.time_min != second.time_min
-
-
-# -- auxiliary reassignment ----------------------------------------------------
-
-
-def test_reassignment_moves_to_auxiliary():
-    change = reassign_auxiliary("as-0", TaskAssignment.DRIVING, "fatigued", 90.0)
-    assert change.to_assignment is TaskAssignment.AUXILIARY
-
-
-def test_reassigning_auxiliary_rejected():
-    with pytest.raises(AlreadyAuxiliaryError):
-        reassign_auxiliary("as-0", TaskAssignment.AUXILIARY, "fatigued", 90.0)
 
 
 # -- lifecycle ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import random
 import statistics
 
 import pytest
@@ -15,7 +17,7 @@ from frmsim.sim import (
     session_length_stats,
 )
 
-from configs import odd_shift_configs
+from configs import odd_shift_configs, random_config
 from logchecks import BLOCK_RECORD_TYPES, assert_log_conserved, cfg_with, only
 
 
@@ -149,6 +151,51 @@ def test_route_two_supervisor_action_precedes_validation_ratings():
     for case_id in opened:
         later = [t for t in rating_times if t == resolved[case_id]]
         assert later, "validation ratings missing at resolution time"
+
+
+def test_every_alert_names_three_modalities_once_per_flag():
+    log, _ = run_scenario(fatigued_cfg(seed=2, **{"dms.false_positive_rate": 0.5}))
+    flags = [(e.time, e.specialist, e.data["flag_id"]) for e in log if e.type == "dms_flag"]
+    alerts = [e for e in log if e.type == "alert"]
+    assert flags, "no detector flag was raised"
+    assert [(e.time, e.specialist, e.data["flag_id"]) for e in alerts] == flags
+    assert len({e.data["flag_id"] for e in alerts}) == len(alerts)
+    for alert in alerts:
+        assert alert.data["modalities"] == ["tone", "vibration", "light"]
+
+
+def test_impromptu_break_and_reassignment_records():
+    cfg = fatigued_cfg(
+        seed=0,
+        fleet=[{"specialist_id": "as-0", "susceptibility": 3.5, "initial_sleep_pressure": 0.6}],
+        **{
+            "pfs.cadence_min": 20.0,
+            "pfs.outreach_reassign_kss": 6,
+            "pfs.break_compliance": 1.0,
+            "breaks.duration_min": 1.0,
+        },
+    )
+    log, _ = run_scenario(cfg)
+    changes = [e for e in log if e.type == "assignment_change"]
+    assert changes, "no specialist was reassigned"
+    for change in changes:
+        assert change.data["from_assignment"] == "driving"
+        assert change.data["to_assignment"] == "auxiliary"
+
+    cfg = cfg.with_overrides(seed=1)
+    cfg = dataclasses.replace(
+        cfg,
+        behavior=dataclasses.replace(cfg.behavior, impromptu_p=1.0, impromptu_kss_threshold=1),
+    )
+    log, _ = run_scenario(cfg)
+    requested = [e.time for e in log if e.type == "impromptu_break"]
+    starts = [
+        e for e in log if e.type == "break_start" and e.data["reason"] == "self_assessed_fatigue"
+    ]
+    assert requested and [e.time for e in starts] == requested
+    for start in starts:
+        assert start.data["initiator"] == "self"
+        assert start.data["duration_min"] == cfg.breaks.duration_min
 
 
 def test_self_reported_fatigue_preempts_pending_validation():
@@ -555,8 +602,40 @@ def test_config_rejects_settings_the_loop_cannot_honour(override):
 def test_config_rejects_unknown_fields():
     data = default_config(seed=0).to_dict()
     data["dms"]["mystery"] = 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="config.dms.mystery"):
         ScenarioConfig.from_dict(data)
+
+
+def test_generated_documents_round_trip_exactly():
+    # Exactly: an integer in a float field stays an integer, so the
+    # canonical JSON, and with it the config hash, is unchanged.
+    rng = random.Random(23)
+    valid = 0
+    for _ in range(150):
+        doc = random_config(rng)
+        try:
+            cfg = ScenarioConfig.from_dict(doc)
+        except ConfigError:
+            continue
+        valid += 1
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+    assert valid >= 100
+    doc = default_config(seed=0).to_dict()
+    doc["behavior"]["speed_mps"] = 12
+    cfg = ScenarioConfig.from_dict(doc)
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+def test_omitted_field_takes_its_default():
+    full = default_config(seed=0).to_dict()
+    plain = ScenarioConfig()
+    for name in full:
+        if name in ("schema_version", "raters"):
+            continue
+        doc = {key: value for key, value in full.items() if key != name}
+        assert getattr(ScenarioConfig.from_dict(doc), name) == getattr(plain, name)
+    del full["fleet"][0]["susceptibility"]
+    assert ScenarioConfig.from_dict(full).fleet[0].susceptibility == 1.0
 
 
 def test_seed_override_changes_hash_only_via_dict():

@@ -6,8 +6,6 @@ import pytest
 from frmsim.vigilance import (
     DROWSINESS_INDICATORS,
     DmsConfig,
-    DmsFlag,
-    DuplicateFlagError,
     Feed,
     InsufficientRatersError,
     NoSharedTasksError,
@@ -22,7 +20,6 @@ from frmsim.vigilance import (
     assign_rating_tasks,
     dms_observe,
     inter_rater_reliability,
-    issue_multimodal_alert,
     linear_weighted_kappa,
     open_case,
     qualify_rater,
@@ -51,37 +48,25 @@ def make_task(task_id="t0", raters=("r0",)):
 def test_dms_zero_error_sensor():
     rng = random.Random(0)
     always = DmsConfig(false_positive_rate=0.0, false_negative_rate=0.0)
-    assert dms_observe(5, always, rng) is not None
-    assert dms_observe(4, always, rng) is not None
-    assert dms_observe(1, always, rng) is None
-    assert dms_observe(3, always, rng) is None
+    assert dms_observe(5, always, rng) is True
+    assert dms_observe(4, always, rng) is True
+    assert dms_observe(1, always, rng) is False
+    assert dms_observe(3, always, rng) is False
 
 
 def test_dms_false_positive_rate_binomial():
     # 10k observations of an alert driver; empirical rate near fp=0.05.
     rng = random.Random(42)
     cfg = DmsConfig(false_positive_rate=0.05, false_negative_rate=0.0)
-    flags = sum(1 for _ in range(10_000) if dms_observe(1, cfg, rng) is not None)
+    flags = sum(1 for _ in range(10_000) if dms_observe(1, cfg, rng))
     assert 0.04 <= flags / 10_000 <= 0.06
 
 
 def test_dms_false_negative_rate_binomial():
     rng = random.Random(43)
     cfg = DmsConfig(false_positive_rate=0.0, false_negative_rate=0.3)
-    flags = sum(1 for _ in range(10_000) if dms_observe(5, cfg, rng) is not None)
+    flags = sum(1 for _ in range(10_000) if dms_observe(5, cfg, rng))
     assert 0.68 <= flags / 10_000 <= 0.72
-
-
-# -- alerts -----------------------------------------------------------------
-
-
-def test_alert_has_three_modalities_and_is_idempotent():
-    issued = set()
-    flag = DmsFlag(flag_id="f1", specialist_id="as-0", time=10.0)
-    alert = issue_multimodal_alert(flag, issued)
-    assert set(alert.modalities) == {"tone", "vibration", "light"}
-    with pytest.raises(DuplicateFlagError):
-        issue_multimodal_alert(flag, issued)
 
 
 # -- assignment and blinding ---------------------------------------------
@@ -224,15 +209,14 @@ def test_multi_rater_aggregate_beats_single_rater():
 # -- escalation routes -------------------------------------------------------
 
 
-def run_route_one(flag, pool, true_ord, rng, issued_flag_ids):
-    """Alert on the flag, then validate it with three raters."""
-    alert = issue_multimodal_alert(flag, issued_flag_ids)
-    feed = Feed(flag.specialist_id, flag.time - 60.0, flag.time, escalated=True)
+def run_route_one(pool, true_ord, rng):
+    """Validate a detector flag raised at t=100 s with three raters."""
+    feed = Feed("as-0", 40.0, 100.0, escalated=True)
     case = open_case(
         Route.ROUTE_ONE, feed, pool, 3, true_ord, rng,
         case_id="case-0", first_task_index=0, high_threshold=4, detect_threshold=4,
     )
-    return alert, case, resolve_case(case, pool, rng)
+    return case, resolve_case(case, pool, rng)
 
 
 def run_route_two(trigger, pool, true_ord, rng, high_threshold):
@@ -247,10 +231,7 @@ def run_route_two(trigger, pool, true_ord, rng, high_threshold):
 
 def test_route_one_confirms_true_fatigue():
     rng = random.Random(14)
-    issued = set()
-    flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
-    alert, case, outcome = run_route_one(flag, make_pool(5), 4, rng, issued)
-    assert alert.flag_id == "f0"
+    case, outcome = run_route_one(make_pool(5), 4, rng)
     assert case.route is Route.ROUTE_ONE
     assert outcome.resolution is Resolution.CONFIRMED
     assert outcome.validated_level == 4
@@ -260,16 +241,14 @@ def test_route_one_confirms_true_fatigue():
 
 def test_route_one_rejects_false_positive():
     rng = random.Random(15)
-    flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
-    _, _, outcome = run_route_one(flag, make_pool(5), 1, rng, set())
+    _, outcome = run_route_one(make_pool(5), 1, rng)
     assert outcome.resolution is Resolution.NOT_CONFIRMED
     assert outcome.supervisor_action is None
 
 
 def test_route_one_confirmed_level_five_requests_vehicle_retrieval():
     rng = random.Random(19)
-    flag = DmsFlag(flag_id="f0", specialist_id="as-0", time=100.0)
-    _, _, outcome = run_route_one(flag, make_pool(5), 5, rng, set())
+    _, outcome = run_route_one(make_pool(5), 5, rng)
     assert outcome.resolution is Resolution.CONFIRMED
     assert outcome.validated_level == 5
     assert outcome.supervisor_action is SupervisorAction.RETRIEVE_VEHICLE
