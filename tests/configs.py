@@ -59,6 +59,25 @@ def odd_shift_configs():
     )
 
 
+def reassignment_config(seed: int):
+    """One highly susceptible specialist who starts the shift tired, with
+    self-reports every 20 minutes, full break compliance and 1-minute
+    breaks, so a persistent high self-report reassigns them to auxiliary
+    work."""
+    return cfg_with(
+        seed=seed,
+        horizon_days=2,
+        fleet=[{"specialist_id": "as-0", "susceptibility": 3.5, "initial_sleep_pressure": 0.6}],
+        **{
+            "behavior.monotony": 1.0,
+            "pfs.cadence_min": 20.0,
+            "pfs.outreach_reassign_kss": 6,
+            "pfs.break_compliance": 1.0,
+            "breaks.duration_min": 1.0,
+        },
+    )
+
+
 def random_config(rng: random.Random) -> dict:
     """A configuration document drawn from ``rng``: a small fleet over two
     or three days with mixed toggles, an off-minute shift start, scheduled

@@ -17,7 +17,7 @@ import dataclasses
 from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
-from configs import odd_shift_configs
+from configs import odd_shift_configs, reassignment_config
 from logchecks import BLOCK_RECORD_TYPES, assert_trace_observes_only, only
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -85,6 +85,7 @@ def matrix() -> dict:
             cases[f"default/{name}/seed{seed}"] = default_config(seed=seed, toggles=toggles)
     cases["dual_fleet5/all_on/seed5"] = dual_fleet_config(seed=5)
     cases["escalation3/all_on/seed0"] = escalation_config(seed=0)
+    cases["reassign1/seed1"] = reassignment_config(seed=1)
     for i, cfg in enumerate(odd_shift_configs()):
         cases[f"odd_shift{i}/seed{cfg.seed}"] = cfg
     return cases

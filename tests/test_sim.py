@@ -17,7 +17,7 @@ from frmsim.sim import (
     session_length_stats,
 )
 
-from configs import odd_shift_configs, random_config
+from configs import odd_shift_configs, random_config, reassignment_config
 from logchecks import BLOCK_RECORD_TYPES, assert_log_conserved, cfg_with, only
 
 
@@ -165,16 +165,7 @@ def test_every_alert_names_three_modalities_once_per_flag():
 
 
 def test_impromptu_break_and_reassignment_records():
-    cfg = fatigued_cfg(
-        seed=0,
-        fleet=[{"specialist_id": "as-0", "susceptibility": 3.5, "initial_sleep_pressure": 0.6}],
-        **{
-            "pfs.cadence_min": 20.0,
-            "pfs.outreach_reassign_kss": 6,
-            "pfs.break_compliance": 1.0,
-            "breaks.duration_min": 1.0,
-        },
-    )
+    cfg = reassignment_config(seed=0)
     log, _ = run_scenario(cfg)
     changes = [e for e in log if e.type == "assignment_change"]
     assert changes, "no specialist was reassigned"
