@@ -255,9 +255,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         if self.horizon_days < 0:
-            raise ConfigError("horizon_days must be nonnegative")
+            raise ConfigError("config.horizon_days must be nonnegative")
         if self.sample_period_s < 0:
-            raise ConfigError("sample_period_s must be nonnegative")
+            raise ConfigError("config.sample_period_s must be nonnegative")
         ids = [s.specialist_id for s in self.fleet]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate specialist ids")
@@ -275,17 +275,17 @@ class ScenarioConfig:
         # moduli of the time into the shift; the delays are offsets from a
         # time slot already processed, so a zero offset would be lost.
         for name, seconds in (
-            ("dms.observation_period", self.dms.observation_period),
-            ("vigilance.periodic_cadence_min", self.vigilance.periodic_cadence_min * 60),
-            ("vigilance.reliability_interval_min", self.vigilance.reliability_interval_min * 60),
-            ("pfs.cadence_min", self.pfs.cadence_min * 60),
-            ("behavior.impromptu_check_min", self.behavior.impromptu_check_min * 60),
-            ("behavior.demand_period_min", self.behavior.demand_period_min * 60),
-            ("sa.issue_delay_s", self.sa.issue_delay_s),
-            ("sa.clear_timeout_s", self.sa.clear_timeout_s),
-            ("breaks.duration_min", self.breaks.duration_min * 60),
-            ("vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
-            ("pfs.followup_due_min", self.pfs.followup_due_min * 60),
+            ("config.dms.observation_period", self.dms.observation_period),
+            ("config.vigilance.periodic_cadence_min", self.vigilance.periodic_cadence_min * 60),
+            ("config.vigilance.reliability_interval_min", self.vigilance.reliability_interval_min * 60),
+            ("config.pfs.cadence_min", self.pfs.cadence_min * 60),
+            ("config.behavior.impromptu_check_min", self.behavior.impromptu_check_min * 60),
+            ("config.behavior.demand_period_min", self.behavior.demand_period_min * 60),
+            ("config.sa.issue_delay_s", self.sa.issue_delay_s),
+            ("config.sa.clear_timeout_s", self.sa.clear_timeout_s),
+            ("config.breaks.duration_min", self.breaks.duration_min * 60),
+            ("config.vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
+            ("config.pfs.followup_due_min", self.pfs.followup_due_min * 60),
         ):
             if not (math.isfinite(seconds) and seconds >= 1):
                 raise ConfigError(
@@ -294,11 +294,11 @@ class ScenarioConfig:
         # An item scheduled by the end of a shift must fall due within the
         # drain that follows it.
         for name, seconds in (
-            ("sa.issue_delay_s + sa.clear_timeout_s", self.sa.issue_delay_s + self.sa.clear_timeout_s),
-            ("vigilance.rating_latency_s", self.vigilance.rating_latency_s),
-            ("breaks.duration_min", self.breaks.duration_min * 60),
-            ("vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
-            ("pfs.followup_due_min + 1 min", self.pfs.followup_due_min * 60 + 60),
+            ("config.sa.issue_delay_s + config.sa.clear_timeout_s", self.sa.issue_delay_s + self.sa.clear_timeout_s),
+            ("config.vigilance.rating_latency_s", self.vigilance.rating_latency_s),
+            ("config.breaks.duration_min", self.breaks.duration_min * 60),
+            ("config.vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
+            ("config.pfs.followup_due_min + 1 min", self.pfs.followup_due_min * 60 + 60),
         ):
             if seconds > SHIFT_DRAIN_S:
                 raise ConfigError(
@@ -359,21 +359,21 @@ class ScenarioConfig:
         return cfg
 
 
-def _non_finite_path(node: Any) -> Optional[str]:
-    """Dotted path of the first number in a plain document that is not
-    finite, or None."""
+def _non_finite_path(node: Any, path: str = "config") -> Optional[str]:
+    """Path of the first number in a plain document that is not finite,
+    named as the codec names paths (``config.raters[1].bias``), or None."""
     if isinstance(node, float):
-        return None if math.isfinite(node) else ""
+        return None if math.isfinite(node) else path
     if isinstance(node, dict):
-        items = node.items()
+        items = ((f"{path}.{key}", value) for key, value in node.items())
     elif isinstance(node, list):
-        items = enumerate(node)
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
     else:
         return None
-    for key, value in items:
-        found = _non_finite_path(value)
+    for item_path, value in items:
+        found = _non_finite_path(value, item_path)
         if found is not None:
-            return f"{key}.{found}" if found else str(key)
+            return found
     return None
 
 

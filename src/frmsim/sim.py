@@ -13,8 +13,16 @@ minute item runs every active specialist's cadenced checks and
 re-schedules itself a minute later until the shift end, so a run costs
 in proportion to its items, not to its simulated seconds.
 
+Each specialist does one thing at a time, their activity: off shift,
+driving, on a break, or off the vehicle (retrieved, or reassigned to
+auxiliary work, for the rest of the shift). A driving session starts at
+the shift start and at each break end; the vehicle moves, engagement
+items run and the driving checks apply only while the specialist drives.
+A break starts only while they drive and lasts until its end item runs,
+so a break request that falls due in that second is dropped.
+
 The minute item also samples each specialist's ground-truth ORD level
-and whether they are on task (driving outside a break). It logs an
+and whether they are on task (driving). It logs an
 ``ord_change`` record only when that pair differs from the one last
 logged in the shift, and every shift logs one at its start; the metrics
 fold on-task time and time at ORD >= 4 from these records. A positive
@@ -66,6 +74,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional, Sequence
 
 from . import awareness as aw
@@ -113,6 +122,21 @@ _IDLE = FatigueContext(on_task=False)
 _ASLEEP = FatigueContext(on_task=False, asleep=True)
 
 
+class Activity(Enum):
+    """What a specialist is doing. Every change goes through
+    ``_Agent.enter``."""
+
+    OFF_SHIFT = "off_shift"
+    DRIVING = "driving"
+    ON_BREAK = "on_break"
+    # Retrieved or reassigned to auxiliary work for the rest of the shift.
+    OFF_VEHICLE = "off_vehicle"
+
+
+# Self-reports run while the specialist is in the vehicle.
+_IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
+
+
 def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
     """Per-specialist susceptibility scales fatigue accumulation rates."""
     if susceptibility == 1.0:
@@ -158,13 +182,12 @@ class _Agent:
         self.task_load = 0.0
         self.comp_time = 0
         self.ctx = _IDLE
-        self.on_shift = False
-        self.driving = False
-        self.in_break_until: Optional[int] = None
-        self.session_start: Optional[int] = None
+        self.activity = Activity.OFF_SHIFT
+        self.session_start = 0
         self.session_had_incautious = False
         self.speed = cfg.behavior.speed_mps
-        # Distance up to moving_since; the vehicle moves from then on.
+        # Distance up to moving_since; the vehicle moves from then on,
+        # while the specialist drives.
         self.odometer = 0.0
         self.moving_since: Optional[int] = None
         self.ict = eng.IctSchedulerState(specialist_id=who)
@@ -214,14 +237,14 @@ class _Agent:
             return self.odometer
         return self.odometer + self.speed * (t - self.moving_since)
 
-    def set_moving(self, t: int, moving: bool) -> None:
-        """The vehicle starts or stops at ``t``: it moves while the
-        specialist drives outside a break."""
+    def enter(self, t: int, activity: Activity, ctx: FatigueContext) -> None:
+        """Start ``activity`` at ``t``: bank the odometer, keep the vehicle
+        moving only while the specialist drives, and switch the fatigue
+        context."""
         self.odometer = self.current_odometer(t)
-        self.moving_since = t if moving else None
-
-    def in_break(self, t: int) -> bool:
-        return self.in_break_until is not None and t < self.in_break_until
+        self.moving_since = t if activity is Activity.DRIVING else None
+        self.activity = activity
+        self.set_ctx(t, ctx)
 
 
 class ScenarioRunner:
@@ -397,8 +420,7 @@ class ScenarioRunner:
         shift end (shift lengths are whole minutes)."""
         elapsed = t - self._shift_start
         for agent in agents:
-            if agent.on_shift:
-                self._agent_minute(agent, t, elapsed)
+            self._agent_minute(agent, t, elapsed)
         if t < self._shift_end:
             self._schedule(t + 60, _PHASE_MINUTE, "minute", agents=agents)
         else:
@@ -409,38 +431,20 @@ class ScenarioRunner:
 
     def _start_shift(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
-        agent.on_shift = True
-        agent.driving = True
-        agent.in_break_until = None
-        agent.session_start = t
-        agent.session_had_incautious = False
         agent.declines_this_shift = 0
         agent.logged_pair = None
         agent.ict.interventions_this_shift = 0
-        agent.set_moving(t, True)
-        agent.set_ctx(
-            t, FatigueContext(on_task=True, monotony=cfg.behavior.monotony)
-        )
-        agent.planned_response = None
         self.log.append(
             t, "shift_start", agent.spec.specialist_id, day=t // 86400, dual=agent.spec.dual
         )
         if cfg.toggles.engagement:
-            self._record_interactivity(agent, t)
             self._draw_transition(agent, t)
-            self._plan_ict(agent, t)
-            self._plan_control(agent, t)
+        self._start_driving(agent, t)
         if cfg.toggles.awareness:
             self._submit_pfs(agent, t, is_followup=False)
 
     def _end_shift(self, agent: _Agent, t: int) -> None:
-        if not agent.on_shift:
-            return
-        # Engagement items all fall due before the shift end, so none is
-        # left to supersede.
-        if agent.ict.pending is not None:
-            self._void_pending_prompt(agent, t)
-        self._end_session(agent, t, "shift_end")
+        self._leave_driving(agent, t, "shift_end")
         if self.cfg.toggles.engagement and agent.ict.recent_outcomes:
             multiplier = eng.ict_adapt(agent.ict, self.cfg.ict)
             self.log.append(
@@ -449,13 +453,7 @@ class ScenarioRunner:
                 agent.spec.specialist_id,
                 multiplier=round(multiplier, 6),
             )
-        agent.on_shift = False
-        agent.driving = False
-        agent.set_moving(t, False)
-        agent.in_break_until = None
-        agent.manual_until = None
-        agent.next_transition = None
-        agent.set_ctx(t, _IDLE)
+        agent.enter(t, Activity.OFF_SHIFT, _IDLE)
         self.log.append(t, "shift_end", agent.spec.specialist_id)
 
     # -- minute checks ----------------------------------------------------
@@ -464,7 +462,7 @@ class ScenarioRunner:
         cfg = self.cfg
         toggles = cfg.toggles
         who = agent.spec.specialist_id
-        driving = agent.driving and not agent.in_break(t)
+        driving = agent.activity is Activity.DRIVING
 
         alertness = agent.alertness(t)
         level = to_ord_truth(alertness)
@@ -522,14 +520,9 @@ class ScenarioRunner:
 
     def _engaged(self, agent: _Agent) -> bool:
         """Whether the agent has engagement items: engagement is on and
-        the agent drives outside a break. Manual control also pauses the
-        ICT items, but not the one that ends it."""
-        return (
-            self.cfg.toggles.engagement
-            and agent.on_shift
-            and agent.driving
-            and agent.in_break_until is None
-        )
+        the agent drives. Manual control also pauses the ICT items, but
+        not the one that ends it."""
+        return self.cfg.toggles.engagement and agent.activity is Activity.DRIVING
 
     def _record_interactivity(self, agent: _Agent, t: int) -> None:
         eng.record_interactivity(
@@ -703,14 +696,8 @@ class ScenarioRunner:
                     agent, t, self.cfg.breaks.duration_min, "pull_over", "pull_over"
                 )
             elif agent.rng_ict.random() < 0.9:
-                self._schedule(
-                    t + 60,
-                    _PHASE_ITEM,
-                    "break_start",
-                    agent=agent,
-                    duration_min=self.cfg.breaks.duration_min,
-                    initiator="intervention",
-                    reason="ict_intervention",
+                self._request_break(
+                    agent, t, cfg.breaks.duration_min, "intervention", "ict_intervention"
                 )
         if agent.outcomes_since_adapt >= cfg.ict.adapt_window:
             agent.outcomes_since_adapt = 0
@@ -718,8 +705,9 @@ class ScenarioRunner:
             self.log.append(t, "ict_adapt", who, multiplier=round(multiplier, 6))
 
     def _void_pending_prompt(self, agent: _Agent, t: int) -> None:
-        # The driving task went away (break, manual control, shift end);
-        # no penalty. The caller plans the agent's next ICT item.
+        # The driving task went away (manual control, or the specialist
+        # stopped driving); no penalty. The caller plans or supersedes
+        # the agent's next ICT item.
         resolution = eng.ict_resolve(agent.ict, "demand_rose", t, self.cfg.ict)
         self._log_ict_outcome(agent, t, resolution)
 
@@ -969,10 +957,7 @@ class ScenarioRunner:
         )
         if level >= 5:
             self.log.append(t, "vehicle_retrieved", who, case_id=case.case_id)
-            if agent.ict.pending is not None:
-                self._void_pending_prompt(agent, t)
-            self._end_session(agent, t, "vehicle_retrieved")
-            self._stop_driving(agent, t)
+            self._leave_vehicle(agent, t, "vehicle_retrieved")
         else:
             self._start_break(
                 agent,
@@ -1060,17 +1045,12 @@ class ScenarioRunner:
         )
         agent.last_kss = (t, kss)
         if outcome.action is aw.PfsAction.SUGGEST_BREAK_AND_FOLLOWUP:
-            if agent.rng_breaks.random() < cfg.pfs.break_compliance and agent.driving:
+            if (
+                agent.rng_breaks.random() < cfg.pfs.break_compliance
+                and agent.activity in _IN_VEHICLE
+            ):
                 agent.pending_followup_for = record.record_id
-                self._schedule(
-                    t + 60,
-                    _PHASE_ITEM,
-                    "break_start",
-                    agent=agent,
-                    duration_min=cfg.breaks.duration_min,
-                    initiator="pfs",
-                    reason="high_kss",
-                )
+                self._request_break(agent, t, cfg.breaks.duration_min, "pfs", "high_kss")
         elif outcome.action is aw.PfsAction.SUPERVISOR_OUTREACH:
             agent.pending_followup_for = None
             self.log.append(
@@ -1083,7 +1063,7 @@ class ScenarioRunner:
             if (
                 kss >= cfg.pfs.outreach_reassign_kss
                 and cfg.toggles.scheduling
-                and agent.driving
+                and agent.activity in _IN_VEHICLE
             ):
                 self._reassign_auxiliary(agent, t, "persistent_high_kss")
         else:
@@ -1172,15 +1152,7 @@ class ScenarioRunner:
             if agent.declines_this_shift == 2:
                 self.log.append(t, "decline_outreach", who)
             return
-        self._schedule(
-            t + 60,
-            _PHASE_ITEM,
-            "break_start",
-            agent=agent,
-            duration_min=offer.duration_min,
-            initiator="invited",
-            reason=offer.reason,
-        )
+        self._request_break(agent, t, offer.duration_min, "invited", offer.reason)
 
     def _impromptu_check(self, agent: _Agent, t: int) -> None:
         cfg = self.cfg
@@ -1210,33 +1182,87 @@ class ScenarioRunner:
             reason=reason,
             restaffed=True,
         )
+        # Auxiliary work is off the vehicle: no monitoring, lighter load.
+        self._leave_vehicle(agent, t, "reassigned")
+
+    # -- activity changes ------------------------------------------------
+
+    def _start_driving(self, agent: _Agent, t: int) -> None:
+        """A driving session starts at ``t``: at the shift start or at the
+        end of a break."""
+        agent.session_start = t
+        agent.session_had_incautious = False
+        agent.enter(
+            t,
+            Activity.DRIVING,
+            FatigueContext(on_task=True, monotony=self.cfg.behavior.monotony),
+        )
+        if self.cfg.toggles.engagement:
+            self._record_interactivity(agent, t)
+            self._plan_ict(agent, t)
+            self._plan_control(agent, t)
+
+    def _leave_driving(self, agent: _Agent, t: int, cause: str) -> None:
+        """End the driving session at ``t``, if the agent drives: void a
+        pending prompt, end manual control, supersede the live engagement
+        items and log ``session_end``. The caller enters the next
+        activity."""
+        if agent.activity is not Activity.DRIVING:
+            return
         if agent.ict.pending is not None:
             self._void_pending_prompt(agent, t)
-        self._end_session(agent, t, "reassigned")
-        # Auxiliary work is off the vehicle: no monitoring, lighter load.
-        self._stop_driving(agent, t)
+        agent.manual_until = None
+        agent.ict_gen += 1
+        agent.control_gen += 1
+        duration_min = (t - agent.session_start) / 60.0
+        if duration_min > 0:
+            self.log.append(
+                t,
+                "session_end",
+                agent.spec.specialist_id,
+                duration_min=round(duration_min, 4),
+                had_incautious=agent.session_had_incautious,
+                cause=cause,
+            )
 
-    # -- breaks and sessions ---------------------------------------------
+    def _leave_vehicle(self, agent: _Agent, t: int, cause: str) -> None:
+        """The agent leaves the vehicle for the rest of the shift. A case
+        validated in the drain finds them off shift already."""
+        self._leave_driving(agent, t, cause)
+        if agent.activity is not Activity.OFF_SHIFT:
+            agent.enter(t, Activity.OFF_VEHICLE, _IDLE)
+        else:
+            agent.set_ctx(t, _IDLE)
+
+    def _request_break(
+        self, agent: _Agent, t: int, duration_min: float, initiator: str, reason: str
+    ) -> None:
+        """Ask for a break a minute from now."""
+        self._schedule(
+            t + 60,
+            _PHASE_ITEM,
+            "break_start",
+            agent=agent,
+            duration_min=duration_min,
+            initiator=initiator,
+            reason=reason,
+        )
 
     def _start_break(
         self, agent: _Agent, t: int, duration_min: float, initiator: str, reason: str
     ) -> None:
-        if not agent.on_shift or not agent.driving or agent.in_break(t):
+        """Start a break if the agent drives; a request that falls due
+        while they are on a break, off the vehicle or off shift is
+        dropped."""
+        if agent.activity is not Activity.DRIVING:
             return
-        if agent.ict.pending is not None:
-            self._void_pending_prompt(agent, t)
-        self._end_session(agent, t, f"break:{initiator}")
+        self._leave_driving(agent, t, f"break:{initiator}")
         activity = agent.rng_breaks.choices(
             _BREAK_ACTIVITIES, weights=self.cfg.behavior.break_activity_weights
         )[0]
-        until = t + int(duration_min * 60)
-        agent.in_break_until = until
-        agent.manual_until = None
-        agent.set_moving(t, False)
-        self._plan_ict(agent, t)
-        self._plan_control(agent, t)
-        agent.set_ctx(
+        agent.enter(
             t,
+            Activity.ON_BREAK,
             FatigueContext(on_task=False, in_break=True, break_activity=activity),
         )
         self.log.append(
@@ -1248,25 +1274,15 @@ class ScenarioRunner:
             duration_min=duration_min,
             activity=activity.value,
         )
-        self._schedule(until, _PHASE_ITEM, "break_end", agent=agent)
+        self._schedule(t + int(duration_min * 60), _PHASE_ITEM, "break_end", agent=agent)
 
     def _on_break_end(self, t: int, agent: _Agent) -> None:
-        who = agent.spec.specialist_id
-        agent.in_break_until = None
-        self.log.append(t, "break_end", who)
-        if not agent.on_shift or not agent.driving:
+        self.log.append(t, "break_end", agent.spec.specialist_id)
+        if agent.activity is not Activity.ON_BREAK:
+            # The shift ended or the agent left the vehicle during the break.
             agent.set_ctx(t, _IDLE)
             return
-        agent.session_start = t
-        agent.session_had_incautious = False
-        agent.set_moving(t, True)
-        agent.set_ctx(
-            t, FatigueContext(on_task=True, monotony=self.cfg.behavior.monotony)
-        )
-        if self.cfg.toggles.engagement:
-            self._record_interactivity(agent, t)
-            self._plan_ict(agent, t)
-            self._plan_control(agent, t)
+        self._start_driving(agent, t)
         if self.cfg.toggles.awareness:
             if agent.pending_followup_for is not None:
                 if agent.rng_breaks.random() < self.cfg.pfs.followup_compliance:
@@ -1281,30 +1297,6 @@ class ScenarioRunner:
             else:
                 self._schedule(t + 60, _PHASE_ITEM, "pfs_regular", agent=agent)
 
-    def _stop_driving(self, agent: _Agent, t: int) -> None:
-        """The agent leaves the vehicle for the rest of the shift."""
-        agent.driving = False
-        agent.set_moving(t, False)
-        agent.set_ctx(t, _IDLE)
-        self._plan_ict(agent, t)
-        self._plan_control(agent, t)
-
-    def _end_session(self, agent: _Agent, t: int, cause: str) -> None:
-        if agent.session_start is None:
-            return
-        duration_min = (t - agent.session_start) / 60.0
-        if duration_min > 0:
-            self.log.append(
-                t,
-                "session_end",
-                agent.spec.specialist_id,
-                duration_min=round(duration_min, 4),
-                had_incautious=agent.session_had_incautious,
-                cause=cause,
-            )
-        agent.session_start = None
-        agent.session_had_incautious = False
-
     # -- ordinary items ----------------------------------------------------
 
     def _on_break_start(
@@ -1317,7 +1309,7 @@ class ScenarioRunner:
             self._submit_pfs(agent, t, is_followup=True)
 
     def _on_pfs_regular(self, t: int, agent: _Agent) -> None:
-        if agent.on_shift and agent.driving:
+        if agent.activity in _IN_VEHICLE:
             self._submit_pfs(agent, t, is_followup=False)
 
     def _on_pfs_reminder(self, t: int, agent: _Agent) -> None:

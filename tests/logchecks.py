@@ -49,11 +49,13 @@ BLOCK_RECORD_TYPES = {
 
 def assert_log_conserved(log: EventLog) -> None:
     """Every prompt, alert issuance, and escalation case terminates
-    exactly once, and timestamps never decrease."""
+    exactly once, each specialist's breaks start and end in turn and all
+    end within the log, and timestamps never decrease."""
     previous = None
     prompts: dict[str, int] = {}
     sa_issued: dict[str, int] = {}
     cases: dict[str, int] = {}
+    on_break: dict[str, bool] = {}
     for event in log:
         if previous is not None:
             assert event.time >= previous, "timestamp regression in log"
@@ -76,6 +78,14 @@ def assert_log_conserved(log: EventLog) -> None:
             cid = event.data["case_id"]
             assert cid in cases, f"resolution for unknown case {cid}"
             cases[cid] += 1
+        elif event.type in ("break_start", "break_end"):
+            starts = event.type == "break_start"
+            assert on_break.get(event.specialist, False) != starts, (
+                f"{event.type} of {event.specialist} at {event.time} out of turn"
+            )
+            on_break[event.specialist] = starts
+    unclosed = sorted(who for who, open_ in on_break.items() if open_)
+    assert not unclosed, f"breaks never ended for {unclosed}"
     for name, counts in (("prompt", prompts), ("sa", sa_issued), ("case", cases)):
         for key, count in counts.items():
             assert count == 1, f"{name} {key} has {count} terminal records"

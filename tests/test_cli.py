@@ -96,29 +96,38 @@ def _assert_validate_and_simulate_exit_one(tmp_path, data, setting):
     assert not (tmp_path / "run" / "events.jsonl").exists()
 
 
+_UNRUNNABLE = [
+    # Zero cadences: the minute-tick checks would divide by zero.
+    (("vigilance", "periodic_cadence_min"), 0),
+    (("vigilance", "reliability_interval_min"), 0.005),
+    (("behavior", "impromptu_check_min"), 0),
+    (("dms", "observation_period"), 0.5),
+    # Zero delays: the item would land in an already-processed slot
+    # and block every later one.
+    (("sa", "issue_delay_s"), 0.5),
+    (("breaks", "duration_min"), 0),
+    # Not finite (JSON Infinity and NaN): int() of them would fail.
+    (("behavior", "manual_period_s"), float("inf")),
+    (("vigilance", "flag_cooldown_min"), float("inf")),
+    (("vigilance", "rating_latency_s"), float("nan")),
+    (("raters", 1, "bias"), float("nan")),
+]
+
+
 @pytest.mark.parametrize(
-    "section, field, value",
-    [
-        # Zero cadences: the minute-tick checks would divide by zero.
-        ("vigilance", "periodic_cadence_min", 0),
-        ("vigilance", "reliability_interval_min", 0.005),
-        ("behavior", "impromptu_check_min", 0),
-        ("dms", "observation_period", 0.5),
-        # Zero delays: the item would land in an already-processed slot
-        # and block every later one.
-        ("sa", "issue_delay_s", 0.5),
-        ("breaks", "duration_min", 0),
-        # Not finite (JSON Infinity and NaN): int() of them would fail.
-        ("behavior", "manual_period_s", float("inf")),
-        ("vigilance", "flag_cooldown_min", float("inf")),
-        ("vigilance", "rating_latency_s", float("nan")),
-    ],
+    "keys, value",
+    _UNRUNNABLE,
+    ids=["-".join(map(str, keys)) + f"-{value}" for keys, value in _UNRUNNABLE],
 )
-def test_config_the_simulator_cannot_run_exits_one(tmp_path, section, field, value):
+def test_config_the_simulator_cannot_run_exits_one(tmp_path, keys, value):
     data = json.loads(default_config(seed=3).to_json())
-    data[section][field] = value
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
     data["horizon_days"] = 4
-    _assert_validate_and_simulate_exit_one(tmp_path, data, f"{section}.{field}")
+    path = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    _assert_validate_and_simulate_exit_one(tmp_path, data, path)
 
 
 @pytest.mark.parametrize(
@@ -165,7 +174,7 @@ def test_secondary_alert_outlasting_the_drain_exits_one(tmp_path):
     data["behavior"]["transition_rate_per_h"] = 20.0
     data["horizon_days"] = 4
     _assert_validate_and_simulate_exit_one(
-        tmp_path, data, "sa.issue_delay_s + sa.clear_timeout_s"
+        tmp_path, data, "config.sa.issue_delay_s + config.sa.clear_timeout_s"
     )
 
 

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,15 @@ def test_toggle_isolation_per_block():
         )
 
 
+def test_bench_block_table_matches_the_tests():
+    # The benchmark checks block isolation with its own copy of the table.
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.BLOCK_RECORD_TYPES == BLOCK_RECORD_TYPES
+
+
 def test_each_block_alone_produces_its_records():
     for block in ("awareness", "vigilance", "engagement", "scheduling"):
         cfg = fatigued_cfg(seed=5).with_overrides(toggles=only(block))
@@ -187,6 +198,27 @@ def test_impromptu_break_and_reassignment_records():
     for start in starts:
         assert start.data["initiator"] == "self"
         assert start.data["duration_min"] == cfg.breaks.duration_min
+
+
+def test_break_request_due_as_a_break_ends_is_dropped():
+    # One-second breaks that start at every minute check: a requested
+    # break falls due in the second an earlier break ends, before that
+    # break's end item runs. It is dropped, so no break opens inside
+    # another.
+    log, _ = run_scenario(
+        cfg_with(
+            seed=0,
+            **{
+                "breaks.duration_min": 1 / 60,
+                "behavior.impromptu_check_min": 1.0,
+                "behavior.impromptu_kss_threshold": 1,
+                "behavior.impromptu_p": 1.0,
+            },
+        )
+    )
+    initiators = {e.data["initiator"] for e in log if e.type == "break_start"}
+    assert {"self", "pfs"} <= initiators
+    assert_log_conserved(log)
 
 
 def test_self_reported_fatigue_preempts_pending_validation():
