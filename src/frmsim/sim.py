@@ -133,7 +133,8 @@ class Activity(Enum):
     OFF_VEHICLE = "off_vehicle"
 
 
-# Self-reports run while the specialist is in the vehicle.
+# Driving or on a break: self-reports run, and may ask for a break or a
+# reassignment.
 _IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
 
 
