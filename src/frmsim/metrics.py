@@ -72,7 +72,8 @@ def compute_metrics(log: EventLog) -> Metrics:
     from ``ord_change`` records. Each one opens a span of its ``(ord,
     on_task)`` pair that runs to the specialist's next ``ord_change`` or
     to their ``shift_end``; the minute tick at the shift end counts one
-    more whole minute. A shift without an ``ord_change`` record (a log
+    more whole minute. An episode (on task at ORD >= 4) closes where its
+    span does. A shift without an ``ord_change`` record (a log
     from before these records existed) or a span without a ``shift_end``
     raises ``ValueError``. The optional ``state_sample`` trace is not
     folded.
@@ -133,6 +134,7 @@ def compute_metrics(log: EventLog) -> Metrics:
                     "state_sample records are not folded; re-run the scenario"
                 )
             close_span(who, event.time + 60)
+            close_episode(who, event.time + 60)
             spans[who] = None
         elif event.type == "fatigue_event":
             fatigue_events += 1
@@ -160,10 +162,6 @@ def compute_metrics(log: EventLog) -> Metrics:
             raise ValueError(
                 f"ord_change span of {who} from t={span[0]} has no shift_end record"
             )
-    last_time = log.last_time
-    for who in list(episode_open):
-        close_episode(who, last_time)
-
     latencies: list[float] = []
     for who, windows in episodes.items():
         confirmed = sorted(confirmations.get(who, []))

@@ -19,7 +19,10 @@ auxiliary work, for the rest of the shift). A driving session starts at
 the shift start and at each break end; the vehicle moves, engagement
 items run and the driving checks apply only while the specialist drives.
 A break starts only while they drive and lasts until its end item runs,
-so a break request that falls due in that second is dropped.
+so a break request that falls due in that second is dropped. Leaving the
+vehicle (retrieval, reassignment, the shift end) ends the session or the
+open break at once; surveys, reminders and retrieval need the specialist
+driving or on a break.
 
 The minute item also samples each specialist's ground-truth ORD level
 and whether they are on task (driving). It logs an
@@ -38,11 +41,13 @@ control). Their due times have closed forms (see ``engagement``). When
 an input changes (an interaction, a frequency adaptation, a break,
 manual control), the item is computed afresh, and the agent's generation
 token for that item marks the one it supersedes, which its handler drops
-when it falls due. No engagement item is scheduled at or after the shift
-end, which voids any pending prompt. After the shift ends the loop runs
-``SHIFT_DRAIN_S`` more seconds for the items still due; configuration
-validation keeps every scheduling delay within that drain, so each shift
-leaves an empty heap.
+when it falls due. No engagement item or secondary alert is scheduled
+at or after the shift end, which voids a pending prompt and resolves an
+open alert. In the ``SHIFT_DRAIN_S`` seconds the loop runs after it,
+only escalation validations (remote review of recorded footage) and
+their consequences run; other items find the specialist off shift and
+are dropped. Validation keeps every delay within the drain, so each
+shift leaves an empty heap.
 
 Randomness comes from independent substreams, one per purpose (hazard,
 ict, raters, breaks, sa) per specialist plus one fleet stream for rater
@@ -57,7 +62,8 @@ The protocols themselves live in the block modules; the runner draws
 their inputs, schedules and logs. An escalation is opened with
 ``vigilance.open_case``, carried on the heap across the rating latency,
 and resolved with ``vigilance.resolve_case``; a secondary alert's outcome
-is decided by ``engagement.sa_resolve`` when it is issued.
+is decided by ``engagement.sa_resolve`` at the control transition that
+raises it, so neither a break nor the shift end changes it.
 
 Also hosts the ablation driver and the session-length hazard
 calibration.
@@ -133,8 +139,9 @@ class Activity(Enum):
     OFF_VEHICLE = "off_vehicle"
 
 
-# Driving or on a break: self-reports run, and may ask for a break or a
-# reassignment.
+# Driving or on a break: surveys and reminders run and may ask for a
+# break or a reassignment, and a confirmed escalation may retrieve the
+# vehicle.
 _IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
 
 
@@ -445,7 +452,8 @@ class ScenarioRunner:
             self._submit_pfs(agent, t, is_followup=False)
 
     def _end_shift(self, agent: _Agent, t: int) -> None:
-        self._leave_driving(agent, t, "shift_end")
+        self._leave_vehicle(agent, t, "shift_end", Activity.OFF_SHIFT)
+        agent.pending_followup_for = None
         if self.cfg.toggles.engagement and agent.ict.recent_outcomes:
             multiplier = eng.ict_adapt(agent.ict, self.cfg.ict)
             self.log.append(
@@ -454,7 +462,6 @@ class ScenarioRunner:
                 agent.spec.specialist_id,
                 multiplier=round(multiplier, 6),
             )
-        agent.enter(t, Activity.OFF_SHIFT, _IDLE)
         self.log.append(t, "shift_end", agent.spec.specialist_id)
 
     # -- minute checks ----------------------------------------------------
@@ -780,15 +787,17 @@ class ScenarioRunner:
                 resolve_delay_s = max(1, int(input_latency))
             else:
                 resolve_delay_s = int(cfg.sa.clear_timeout_s)
-            self._schedule(
-                t + int(decision.delay_s or 0),
-                _PHASE_ITEM,
-                "sa_issue",
-                agent=agent,
-                sa_id=sa_id,
-                outcome=outcome,
-                resolve_delay_s=resolve_delay_s,
-            )
+            issue_at = t + int(decision.delay_s or 0)
+            if issue_at < self._shift_end:
+                self._schedule(
+                    issue_at,
+                    _PHASE_ITEM,
+                    "sa_issue",
+                    agent=agent,
+                    sa_id=sa_id,
+                    outcome=outcome,
+                    resolve_delay_s=resolve_delay_s,
+                )
         self._draw_transition(agent, t)
         self._plan_ict(agent, t)
         self._plan_control(agent, t)
@@ -956,10 +965,7 @@ class ScenarioRunner:
         self._record_fatigue_event(
             agent, t, "severe" if level >= 5 else "moderate", "escalation"
         )
-        if level >= 5:
-            self.log.append(t, "vehicle_retrieved", who, case_id=case.case_id)
-            self._leave_vehicle(agent, t, "vehicle_retrieved")
-        else:
+        if level < 5:
             self._start_break(
                 agent,
                 t,
@@ -967,6 +973,9 @@ class ScenarioRunner:
                 "supervisor",
                 "confirmed_escalation",
             )
+        elif agent.activity in _IN_VEHICLE:
+            self.log.append(t, "vehicle_retrieved", who, case_id=case.case_id)
+            self._leave_vehicle(agent, t, "vehicle_retrieved", Activity.OFF_VEHICLE)
 
     def _reliability_checkpoint(self, t: int) -> None:
         try:
@@ -1046,10 +1055,7 @@ class ScenarioRunner:
         )
         agent.last_kss = (t, kss)
         if outcome.action is aw.PfsAction.SUGGEST_BREAK_AND_FOLLOWUP:
-            if (
-                agent.rng_breaks.random() < cfg.pfs.break_compliance
-                and agent.activity in _IN_VEHICLE
-            ):
+            if agent.rng_breaks.random() < cfg.pfs.break_compliance:
                 agent.pending_followup_for = record.record_id
                 self._request_break(agent, t, cfg.breaks.duration_min, "pfs", "high_kss")
         elif outcome.action is aw.PfsAction.SUPERVISOR_OUTREACH:
@@ -1061,11 +1067,7 @@ class ScenarioRunner:
                 record_id=record.record_id,
                 tips=list(outcome.tips or ()),
             )
-            if (
-                kss >= cfg.pfs.outreach_reassign_kss
-                and cfg.toggles.scheduling
-                and agent.activity in _IN_VEHICLE
-            ):
+            if kss >= cfg.pfs.outreach_reassign_kss and cfg.toggles.scheduling:
                 self._reassign_auxiliary(agent, t, "persistent_high_kss")
         else:
             if is_followup:
@@ -1184,7 +1186,7 @@ class ScenarioRunner:
             restaffed=True,
         )
         # Auxiliary work is off the vehicle: no monitoring, lighter load.
-        self._leave_vehicle(agent, t, "reassigned")
+        self._leave_vehicle(agent, t, "reassigned", Activity.OFF_VEHICLE)
 
     # -- activity changes ------------------------------------------------
 
@@ -1226,14 +1228,14 @@ class ScenarioRunner:
                 cause=cause,
             )
 
-    def _leave_vehicle(self, agent: _Agent, t: int, cause: str) -> None:
-        """The agent leaves the vehicle for the rest of the shift. A case
-        validated in the drain finds them off shift already."""
+    def _leave_vehicle(self, agent: _Agent, t: int, cause: str, activity: Activity) -> None:
+        """The agent leaves the vehicle at ``t`` for the rest of the shift,
+        or at its end, and enters ``activity``: the driving session or the
+        open break ends."""
         self._leave_driving(agent, t, cause)
-        if agent.activity is not Activity.OFF_SHIFT:
-            agent.enter(t, Activity.OFF_VEHICLE, _IDLE)
-        else:
-            agent.set_ctx(t, _IDLE)
+        if agent.activity is Activity.ON_BREAK:
+            self.log.append(t, "break_end", agent.spec.specialist_id)
+        agent.enter(t, activity, _IDLE)
 
     def _request_break(
         self, agent: _Agent, t: int, duration_min: float, initiator: str, reason: str
@@ -1278,11 +1280,10 @@ class ScenarioRunner:
         self._schedule(t + int(duration_min * 60), _PHASE_ITEM, "break_end", agent=agent)
 
     def _on_break_end(self, t: int, agent: _Agent) -> None:
-        self.log.append(t, "break_end", agent.spec.specialist_id)
         if agent.activity is not Activity.ON_BREAK:
-            # The shift ended or the agent left the vehicle during the break.
-            agent.set_ctx(t, _IDLE)
+            # Stale: the break ended as the agent left the vehicle.
             return
+        self.log.append(t, "break_end", agent.spec.specialist_id)
         self._start_driving(agent, t)
         if self.cfg.toggles.awareness:
             if agent.pending_followup_for is not None:
@@ -1306,7 +1307,7 @@ class ScenarioRunner:
         self._start_break(agent, t, duration_min, initiator, reason)
 
     def _on_pfs_followup(self, t: int, agent: _Agent) -> None:
-        if agent.pending_followup_for is not None:
+        if agent.activity in _IN_VEHICLE and agent.pending_followup_for is not None:
             self._submit_pfs(agent, t, is_followup=True)
 
     def _on_pfs_regular(self, t: int, agent: _Agent) -> None:
@@ -1314,7 +1315,7 @@ class ScenarioRunner:
             self._submit_pfs(agent, t, is_followup=False)
 
     def _on_pfs_reminder(self, t: int, agent: _Agent) -> None:
-        if agent.pending_followup_for is not None:
+        if agent.activity in _IN_VEHICLE and agent.pending_followup_for is not None:
             self.log.append(
                 t,
                 "pfs_reminder",
@@ -1333,7 +1334,7 @@ class ScenarioRunner:
     ) -> None:
         self.log.append(t, "sa_issued", agent.spec.specialist_id, sa_id=sa_id)
         self._schedule(
-            t + resolve_delay_s,
+            min(t + resolve_delay_s, self._shift_end),
             _PHASE_ITEM,
             "sa_resolve",
             agent=agent,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from frmsim.config import ScenarioConfig, Toggles, default_config
-from frmsim.events import EventLog
+from frmsim.events import Event, EventLog
 from frmsim.metrics import DETECTION_GRACE_S
 from frmsim.sim import run_scenario
 
@@ -47,10 +47,52 @@ BLOCK_RECORD_TYPES = {
 }
 
 
+# Record types a specialist may have between their shift_end and their
+# next shift_start: the remote validation of recorded footage and its
+# consequences. Everything else is work in the vehicle, which the shift
+# end closes.
+OFF_SHIFT_RECORD_TYPES = {"rating", "escalation_resolved", "lifecycle", "fatigue_event"}
+
+
+def off_shift_records(log: EventLog) -> list[Event]:
+    """Every record of a specialist logged between their ``shift_end`` and
+    their next ``shift_start``, of any type."""
+    off_shift: set[str] = set()
+    found = []
+    for event in log:
+        if event.type == "shift_end":
+            off_shift.add(event.specialist)
+        elif event.type == "shift_start":
+            off_shift.discard(event.specialist)
+        elif event.specialist in off_shift:
+            found.append(event)
+    return found
+
+
+def carried_followups(log: EventLog) -> list[Event]:
+    """Follow-up ``pfs`` records that answer a survey logged in an earlier
+    shift of the same specialist."""
+    shifts: dict[str, int] = {}
+    shift_of: dict[str, int] = {}
+    found = []
+    for event in log:
+        who = event.specialist
+        if event.type == "shift_start":
+            shifts[who] = shifts.get(who, 0) + 1
+        elif event.type == "pfs":
+            shift_of[event.data["record_id"]] = shifts[who]
+            if event.data["is_followup"] and shift_of[event.data["triggered_by"]] != shifts[who]:
+                found.append(event)
+    return found
+
+
 def assert_log_conserved(log: EventLog) -> None:
     """Every prompt, alert issuance, and escalation case terminates
     exactly once, each specialist's breaks start and end in turn and all
-    end within the log, and timestamps never decrease."""
+    end within the log, timestamps never decrease, a specialist logs
+    only ``OFF_SHIFT_RECORD_TYPES`` between a shift end and their next
+    shift start, and no follow-up survey answers one of an earlier
+    shift."""
     previous = None
     prompts: dict[str, int] = {}
     sa_issued: dict[str, int] = {}
@@ -89,22 +131,36 @@ def assert_log_conserved(log: EventLog) -> None:
     for name, counts in (("prompt", prompts), ("sa", sa_issued), ("case", cases)):
         for key, count in counts.items():
             assert count == 1, f"{name} {key} has {count} terminal records"
+    for event in off_shift_records(log):
+        assert event.type in OFF_SHIFT_RECORD_TYPES, (
+            f"{event.type} of {event.specialist} at {event.time} after their shift_end"
+        )
+    carried = carried_followups(log)
+    assert not carried, (
+        f"follow-up {carried[0].data['record_id']} at {carried[0].time} answers "
+        f"{carried[0].data['triggered_by']} of an earlier shift"
+    )
 
 
 def fold_state_samples(log: EventLog) -> dict:
     """Oracle: the ORD metrics folded from the ``state_sample`` trace, as
     ``compute_metrics`` folded them before ``ord_change`` records. Each
     sample credits its ``period_s``; an episode opens at an on-task
-    sample at ORD >= 4 and closes at the next sample that is not one, or
-    at the end of the log."""
+    sample at ORD >= 4 and closes at the next sample that is not one or,
+    at the specialist's ``shift_end``, where the last sample's credit
+    ends."""
     time_ord_min = 0.0
     on_task_min = 0.0
     episode_open: dict[str, int] = {}
     episodes: list[tuple[str, int, int]] = []
+    credited_until: dict[str, int] = {}
     confirmations: dict[str, list[int]] = {}
     for event in log:
         who = event.specialist
-        if event.type == "state_sample":
+        if event.type == "shift_end" and who in episode_open:
+            episodes.append((who, episode_open.pop(who), credited_until[who]))
+        elif event.type == "state_sample":
+            credited_until[who] = event.time + event.data["period_s"]
             if event.data["on_task"]:
                 on_task_min += event.data["period_s"] / 60.0
                 if event.data["ord"] >= 4:
@@ -115,7 +171,6 @@ def fold_state_samples(log: EventLog) -> dict:
                 episodes.append((who, episode_open.pop(who), event.time))
         elif event.type == "escalation_resolved" and event.data["resolution"] == "confirmed":
             confirmations.setdefault(who, []).append(event.time)
-    episodes.extend((who, start, log.last_time) for who, start in episode_open.items())
     latencies = []
     for who, start, end in episodes:
         hits = [

@@ -18,7 +18,12 @@ from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
 from configs import odd_shift_configs, reassignment_config
-from logchecks import BLOCK_RECORD_TYPES, assert_trace_observes_only, only
+from logchecks import (
+    BLOCK_RECORD_TYPES,
+    assert_log_conserved,
+    assert_trace_observes_only,
+    only,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 SEEDS = (0, 1)
@@ -129,6 +134,12 @@ def test_escalation_case_reaches_every_outcome():
 def test_log_digest_matches_golden(name, golden):
     log, _ = run_scenario(matrix()[name])
     assert log.digest() == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(matrix()))
+def test_log_is_conserved(name):
+    log, _ = run_scenario(matrix()[name])
+    assert_log_conserved(log)
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))

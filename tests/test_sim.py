@@ -10,7 +10,7 @@ import pytest
 
 from frmsim.config import ConfigError, ScenarioConfig, Toggles, default_config
 from frmsim.events import EventLog, LogParseError
-from frmsim.metrics import compute_metrics
+from frmsim.metrics import DETECTION_GRACE_S, compute_metrics
 from frmsim.sim import (
     ScenarioRunner,
     calibrate_session_length_effect,
@@ -20,7 +20,13 @@ from frmsim.sim import (
 )
 
 from configs import odd_shift_configs, random_config, reassignment_config
-from logchecks import BLOCK_RECORD_TYPES, assert_log_conserved, cfg_with, only
+from logchecks import (
+    BLOCK_RECORD_TYPES,
+    assert_log_conserved,
+    cfg_with,
+    fold_state_samples,
+    only,
+)
 
 
 def fatigued_cfg(seed=0, **extra):
@@ -39,6 +45,14 @@ def fatigued_cfg(seed=0, **extra):
     }
     overrides.update(extra)
     return cfg_with(seed=seed, **overrides)
+
+
+def generated_config(seed: int, draw: int) -> ScenarioConfig:
+    """Draw ``draw`` (0-based) of ``random_config`` for generator ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        data = random_config(rng)
+    return ScenarioConfig.from_dict(data)
 
 
 # -- determinism and replay ---------------------------------------------------
@@ -221,6 +235,35 @@ def test_break_request_due_as_a_break_ends_is_dropped():
     assert_log_conserved(log)
 
 
+def test_followup_survey_is_not_carried_into_the_next_shift():
+    # as-1 complied with a high self-report (pfs-as-1-154, t=91380) and
+    # was on that break when the first shift ended. The first break end
+    # of the next shift used to schedule a follow-up to it
+    # (pfs-as-1-244, t=173940).
+    log, _ = run_scenario(generated_config(11, 33))
+    followups = [e for e in log if e.type == "pfs" and e.data["is_followup"]]
+    assert followups
+    assert "pfs-as-1-154" not in {e.data["triggered_by"] for e in followups}
+    assert_log_conserved(log)
+
+
+def test_secondary_alerts_stay_inside_the_shift():
+    # 900 s alerts at 12 transitions an hour: some are still open when
+    # the shift ends and resolve then, with the outcome drawn at the
+    # transition; none is issued at or after the shift end.
+    cfg = list(odd_shift_configs())[4]
+    log, _ = run_scenario(cfg)
+    ends = sorted({e.time for e in log if e.type == "shift_end"})
+    starts = sorted({e.time for e in log if e.type == "shift_start"})
+    issued = [e.time for e in log if e.type == "sa_issued"]
+    resolved = [e.time for e in log if e.type == "sa_resolved"]
+    for times, closed in ((issued, False), (resolved, True)):
+        for t in times:
+            assert any(s <= t < e or (closed and t == e) for s, e in zip(starts, ends)), t
+    assert set(ends) & set(resolved)
+    assert_log_conserved(log)
+
+
 def test_self_reported_fatigue_preempts_pending_validation():
     # Long validation latency keeps cases pending; a high self-report
     # inside the window still takes its break without waiting.
@@ -303,6 +346,36 @@ def test_ord_change_spans_run_to_the_next_change_or_the_shift_end():
     # 2 minutes, then 0 off task, then 2 minutes plus the shift end's tick.
     assert metrics.on_task_min == 5.0
     assert metrics.time_at_ord_ge4_min == 5.0
+
+
+def test_episode_closes_at_the_shift_end():
+    # as-0 reaches ORD 4 on task at t=22980 and is still there when the
+    # first shift ends at t=23580; the next record of theirs is ORD 2 at
+    # the next shift start, t=104160. The episode closes with the span,
+    # at 23640, so only a confirmation within the grace after that
+    # detects it, in the fold and in the oracle's fold of the trace.
+    cfg = dataclasses.replace(generated_config(11, 28), sample_period_s=60)
+    log, metrics = run_scenario(cfg)
+    assert metrics.mean_detection_latency_s is None
+
+    def latencies_with_confirmation_at(when):
+        confirmed = EventLog(seed=log.seed, config_hash=log.config_hash)
+        pending = True
+        for event in log:
+            if pending and event.time > when:
+                pending = False
+                confirmed.append(
+                    when, "escalation_resolved", "as-0", resolution="confirmed"
+                )
+            confirmed.append(event.time, event.type, event.specialist, **event.data)
+        return (
+            compute_metrics(confirmed).mean_detection_latency_s,
+            fold_state_samples(confirmed)["mean_detection_latency_s"],
+        )
+
+    assert latencies_with_confirmation_at(23640 + DETECTION_GRACE_S) == (960, 960)
+    assert latencies_with_confirmation_at(23641 + DETECTION_GRACE_S) == (None, None)
+    assert latencies_with_confirmation_at(104160) == (None, None)
 
 
 @pytest.mark.parametrize(
@@ -555,12 +628,12 @@ def test_zero_delay_item_raises_instead_of_blocking_the_heap(monkeypatch, sectio
 
 
 def test_item_outlasting_the_drain_raises(monkeypatch):
-    # Validation rejects this; bypass it to reach the loop's own guard.
+    # Validation rejects this; bypass it to reach the loop's own guard. A
+    # validation latency longer than the shift carries every case past
+    # the drain.
     cfg = default_config(seed=0, horizon_days=4)
     bad = dataclasses.replace(
-        cfg,
-        sa=dataclasses.replace(cfg.sa, issue_delay_s=1790.0, clear_timeout_s=1790.0),
-        behavior=dataclasses.replace(cfg.behavior, transition_rate_per_h=20.0),
+        cfg, vigilance=dataclasses.replace(cfg.vigilance, rating_latency_s=36000.0)
     )
     monkeypatch.setattr(ScenarioConfig, "validate", lambda self: None)
     with pytest.raises(RuntimeError, match="outlast the drain"):
