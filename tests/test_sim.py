@@ -251,16 +251,16 @@ def test_secondary_alerts_stay_inside_the_shift():
     # 900 s alerts at 12 transitions an hour: some are still open when
     # the shift ends and resolve then, with the outcome drawn at the
     # transition; none is issued at or after the shift end.
-    cfg = list(odd_shift_configs())[4]
-    log, _ = run_scenario(cfg)
-    ends = sorted({e.time for e in log if e.type == "shift_end"})
+    log, _ = run_scenario(list(odd_shift_configs())[4])
     starts = sorted({e.time for e in log if e.type == "shift_start"})
-    issued = [e.time for e in log if e.type == "sa_issued"]
-    resolved = [e.time for e in log if e.type == "sa_resolved"]
-    for times, closed in ((issued, False), (resolved, True)):
-        for t in times:
-            assert any(s <= t < e or (closed and t == e) for s, e in zip(starts, ends)), t
-    assert set(ends) & set(resolved)
+    ends = sorted({e.time for e in log if e.type == "shift_end"})
+    shifts = list(zip(starts, ends))
+    for e in log:
+        if e.type == "sa_issued":
+            assert any(start <= e.time < end for start, end in shifts), e
+        elif e.type == "sa_resolved":
+            assert any(start <= e.time <= end for start, end in shifts), e
+    assert set(ends) & {e.time for e in log if e.type == "sa_resolved"}
     assert_log_conserved(log)
 
 
