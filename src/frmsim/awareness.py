@@ -55,7 +55,6 @@ class PfsRecord:
     window_minutes: int = 5
     is_followup: bool = False
     triggered_by: Optional[str] = None
-    linked_break: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kss, int) or not 1 <= self.kss <= 9:
@@ -77,7 +76,6 @@ def submit_pfs(
     is_followup: bool = False,
     *,
     triggered_by: Optional[str] = None,
-    linked_break: Optional[str] = None,
     record_id: Optional[str] = None,
     kss_threshold: int = KSS_BREAK_THRESHOLD,
     tips: tuple[str, ...] = ALERTNESS_TIPS,
@@ -98,7 +96,6 @@ def submit_pfs(
         kss=kss,
         is_followup=is_followup,
         triggered_by=triggered_by,
-        linked_break=linked_break,
     )
     if kss < kss_threshold:
         return record, PfsOutcome(action=PfsAction.NONE)

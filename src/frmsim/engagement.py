@@ -46,6 +46,7 @@ __all__ = [
     "ict_adapt",
     "ict_due",
     "ict_issue",
+    "ict_miss_rate",
     "ict_resolve",
     "record_interactivity",
     "sa_evaluate",
@@ -115,7 +116,6 @@ class IctRecord:
 @dataclass(frozen=True)
 class Intervention:
     prompt_id: str
-    time: float
     actions: tuple[str, ...] = INTERVENTION_ACTIONS
 
 
@@ -351,12 +351,22 @@ def ict_resolve(
         return IctResolution(record=record, followup=followup)
     state.pending = None
     state.interventions_this_shift += 1
-    intervention = Intervention(prompt_id=pending.prompt_id, time=now)
+    intervention = Intervention(prompt_id=pending.prompt_id)
     return IctResolution(
         record=record,
         intervention=intervention,
         pull_over_recommended=state.interventions_this_shift >= 2,
     )
+
+
+def ict_miss_rate(state: IctSchedulerState, window: int) -> Optional[float]:
+    """Share of missed prompts among the last ``window`` outcomes, leaving
+    out voided prompts, which carry no penalty; None if none is left."""
+    outcomes = [r.outcome for r in list(state.recent_outcomes)[-window:]]
+    considered = len(outcomes) - outcomes.count(IctOutcome.VOIDED_BY_DEMAND)
+    if not considered:
+        return None
+    return outcomes.count(IctOutcome.MISSED) / considered
 
 
 def ict_adapt(state: IctSchedulerState, cfg: EngagementConfig) -> float:
@@ -366,15 +376,12 @@ def ict_adapt(state: IctSchedulerState, cfg: EngagementConfig) -> float:
     prompts); clean windows double it back toward 1.0. Voided prompts
     carry no penalty and are ignored.
     """
-    window = list(state.recent_outcomes)[-cfg.adapt_window :]
-    considered = [r for r in window if r.outcome is not IctOutcome.VOIDED_BY_DEMAND]
-    if not considered:
+    miss_rate = ict_miss_rate(state, cfg.adapt_window)
+    if miss_rate is None:
         return state.frequency_multiplier
-    misses = sum(1 for r in considered if r.outcome is IctOutcome.MISSED)
-    miss_rate = misses / len(considered)
     latencies = [
         r.response_latency
-        for r in considered
+        for r in list(state.recent_outcomes)[-cfg.adapt_window :]
         if r.outcome is IctOutcome.COMPLETED and r.response_latency is not None
     ]
     slow = bool(latencies) and (

@@ -298,7 +298,6 @@ class BreakSignalBundle:
 
 @dataclass(frozen=True)
 class InvitedBreak:
-    time_min: float
     duration_min: float
     reason: str
 
@@ -330,7 +329,7 @@ def evaluate_break_triggers(
         reason = "ict_miss_rate"
     if reason is None:
         return None
-    return InvitedBreak(time_min=now_min, duration_min=policy.duration_min, reason=reason)
+    return InvitedBreak(duration_min=policy.duration_min, reason=reason)
 
 
 class Stage(str, Enum):

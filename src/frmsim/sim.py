@@ -9,7 +9,8 @@ follow-up surveys, secondary alerts), then scheduled breaks (all pushed
 when the shift starts), engagement items, the fleet's minute checks
 (and, on the last minute, the shift end), and last the escalation
 validations, which may fall due in the second their case opened. The
-minute item runs every active specialist's cadenced checks and
+minute item runs every active specialist's cadenced checks, then the
+fleet's reliability checkpoint (one ``reliability`` record), and
 re-schedules itself a minute later until the shift end, so a run costs
 in proportion to its items, not to its simulated seconds.
 
@@ -111,6 +112,7 @@ __all__ = [
 
 INVITED_CHECK_S = 300
 SIGNAL_RECENCY_S = 1800
+SIGNAL_ICT_OUTCOMES = 10
 RETRAIN_SHIFTS_OFF = 1
 
 _BREAK_ACTIVITIES = (BreakActivity.REST, BreakActivity.PHYSICAL, BreakActivity.SOCIAL)
@@ -139,9 +141,8 @@ class Activity(Enum):
     OFF_VEHICLE = "off_vehicle"
 
 
-# Driving or on a break: surveys and reminders run and may ask for a
-# break or a reassignment, and a confirmed escalation may retrieve the
-# vehicle.
+# Driving or on a break: surveys run and may ask for a break or a
+# reassignment, and a confirmed escalation may retrieve the vehicle.
 _IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
 
 
@@ -206,6 +207,7 @@ class _Agent:
         # Generation tokens of the live ICT and control items.
         self.ict_gen = 0
         self.control_gen = 0
+        # Set only in the vehicle; leaving it drops the follow-up.
         self.pending_followup_for: Optional[str] = None
         self.last_kss: Optional[tuple[int, int]] = None  # (time, value)
         self.last_confirmed: Optional[tuple[int, int]] = None  # (time, level)
@@ -303,8 +305,8 @@ class ScenarioRunner:
 
     def stats(self) -> dict:
         """What the run did and what it cost the loop: events per record
-        type, heap items scheduled, the heap's high-water mark, superseded
-        items dropped, seconds visited, and shifts run and skipped."""
+        type, heap items scheduled, the heap's high-water mark, stale items
+        dropped (see ``_live``), seconds visited, and shifts run and skipped."""
         return {
             "events_by_type": dict(sorted(Counter(e.type for e in self.log).items())),
             "heap_items": self._heap_seq,
@@ -424,11 +426,15 @@ class ScenarioRunner:
             self._start_break(agent, t, duration_min, "scheduled", "scheduled")
 
     def _on_minute(self, t: int, agents: list) -> None:
-        """Every active agent's cadenced checks; on the last minute, the
-        shift end (shift lengths are whole minutes)."""
+        """Every active agent's cadenced checks, then the fleet's
+        reliability checkpoint; on the last minute, the shift end (shift
+        lengths are whole minutes)."""
         elapsed = t - self._shift_start
         for agent in agents:
             self._agent_minute(agent, t, elapsed)
+        interval_s = int(self.cfg.vigilance.reliability_interval_min * 60)
+        if self.cfg.toggles.vigilance and elapsed > 0 and elapsed % interval_s == 0:
+            self._reliability_checkpoint(t)
         if t < self._shift_end:
             self._schedule(t + 60, _PHASE_MINUTE, "minute", agents=agents)
         else:
@@ -453,7 +459,6 @@ class ScenarioRunner:
 
     def _end_shift(self, agent: _Agent, t: int) -> None:
         self._leave_vehicle(agent, t, "shift_end", Activity.OFF_SHIFT)
-        agent.pending_followup_for = None
         if self.cfg.toggles.engagement and agent.ict.recent_outcomes:
             multiplier = eng.ict_adapt(agent.ict, self.cfg.ict)
             self.log.append(
@@ -506,8 +511,6 @@ class ScenarioRunner:
                 self._dms_observation(agent, t, level)
             if elapsed > 0 and elapsed % int(cfg.vigilance.periodic_cadence_min * 60) == 0:
                 self._periodic_rating(agent, t)
-            if elapsed > 0 and elapsed % int(cfg.vigilance.reliability_interval_min * 60) == 0:
-                self._reliability_checkpoint(t)
 
         if toggles.awareness:
             if elapsed > 0 and elapsed % int(cfg.pfs.cadence_min * 60) == 0 and driving:
@@ -590,20 +593,19 @@ class ScenarioRunner:
         if at < self._shift_end:
             self._schedule(at, _PHASE_ENGAGEMENT, kind, agent=agent, gen=agent.control_gen)
 
-    def _live(self, gen: int, current: int) -> bool:
-        """Whether an engagement item's generation token is the agent's
-        current one; a superseded item is counted and dropped."""
-        if gen == current:
-            return True
-        self._stale_dropped += 1
-        return False
+    def _live(self, live: bool) -> bool:
+        """Whether a popped item still applies; a stale one (its token was
+        superseded, or its agent left the activity it needs) is counted and dropped."""
+        if not live:
+            self._stale_dropped += 1
+        return live
 
     def _on_transition(self, t: int, agent: _Agent, gen: int) -> None:
-        if self._live(gen, agent.control_gen):
+        if self._live(gen == agent.control_gen):
             self._control_transition(agent, t)
 
     def _on_manual_end(self, t: int, agent: _Agent, gen: int) -> None:
-        if not self._live(gen, agent.control_gen):
+        if not self._live(gen == agent.control_gen):
             return
         agent.manual_until = None
         self._record_interactivity(agent, t)
@@ -613,7 +615,7 @@ class ScenarioRunner:
     def _on_ict_prompt(
         self, t: int, agent: _Agent, gen: int, trigger: eng.IctTrigger
     ) -> None:
-        if not self._live(gen, agent.ict_gen):
+        if not self._live(gen == agent.ict_gen):
             return
         self._log_ict_prompt(agent, t, eng.ict_issue(agent.ict, t, trigger, self.cfg.ict))
         self._plan_ict(agent, t)
@@ -621,7 +623,7 @@ class ScenarioRunner:
     def _on_ict_resolve(self, t: int, agent: _Agent, gen: int, signal: str) -> None:
         """End the pending prompt: the planned response arrives, the
         deadline passes, or demand rises."""
-        if not self._live(gen, agent.ict_gen):
+        if not self._live(gen == agent.ict_gen):
             return
         cfg = self.cfg
         latency = None
@@ -937,7 +939,6 @@ class ScenarioRunner:
             indicators=sorted(rating.indicators),
             observations=sorted(rating.observations),
         )
-        self._validation_ratings.append(rating)
 
     def _on_escalation_validate(
         self, t: int, agent: _Agent, case: vig.EscalationCase
@@ -946,6 +947,8 @@ class ScenarioRunner:
         outcome = vig.resolve_case(case, self._qualified_pool, agent.rng_raters)
         for rating in outcome.validation_ratings:
             self._log_rating(t, who, rating)
+        # Only a case's validators share a task and so move the kappa.
+        self._validation_ratings.extend(outcome.validation_ratings)
         level = outcome.validated_level
         action = outcome.supervisor_action
         self.log.append(
@@ -978,6 +981,8 @@ class ScenarioRunner:
             self._leave_vehicle(agent, t, "vehicle_retrieved", Activity.OFF_VEHICLE)
 
     def _reliability_checkpoint(self, t: int) -> None:
+        """Log the kappa over every validation rating so far and how many
+        it folds, once two raters share a task."""
         try:
             kappa = vig.inter_rater_reliability(self._validation_ratings)
         except vig.NoSharedTasksError:
@@ -1012,9 +1017,7 @@ class ScenarioRunner:
             agent.lifecycle,
             sched.LifecycleEvent.FATIGUE_EVENT,
             now_days=t / 86400.0,
-            severity=sched.FatigueSeverity(severity)
-            if severity in ("moderate", "severe")
-            else sched.FatigueSeverity.MODERATE,
+            severity=sched.FatigueSeverity(severity),
         )
         if agent.lifecycle.stage is not before:
             agent.shifts_until_return = RETRAIN_SHIFTS_OFF
@@ -1108,22 +1111,13 @@ class ScenarioRunner:
             if t - when <= SIGNAL_RECENCY_S:
                 rater_level = level
                 dms_recent = True
-        miss_rate = 0.0
-        if toggles.engagement:
-            recent = [
-                r
-                for r in list(agent.ict.recent_outcomes)[-10:]
-                if r.outcome is not eng.IctOutcome.VOIDED_BY_DEMAND
-            ]
-            if recent:
-                miss_rate = sum(
-                    1 for r in recent if r.outcome is eng.IctOutcome.MISSED
-                ) / len(recent)
+        # Without engagement there are no ICT outcomes, hence no rate.
+        miss_rate = eng.ict_miss_rate(agent.ict, SIGNAL_ICT_OUTCOMES)
         return sched.BreakSignalBundle(
             latest_pfs_kss=kss,
             dms_flag_recent=dms_recent,
             rater_level_recent=rater_level,
-            ict_miss_rate_window=miss_rate,
+            ict_miss_rate_window=miss_rate or 0.0,
         )
 
     def _invited_break_check(self, agent: _Agent, t: int) -> None:
@@ -1230,11 +1224,12 @@ class ScenarioRunner:
 
     def _leave_vehicle(self, agent: _Agent, t: int, cause: str, activity: Activity) -> None:
         """The agent leaves the vehicle at ``t`` for the rest of the shift,
-        or at its end, and enters ``activity``: the driving session or the
-        open break ends."""
+        or at its end, and enters ``activity``: the driving session, the
+        open break and a pending follow-up survey end."""
         self._leave_driving(agent, t, cause)
         if agent.activity is Activity.ON_BREAK:
             self.log.append(t, "break_end", agent.spec.specialist_id)
+        agent.pending_followup_for = None
         agent.enter(t, activity, _IDLE)
 
     def _request_break(
@@ -1280,8 +1275,7 @@ class ScenarioRunner:
         self._schedule(t + int(duration_min * 60), _PHASE_ITEM, "break_end", agent=agent)
 
     def _on_break_end(self, t: int, agent: _Agent) -> None:
-        if agent.activity is not Activity.ON_BREAK:
-            # Stale: the break ended as the agent left the vehicle.
+        if not self._live(agent.activity is Activity.ON_BREAK):
             return
         self.log.append(t, "break_end", agent.spec.specialist_id)
         self._start_driving(agent, t)
@@ -1304,18 +1298,19 @@ class ScenarioRunner:
     def _on_break_start(
         self, t: int, agent: _Agent, duration_min: float, initiator: str, reason: str
     ) -> None:
-        self._start_break(agent, t, duration_min, initiator, reason)
+        if self._live(agent.activity is Activity.DRIVING):
+            self._start_break(agent, t, duration_min, initiator, reason)
 
     def _on_pfs_followup(self, t: int, agent: _Agent) -> None:
-        if agent.activity in _IN_VEHICLE and agent.pending_followup_for is not None:
+        if self._live(agent.pending_followup_for is not None):
             self._submit_pfs(agent, t, is_followup=True)
 
     def _on_pfs_regular(self, t: int, agent: _Agent) -> None:
-        if agent.activity in _IN_VEHICLE:
+        if self._live(agent.activity in _IN_VEHICLE):
             self._submit_pfs(agent, t, is_followup=False)
 
     def _on_pfs_reminder(self, t: int, agent: _Agent) -> None:
-        if agent.activity in _IN_VEHICLE and agent.pending_followup_for is not None:
+        if self._live(agent.pending_followup_for is not None):
             self.log.append(
                 t,
                 "pfs_reminder",

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 from frmsim.config import ScenarioConfig, Toggles, default_config
 from frmsim.events import Event, EventLog
 from frmsim.metrics import DETECTION_GRACE_S
 from frmsim.sim import run_scenario
+from frmsim.vigilance import OrdRating, inter_rater_reliability
 
 # Record types owned by each countermeasure block; a disabled block must
 # contribute none of its types to the log.
@@ -92,12 +94,16 @@ def assert_log_conserved(log: EventLog) -> None:
     end within the log, timestamps never decrease, a specialist logs
     only ``OFF_SHIFT_RECORD_TYPES`` between a shift end and their next
     shift start, and no follow-up survey answers one of an earlier
-    shift."""
+    shift. A second has at most one ``reliability`` record; its kappa is
+    the batch fold of every ``rating`` record logged before it, and its
+    ``ratings`` counts those on tasks that more than one rater rated."""
     previous = None
     prompts: dict[str, int] = {}
     sa_issued: dict[str, int] = {}
     cases: dict[str, int] = {}
     on_break: dict[str, bool] = {}
+    ratings: list[OrdRating] = []
+    reliability_times: set[int] = set()
     for event in log:
         if previous is not None:
             assert event.time >= previous, "timestamp regression in log"
@@ -126,6 +132,25 @@ def assert_log_conserved(log: EventLog) -> None:
                 f"{event.type} of {event.specialist} at {event.time} out of turn"
             )
             on_break[event.specialist] = starts
+        elif event.type == "rating":
+            data = event.data
+            ratings.append(OrdRating(data["rater_id"], data["task_id"], data["level"]))
+        elif event.type == "reliability":
+            assert event.time not in reliability_times, (
+                f"second reliability record at {event.time}"
+            )
+            reliability_times.add(event.time)
+            kappa = round(inter_rater_reliability(ratings), 6)
+            assert event.data["kappa"] == kappa, (
+                f"reliability at {event.time}: kappa {event.data['kappa']}, "
+                f"the rating records fold to {kappa}"
+            )
+            per_task = Counter(r.task_id for r in ratings)
+            shared = sum(n for n in per_task.values() if n > 1)
+            assert event.data["ratings"] == shared, (
+                f"reliability at {event.time} counts {event.data['ratings']} "
+                f"ratings, {shared} are on shared tasks"
+            )
     unclosed = sorted(who for who, open_ in on_break.items() if open_)
     assert not unclosed, f"breaks never ended for {unclosed}"
     for name, counts in (("prompt", prompts), ("sa", sa_issued), ("case", cases)):
@@ -140,6 +165,37 @@ def assert_log_conserved(log: EventLog) -> None:
         f"follow-up {carried[0].data['record_id']} at {carried[0].time} answers "
         f"{carried[0].data['triggered_by']} of an earlier shift"
     )
+
+
+def reliability_checkpoints(cfg: ScenarioConfig, log: EventLog) -> list[int]:
+    """Oracle: the seconds at which a run of ``cfg`` that logged ``log``
+    logs a ``reliability`` record. With vigilance on, a shift has a
+    checkpoint at each minute check, up to its end, that falls a whole
+    number of ``reliability_interval_min`` into it; one logs once two
+    raters' ratings of a task were logged in an earlier second
+    (validations run after the minute checks)."""
+    if not cfg.toggles.vigilance:
+        return []
+    interval_s = int(cfg.vigilance.reliability_interval_min * 60)
+    shift_s = cfg.shift.duration_min * 60
+    rated: set[str] = set()
+    first_shared = None
+    for event in log:
+        if event.type == "rating":
+            task = event.data["task_id"]
+            if task in rated:
+                first_shared = event.time
+                break
+            rated.add(task)
+    if first_shared is None:
+        return []
+    starts = sorted({event.time for event in log if event.type == "shift_start"})
+    return [
+        start + offset
+        for start in starts
+        for offset in range(60, shift_s + 1, 60)
+        if offset % interval_s == 0 and start + offset > first_shared
+    ]
 
 
 def fold_state_samples(log: EventLog) -> dict:

@@ -4,9 +4,11 @@ Simulates every valid draw of ``configs.random_config`` for generator
 seeds 11-16, 45 draws each. Prints the records logged for a specialist
 between their ``shift_end`` and their next ``shift_start``, by type,
 marking the types outside ``OFF_SHIFT_RECORD_TYPES``; the follow-up
-surveys that answer a survey of an earlier shift; and every log that
-fails ``assert_log_conserved``. Exits 1 if any record is outside the
-off-shift types or any log fails the conservation check.
+surveys that answer a survey of an earlier shift; the ``reliability``
+records; and every log that fails ``assert_log_conserved`` or logs its
+``reliability`` records at other seconds than
+``reliability_checkpoints``. Exits 1 if any record is outside the
+off-shift types or any log fails either check.
 
 Too slow for the unit tests (about 10 s), so pytest does not collect it.
 Run from the repository root::
@@ -32,6 +34,7 @@ from logchecks import (  # noqa: E402
     assert_log_conserved,
     carried_followups,
     off_shift_records,
+    reliability_checkpoints,
 )
 
 GENERATOR_SEEDS = range(11, 17)
@@ -42,6 +45,7 @@ def main() -> int:
     valid = 0
     off_shift: Counter = Counter()
     carried = []
+    reliability = 0
     failures = []
     for seed in GENERATOR_SEEDS:
         rng = random.Random(seed)
@@ -55,8 +59,13 @@ def main() -> int:
             log, _ = run_scenario(cfg)
             off_shift.update(event.type for event in off_shift_records(log))
             carried += [(seed, draw, event) for event in carried_followups(log)]
+            times = [event.time for event in log if event.type == "reliability"]
+            reliability += len(times)
             try:
                 assert_log_conserved(log)
+                assert times == reliability_checkpoints(cfg, log), (
+                    "reliability records off the checkpoint seconds"
+                )
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
 
@@ -71,7 +80,8 @@ def main() -> int:
             f"  {seed}/{draw}: {event.data['record_id']} at t={event.time}, "
             f"triggered by {event.data['triggered_by']}"
         )
-    print(f"logs failing assert_log_conserved: {len(failures)}")
+    print(f"reliability records: {reliability}")
+    print(f"logs failing the checks: {len(failures)}")
     for failure in failures:
         print(f"  {failure}")
     stray = sum(n for t, n in off_shift.items() if t not in OFF_SHIFT_RECORD_TYPES)

@@ -18,6 +18,7 @@ from frmsim.engagement import (
     ict_adapt,
     ict_due,
     ict_issue,
+    ict_miss_rate,
     ict_resolve,
     record_interactivity,
     sa_evaluate,
@@ -387,6 +388,17 @@ def test_voided_outcomes_do_not_count_against_multiplier():
     _run_outcomes(state, ["voided"] * 6 + ["completed"] * 4)
     ict_adapt(state, CFG)
     assert state.frequency_multiplier == 1.0
+
+
+def test_miss_rate_leaves_out_voided_outcomes_in_its_window():
+    state = make_state()
+    assert ict_miss_rate(state, 10) is None
+    # A miss also voids its follow-up: missed, voided, completed,
+    # completed, voided.
+    _run_outcomes(state, ["missed", "completed", "completed", "voided"])
+    assert ict_miss_rate(state, 10) == 1 / 3
+    assert ict_miss_rate(state, 3) == 0.0
+    assert ict_miss_rate(state, 1) is None
 
 
 def test_slow_responses_tighten_frequency():

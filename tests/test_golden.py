@@ -2,7 +2,8 @@
 
 A refactor that keeps behaviour must keep every digest here bit for bit;
 a change that alters behaviour re-pins them in its own commit and says
-why. Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+why. Regenerate with ``PYTHONPATH=src python tests/test_golden.py``,
+which prints the cases whose digest changed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from logchecks import (
     assert_log_conserved,
     assert_trace_observes_only,
     only,
+    reliability_checkpoints,
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -138,8 +140,11 @@ def test_log_digest_matches_golden(name, golden):
 
 @pytest.mark.parametrize("name", sorted(matrix()))
 def test_log_is_conserved(name):
-    log, _ = run_scenario(matrix()[name])
+    cfg = matrix()[name]
+    log, _ = run_scenario(cfg)
     assert_log_conserved(log)
+    times = [e.time for e in log if e.type == "reliability"]
+    assert times == reliability_checkpoints(cfg, log)
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))
@@ -147,5 +152,16 @@ def test_ord_change_fold_matches_the_state_trace(name):
     assert_trace_observes_only(matrix()[name])
 
 
+def rewrite_golden() -> None:
+    """Re-pin every digest and print the cases whose digest changed."""
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    new = digests()
+    GOLDEN_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    changed = sorted(name for name in new | old if old.get(name) != new.get(name))
+    print(f"{len(changed)} of {len(new)} digests changed")
+    for name in changed:
+        print(f"  {name}")
+
+
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
+    rewrite_golden()

@@ -214,25 +214,48 @@ def test_impromptu_break_and_reassignment_records():
         assert start.data["duration_min"] == cfg.breaks.duration_min
 
 
+# One-second breaks that start at every minute check.
+BREAK_EVERY_MINUTE = {
+    "breaks.duration_min": 1 / 60,
+    "behavior.impromptu_check_min": 1.0,
+    "behavior.impromptu_kss_threshold": 1,
+    "behavior.impromptu_p": 1.0,
+}
+
+
 def test_break_request_due_as_a_break_ends_is_dropped():
-    # One-second breaks that start at every minute check: a requested
-    # break falls due in the second an earlier break ends, before that
-    # break's end item runs. It is dropped, so no break opens inside
-    # another.
-    log, _ = run_scenario(
-        cfg_with(
-            seed=0,
-            **{
-                "breaks.duration_min": 1 / 60,
-                "behavior.impromptu_check_min": 1.0,
-                "behavior.impromptu_kss_threshold": 1,
-                "behavior.impromptu_p": 1.0,
-            },
-        )
-    )
+    # A requested break falls due in the second an earlier break ends,
+    # before that break's end item runs. It is dropped, so no break opens
+    # inside another.
+    log, _ = run_scenario(cfg_with(seed=0, **BREAK_EVERY_MINUTE))
     initiators = {e.data["initiator"] for e in log if e.type == "break_start"}
     assert {"self", "pfs"} <= initiators
     assert_log_conserved(log)
+
+
+def test_items_a_guard_drops_count_as_stale():
+    # With engagement off no item carries a generation token, so every
+    # stale item is a break or survey item whose handler logs nothing.
+    runner = ScenarioRunner(
+        cfg_with(seed=0, **BREAK_EVERY_MINUTE, **{"toggles.engagement": False})
+    )
+    silent = 0
+
+    def counted(handler):
+        def run(t, **payload):
+            nonlocal silent
+            before = len(runner.log)
+            handler(t, **payload)
+            silent += len(runner.log) == before
+
+        return run
+
+    for kind in ("break_start", "break_end", "pfs_regular", "pfs_followup", "pfs_reminder"):
+        name = "_on_" + kind
+        setattr(runner, name, counted(getattr(runner, name)))
+    runner.run()
+    assert silent > 0
+    assert runner.stats()["stale_items_dropped"] == silent
 
 
 def test_followup_survey_is_not_carried_into_the_next_shift():
