@@ -265,6 +265,21 @@ def test_report_matches_metrics_file(config_path, tmp_path, capsys):
     assert "metrics match the stored file" in capsys.readouterr().out
 
 
+def test_report_reads_the_v1_fixture_against_its_metrics(capsys):
+    fixture = Path(__file__).with_name("fixtures") / "v1"
+    code = main(
+        [
+            "report",
+            "--log",
+            str(fixture / "events.jsonl"),
+            "--metrics",
+            str(fixture / "metrics.csv"),
+        ]
+    )
+    assert code == 0
+    assert "metrics match the stored file" in capsys.readouterr().out
+
+
 def test_report_is_deterministic(config_path, tmp_path, capsys):
     out = tmp_path / "run"
     main(["simulate", "--config", str(config_path), "--out", str(out)])
