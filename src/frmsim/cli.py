@@ -8,7 +8,6 @@ manifests record the invocation time in a field excluded from digests.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -22,7 +21,7 @@ from .config import (
     Toggles,
     default_config,
 )
-from .events import EventLog, LogParseError
+from .events import SCHEMA_VERSION, EventLog, LogParseError
 from .metrics import compute_metrics, metrics_to_csv
 from .scheduling import (
     RotationConstraints,
@@ -101,20 +100,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
+    started = time.perf_counter()
     log, metrics = run_scenario(cfg, stats=stats)
-    # Encode once; the file, the manifest and the printed line share the
-    # bytes' digest (the same value as ``log.digest()``).
-    log_bytes = log.to_jsonl().encode("utf-8")
-    digest = hashlib.sha256(log_bytes).hexdigest()
-    (out_dir / "events.jsonl").write_bytes(log_bytes)
+    ran = time.perf_counter()
+    # Encode once, line by line: the file, the manifest and the printed
+    # line share the bytes' digest (the same value as ``log.digest()``).
+    events_path = out_dir / "events.jsonl"
+    try:
+        with events_path.open("wb") as stream:
+            written = log.write_jsonl(stream)
+    except OSError as exc:
+        raise _CliIoError(f"cannot write log {events_path}: {exc}") from exc
+    wrote = time.perf_counter()
     (out_dir / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.config_hash(), cfg.seed)
     )
     _write_manifest(
-        out_dir, cfg, {"events": len(log), "log_digest": digest, "stats": stats}
+        out_dir,
+        cfg,
+        {
+            "schema_version": SCHEMA_VERSION,
+            "events": written.records,
+            "log_bytes": written.size,
+            "log_digest": written.digest,
+            "stats": stats,
+            # Wall times vary from run to run; no digest covers them.
+            "wall_s": {"run": ran - started, "write_log": wrote - ran},
+        },
     )
-    print(f"wrote {out_dir / 'events.jsonl'} ({len(log)} events)")
-    print(f"log digest: {digest}")
+    print(f"wrote {events_path} ({written.records} events)")
+    print(f"log digest: {written.digest}")
     return EXIT_OK
 
 
@@ -223,10 +238,10 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.log).read_text()
+        with open(args.log, "rb") as lines:
+            log = EventLog.from_jsonl(lines)
     except OSError as exc:
         raise _CliIoError(f"cannot read log {args.log}: {exc}") from exc
-    log = EventLog.from_jsonl(text)
     metrics = compute_metrics(log)
     csv_text = metrics_to_csv(metrics, log.config_hash, log.seed)
     print("== metrics ==")

@@ -7,8 +7,11 @@ marking the types outside ``OFF_SHIFT_RECORD_TYPES``; the follow-up
 surveys that answer a survey of an earlier shift; the ``reliability``
 records; and every log that fails ``assert_log_conserved`` or logs its
 ``reliability`` records at other seconds than
-``reliability_checkpoints``. Exits 1 if any record is outside the
-off-shift types or any log fails either check.
+``reliability_checkpoints``, or does not round-trip: written by
+``EventLog.write_jsonl`` and read back by ``EventLog.from_jsonl``, it
+must give the same records, seed and config hash, and the writer's
+digest must equal ``log.digest()``. Exits 1 if any record is outside
+the off-shift types or any log fails a check.
 
 Too slow for the unit tests (about 10 s), so pytest does not collect it.
 Run from the repository root::
@@ -18,6 +21,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import io
 import random
 import sys
 from collections import Counter
@@ -26,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from frmsim.config import ConfigError, ScenarioConfig  # noqa: E402
+from frmsim.events import EventLog  # noqa: E402
 from frmsim.sim import run_scenario  # noqa: E402
 
 from configs import random_config  # noqa: E402
@@ -39,6 +44,18 @@ from logchecks import (  # noqa: E402
 
 GENERATOR_SEEDS = range(11, 17)
 DRAWS_PER_SEED = 45
+
+
+def round_trips(log: EventLog) -> bool:
+    stream = io.BytesIO()
+    written = log.write_jsonl(stream)
+    stream.seek(0)
+    again = EventLog.from_jsonl(stream)
+    return (
+        written.digest == log.digest()
+        and (again.seed, again.config_hash) == (log.seed, log.config_hash)
+        and list(again) == list(log)
+    )
 
 
 def main() -> int:
@@ -68,6 +85,8 @@ def main() -> int:
                 )
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
+            if not round_trips(log):
+                failures.append(f"{seed}/{draw}: the log does not round-trip")
 
     print(f"valid draws: {valid}")
     print("records between a shift_end and the next shift_start (* = not allowed):")

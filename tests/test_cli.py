@@ -48,18 +48,39 @@ def test_simulate_manifest_records_run_stats(config_path, tmp_path, capsys):
     assert stats["seconds_visited"] <= default_config().shift.duration_min + 1 + stats["heap_items"]
 
 
+def test_simulate_manifest_records_the_log_file(config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    data = (out / "events.jsonl").read_bytes()
+    assert manifest["schema_version"] == 2
+    assert manifest["log_bytes"] == len(data) == (out / "events.jsonl").stat().st_size
+    # The header counts as a record, as it does for any line reader.
+    assert manifest["events"] == data.count(b"\n")
+    assert f"({manifest['events']} events)" in capsys.readouterr().out
+    assert set(manifest["wall_s"]) == {"run", "write_log"}
+    assert all(seconds >= 0 for seconds in manifest["wall_s"].values())
+
+
 def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, monkeypatch):
     encodes = []
     to_jsonl = EventLog.to_jsonl
+    write_jsonl = EventLog.write_jsonl
 
-    def counting(self):
-        encodes.append(1)
+    def counting_to_jsonl(self):
+        encodes.append("to_jsonl")
         return to_jsonl(self)
 
-    monkeypatch.setattr(EventLog, "to_jsonl", counting)
+    def counting_write_jsonl(self, stream):
+        encodes.append("write_jsonl")
+        return write_jsonl(self, stream)
+
+    monkeypatch.setattr(EventLog, "to_jsonl", counting_to_jsonl)
+    monkeypatch.setattr(EventLog, "write_jsonl", counting_write_jsonl)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-    assert len(encodes) == 1
+    # One streamed write encodes the log; the whole text is never built.
+    assert encodes == ["write_jsonl"]
     printed = [
         line.split(": ", 1)[1]
         for line in capsys.readouterr().out.splitlines()
@@ -301,6 +322,72 @@ def test_report_truncated_line_exits_two_with_line_number(config_path, tmp_path,
     code = main(["report", "--log", str(log_path)])
     assert code == 2
     assert f"line {len(lines)}" in capsys.readouterr().err
+
+
+def _small_log_records() -> list[dict]:
+    """A header and two records, as dicts."""
+    log = EventLog(seed=0, config_hash="x")
+    log.append(0, "shift_start", "as-0", day=0, dual=False)
+    log.append(60, "shift_end", "as-0")
+    return [json.loads(line) for line in log.to_jsonl().splitlines()]
+
+
+def _line(record: dict) -> bytes:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+
+
+SMALL_LOG = [_line(record) for record in _small_log_records()]
+
+
+def _edited(index: int, **changes) -> list[bytes]:
+    records = _small_log_records()
+    records[index].update(changes)
+    return [_line(record) for record in records]
+
+
+def _header_version(version) -> list[bytes]:
+    records = _small_log_records()
+    records[0]["data"]["schema_version"] = version
+    return [_line(record) for record in records]
+
+
+MALFORMED_LOGS = {
+    # name: (lines, the line the error names)
+    "not_an_object": ([SMALL_LOG[0], b"[1,2]", SMALL_LOG[2]], 2),
+    "data_not_an_object": (_edited(1, data=[]), 2),
+    "t_not_an_integer": (_edited(2, t=60.5), 3),
+    "t_boolean": (_edited(1, t=True), 2),
+    "t_string_after_a_record": (_edited(2, t="60"), 3),
+    "type_not_a_string": (_edited(1, type=5), 2),
+    "specialist_not_a_string": (_edited(1, specialist=7), 2),
+    "not_utf8": ([*SMALL_LOG[:2], SMALL_LOG[2].replace(b"as-0", b"as-\xff")], 3),
+    "missing_header": (SMALL_LOG[1:], 1),
+    "header_not_first": ([*SMALL_LOG[:2], SMALL_LOG[0], SMALL_LOG[2]], 3),
+    "unknown_schema_version": (_header_version(3), 1),
+    "unknown_key": (_edited(1, seed=0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LOGS))
+def test_report_rejects_a_malformed_line_with_exit_two(name, tmp_path, capsys):
+    lines, number = MALFORMED_LOGS[name]
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["report", "--log", str(log_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"line {number}: ")
+
+
+@pytest.mark.parametrize("field", ["seed", "config_hash"])
+def test_report_rejects_a_v1_log_that_mixes_two_runs(field, tmp_path, capsys):
+    fixture = Path(__file__).with_name("fixtures") / "v1" / "events.jsonl"
+    records = [json.loads(line) for line in fixture.read_text().splitlines()]
+    records[-1][field] = 1 if field == "seed" else "0" * 64
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_bytes(b"\n".join(_line(record) for record in records) + b"\n")
+    assert main(["report", "--log", str(log_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"line {len(records)}: ")
+    assert "differs from the first record" in err
 
 
 def test_metrics_do_not_depend_on_sample_period(tmp_path, capsys):

@@ -88,17 +88,19 @@ def test_horizon_zero_empty_log_zero_metrics():
     assert metrics.mean_detection_latency_s is None
 
 
-def test_records_carry_seed_and_config_hash():
+def test_header_carries_seed_and_config_hash():
     cfg = default_config(seed=9)
     log, _ = run_scenario(cfg)
-    lines = log.to_jsonl().splitlines()
-    assert lines
-    import json
-
-    for line in lines[:50]:
-        record = json.loads(line)
-        assert record["seed"] == 9
-        assert record["config_hash"] == cfg.config_hash()
+    header, *records = [json.loads(line) for line in log.to_jsonl().splitlines()]
+    assert header == {
+        "data": {"config_hash": cfg.config_hash(), "schema_version": 2, "seed": 9},
+        "specialist": None,
+        "t": 0,
+        "type": "log_header",
+    }
+    assert len(records) == len(log)
+    for record in records:
+        assert record.keys() == {"data", "specialist", "t", "type"}
 
 
 # -- conservation and ordering ------------------------------------------------
@@ -467,7 +469,8 @@ def test_parse_error_reports_line_number():
     truncated = text[:-20]
     with pytest.raises(LogParseError) as excinfo:
         EventLog.from_jsonl(truncated)
-    assert excinfo.value.line_number == 2
+    # Line 1 is the header; "b" is on line 3.
+    assert excinfo.value.line_number == 3
 
 
 def test_parse_error_on_missing_fields():
