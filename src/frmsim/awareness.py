@@ -77,8 +77,6 @@ def submit_pfs(
     *,
     triggered_by: Optional[str] = None,
     record_id: Optional[str] = None,
-    kss_threshold: int = KSS_BREAK_THRESHOLD,
-    tips: tuple[str, ...] = ALERTNESS_TIPS,
 ) -> tuple[PfsRecord, PfsOutcome]:
     """File one survey and decide its outcome.
 
@@ -97,10 +95,10 @@ def submit_pfs(
         is_followup=is_followup,
         triggered_by=triggered_by,
     )
-    if kss < kss_threshold:
+    if kss < KSS_BREAK_THRESHOLD:
         return record, PfsOutcome(action=PfsAction.NONE)
     if is_followup:
-        return record, PfsOutcome(action=PfsAction.SUPERVISOR_OUTREACH, tips=tips)
+        return record, PfsOutcome(action=PfsAction.SUPERVISOR_OUTREACH, tips=ALERTNESS_TIPS)
     return record, PfsOutcome(action=PfsAction.SUGGEST_BREAK_AND_FOLLOWUP)
 
 

@@ -1,18 +1,23 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 I/O or parse
-failure. All commands are deterministic given their inputs; run
-manifests record the invocation time in a field excluded from digests.
+failure. ``main`` alone maps exceptions to them, so a command reads and
+writes its files without wrapping them: any ``OSError`` (its message
+names the file) exits 2. All commands are deterministic given their
+inputs; run manifests record the invocation time in a field excluded
+from digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
+from . import __version__
 from .awareness import PfsRecord, pfs_trend, trend_to_csv
 from .config import (
     ConfigError,
@@ -36,19 +41,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 
-_PACKAGE_VERSION = "0.1.0"
-
 
 def _load_config(path: str) -> ScenarioConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _CliIoError(f"cannot read config {path}: {exc}") from exc
-    return ScenarioConfig.from_json(text)
-
-
-class _CliIoError(Exception):
-    pass
+    return ScenarioConfig.from_json(Path(path).read_bytes())
 
 
 def _parse_hhmm(value: str) -> int:
@@ -72,7 +67,7 @@ def _parse_toggle_spec(spec: str) -> Toggles:
     if spec == "none":
         return Toggles.all_off()
     blocks = {name.strip() for name in spec.split(",") if name.strip()}
-    valid = {"education", "awareness", "vigilance", "engagement", "scheduling"}
+    valid = {f.name for f in dataclasses.fields(Toggles)}
     unknown = blocks - valid
     if unknown:
         raise ValueError(f"unknown toggle blocks: {sorted(unknown)}")
@@ -83,7 +78,7 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, extra: dict) -> None:
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
-        "package_version": _PACKAGE_VERSION,
+        "package_version": __version__,
         # Excluded from all digests; recorded for provenance only.
         "invoked_at_unix": int(time.time()),
     }
@@ -93,10 +88,9 @@ def _write_manifest(out_dir: Path, cfg: ScenarioConfig, extra: dict) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
-    if args.toggles is not None:
-        cfg = cfg.with_overrides(toggles=_parse_toggle_spec(args.toggles))
+    if args.seed is not None or args.toggles is not None:
+        toggles = None if args.toggles is None else _parse_toggle_spec(args.toggles)
+        cfg = cfg.with_overrides(seed=args.seed, toggles=toggles)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
@@ -106,11 +100,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # Encode once, line by line: the file, the manifest and the printed
     # line share the bytes' digest (the same value as ``log.digest()``).
     events_path = out_dir / "events.jsonl"
-    try:
-        with events_path.open("wb") as stream:
-            written = log.write_jsonl(stream)
-    except OSError as exc:
-        raise _CliIoError(f"cannot write log {events_path}: {exc}") from exc
+    with events_path.open("wb") as stream:
+        written = log.write_jsonl(stream)
     wrote = time.perf_counter()
     (out_dir / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.config_hash(), cfg.seed)
@@ -169,23 +160,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "hazard": {
-            "base_per_min": result.hazard.base_per_min,
-            "task_load_gain": result.hazard.task_load_gain,
-            "alertness_gain": result.hazard.alertness_gain,
-        },
-        "exact_short": result.exact_short,
-        "exact_long": result.exact_long,
-        "mc_short": result.mc_short,
-        "mc_long": result.mc_long,
-        "ratio": result.ratio,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "sessions_per_bucket": result.sessions_per_bucket,
-    }
-    (out_dir / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    payload = json.dumps(dataclasses.asdict(result), indent=2)
+    (out_dir / "calibration.json").write_text(payload + "\n")
+    print(payload)
     if not result.converged:
         print("calibration did not converge", file=sys.stderr)
         return EXIT_DOMAIN
@@ -231,26 +208,19 @@ def _cmd_plan_rotation(args: argparse.Namespace) -> int:
 
 def _cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    cfg.validate()
     print(f"config ok (hash {cfg.config_hash()[:12]})")
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.log, "rb") as lines:
-            log = EventLog.from_jsonl(lines)
-    except OSError as exc:
-        raise _CliIoError(f"cannot read log {args.log}: {exc}") from exc
+    with open(args.log, "rb") as lines:
+        log = EventLog.from_jsonl(lines)
     metrics = compute_metrics(log)
     csv_text = metrics_to_csv(metrics, log.config_hash, log.seed)
     print("== metrics ==")
     print(csv_text, end="")
     if args.metrics is not None:
-        try:
-            stored = Path(args.metrics).read_text()
-        except OSError as exc:
-            raise _CliIoError(f"cannot read metrics {args.metrics}: {exc}") from exc
+        stored = Path(args.metrics).read_text()
         if stored != csv_text:
             print("recomputed metrics do not match the stored metrics file")
             return EXIT_DOMAIN
@@ -283,11 +253,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"{route},{resolution},{count}")
 
     if args.ablation is not None:
-        try:
-            print("== ablation deltas ==")
-            print(Path(args.ablation).read_text(), end="")
-        except OSError as exc:
-            raise _CliIoError(f"cannot read ablation {args.ablation}: {exc}") from exc
+        print("== ablation deltas ==")
+        print(Path(args.ablation).read_text(), end="")
     return EXIT_OK
 
 
@@ -381,14 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliIoError, ConfigParseError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except LogParseError as exc:
+    except (ConfigParseError, LogParseError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as exc:

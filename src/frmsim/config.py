@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Any, Optional, get_args, get_origin, get_type_hints
 
-from .engagement import EngagementConfig, SaConfig
+from .engagement import ICT_OUTCOME_HISTORY, EngagementConfig, SaConfig
 from .fatigue import ModelParams
 from .scheduling import BreakPolicy, Stage
 from .vigilance import DmsConfig, RaterProfile
@@ -267,6 +267,17 @@ class ScenarioConfig:
         path = _non_finite_path(self.to_dict())
         if path is not None:
             raise ConfigError(f"{path} must be finite")
+        if self.vigilance.qualification_items < 1:
+            raise ConfigError("config.vigilance.qualification_items must be at least 1")
+        if not 0.0 <= self.vigilance.qualification_match_threshold <= 1.0:
+            raise ConfigError(
+                "config.vigilance.qualification_match_threshold must be in [0, 1]"
+            )
+        # The ICT scheduler keeps only the last ICT_OUTCOME_HISTORY outcomes.
+        if not 1 <= self.ict.adapt_window <= ICT_OUTCOME_HISTORY:
+            raise ConfigError(
+                f"config.ict.adapt_window must be in 1..{ICT_OUTCOME_HISTORY}"
+            )
         if self.toggles.vigilance and len(self.raters) <= self.vigilance.k_validation_raters:
             raise ConfigError(
                 "vigilance requires more raters than k_validation_raters"
@@ -333,9 +344,18 @@ class ScenarioConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
+    def from_json(cls, text: str | bytes) -> "ScenarioConfig":
+        """Parse and validate a configuration document; bytes are read as
+        UTF-8. A document that is not UTF-8 or not JSON raises
+        ``ConfigParseError``."""
         try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
             data = json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(
+                f"configuration is not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise ConfigParseError(
                 f"configuration is not valid JSON: {exc.msg}"

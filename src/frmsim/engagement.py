@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 INTERVENTION_ACTIONS = ("contact_support", "start_video_stream", "hmi_alert")
+# How many recent ICT outcomes a specialist's scheduler keeps; the
+# adaptation window must fit within them.
+ICT_OUTCOME_HISTORY = 50
 
 
 class IctTrigger(str, Enum):
@@ -133,7 +136,9 @@ class IctSchedulerState:
     last_interactivity_time: float = 0.0
     last_interactivity_odometer: float = 0.0
     pending: Optional[IctPrompt] = None
-    recent_outcomes: deque = field(default_factory=lambda: deque(maxlen=50))
+    recent_outcomes: deque = field(
+        default_factory=lambda: deque(maxlen=ICT_OUTCOME_HISTORY)
+    )
     frequency_multiplier: float = 1.0
     interventions_this_shift: int = 0
     prompt_seq: int = 0

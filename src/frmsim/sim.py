@@ -1416,15 +1416,7 @@ class AblationResult:
 
 
 def _metric_summary(metrics: Metrics) -> dict:
-    return {
-        "time_at_ord_ge4_min": metrics.time_at_ord_ge4_min,
-        "incautious_rate_per_h": metrics.incautious_rate_per_h,
-        "incautious_events": float(metrics.incautious_events),
-        "fatigue_event_count": float(metrics.fatigue_event_count),
-        "interventions": float(metrics.interventions),
-        "invited_breaks": float(metrics.invited_breaks),
-        "impromptu_breaks": float(metrics.impromptu_breaks),
-    }
+    return {name: float(getattr(metrics, name)) for name in AblationResult.metric_names}
 
 
 def run_ablation(
@@ -1458,6 +1450,11 @@ def run_ablation(
 
 SHORT_SESSION_MIN = (5, 14)
 LONG_SESSION_MIN = (31, 60)
+# The calibration fits the hazard so that these are the exact
+# probabilities of at least one event in a short and in a long session.
+TARGET_SHORT = 0.11
+TARGET_LONG = 0.66
+MAX_CALIBRATION_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -1537,11 +1534,8 @@ def calibrate_session_length_effect(
     cfg: ScenarioConfig,
     target_ratio_range: tuple[float, float] = (5.0, 7.0),
     *,
-    target_short: float = 0.11,
-    target_long: float = 0.66,
     sessions_per_bucket: int = 5000,
     task_load_gain_override: Optional[float] = None,
-    max_iterations: int = 50,
 ) -> CalibrationResult:
     """Fit the incautious-event hazard so long sessions are several times
     likelier to contain an event than short ones.
@@ -1572,10 +1566,10 @@ def calibrate_session_length_effect(
         gain = task_load_gain_override
     iterations = 0
     eps = 1e-7
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_CALIBRATION_ITERATIONS + 1):
         p_short, p_long = probabilities(base, gain)
-        f1 = p_short - target_short
-        f2 = p_long - target_long
+        f1 = p_short - TARGET_SHORT
+        f2 = p_long - TARGET_LONG
         if abs(f1) < 1e-9 and abs(f2) < 1e-9:
             break
         if task_load_gain_override is not None:
@@ -1610,8 +1604,8 @@ def calibrate_session_length_effect(
     )
     lo, hi = target_ratio_range
     converged = (
-        abs(exact_short - target_short) < 1e-6
-        and abs(exact_long - target_long) < 1e-6
+        abs(exact_short - TARGET_SHORT) < 1e-6
+        and abs(exact_long - TARGET_LONG) < 1e-6
         and lo <= ratio <= hi
     )
     return CalibrationResult(

@@ -98,6 +98,12 @@ LEVEL_INDICATOR_P = 0.7
 ADJACENT_INDICATOR_P = 0.2
 OBSERVATION_P = 0.05
 
+# Levels of the observer rating of drowsiness (ORD) scale, 1..ORD_LEVELS.
+ORD_LEVELS = 5
+# A candidate rater qualifies only if their mean absolute error over the
+# test set is at most this many levels.
+QUALIFICATION_MAX_MEAN_ABS_ERROR = 0.5
+
 
 class Route(str, Enum):
     ROUTE_ONE = "route_one"
@@ -406,14 +412,14 @@ def resolve_case(
     )
 
 
-def linear_weighted_kappa(pairs: Sequence[tuple[int, int]], n_levels: int = 5) -> float:
-    """Linearly weighted kappa for two raters over paired ordinal levels."""
+def linear_weighted_kappa(pairs: Sequence[tuple[int, int]]) -> float:
+    """Linearly weighted kappa for two raters over paired ORD levels."""
     if not pairs:
         raise ValueError("no paired ratings")
     n = len(pairs)
-    span = n_levels - 1
-    row = [0.0] * n_levels
-    col = [0.0] * n_levels
+    span = ORD_LEVELS - 1
+    row = [0.0] * ORD_LEVELS
+    col = [0.0] * ORD_LEVELS
     observed = 0.0
     for a, b in pairs:
         observed += 1.0 - abs(a - b) / span
@@ -421,8 +427,8 @@ def linear_weighted_kappa(pairs: Sequence[tuple[int, int]], n_levels: int = 5) -
         col[b - 1] += 1.0
     p_obs = observed / n
     p_exp = 0.0
-    for i in range(n_levels):
-        for j in range(n_levels):
+    for i in range(ORD_LEVELS):
+        for j in range(ORD_LEVELS):
             weight = 1.0 - abs(i - j) / span
             p_exp += weight * (row[i] / n) * (col[j] / n)
     if p_exp >= 1.0:
@@ -456,7 +462,6 @@ def qualify_rater(
     rng: random.Random,
     *,
     exact_match_threshold: float = 0.8,
-    max_mean_abs_error: float = 0.5,
 ) -> bool:
     """Score a candidate against a vetted test set of known levels."""
     if not test_set:
@@ -469,4 +474,7 @@ def qualify_rater(
             matches += 1
         abs_error += abs(emitted - true_ord)
     n = len(test_set)
-    return matches / n >= exact_match_threshold and abs_error / n <= max_mean_abs_error
+    return (
+        matches / n >= exact_match_threshold
+        and abs_error / n <= QUALIFICATION_MAX_MEAN_ABS_ERROR
+    )

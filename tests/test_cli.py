@@ -132,6 +132,14 @@ _UNRUNNABLE = [
     (("vigilance", "flag_cooldown_min"), float("inf")),
     (("vigilance", "rating_latency_s"), float("nan")),
     (("raters", 1, "bias"), float("nan")),
+    # No qualification test set, or a pass mark no rater can reach.
+    (("vigilance", "qualification_items"), 0),
+    (("vigilance", "qualification_items"), -5),
+    (("vigilance", "qualification_match_threshold"), 1.5),
+    # An adaptation window the scheduler's outcome history cannot fill.
+    (("ict", "adapt_window"), 0),
+    (("ict", "adapt_window"), -3),
+    (("ict", "adapt_window"), 80),
 ]
 
 
@@ -210,6 +218,64 @@ def test_invalid_json_config_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    text = default_config(seed=0).to_json()
+    assert ScenarioConfig.from_json(text) == ScenarioConfig.from_json(text.encode())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + text.encode())
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert "configuration is not UTF-8" in capsys.readouterr().err
+
+
+# Each case: the command, the output path it cannot write (relative to
+# the test directory), and what is in the way there: a directory, a
+# regular file, or nothing, when the parent directory is missing.
+_UNWRITABLE_OUTPUTS = {
+    "simulate-metrics-dir": (
+        ["simulate", "--config", "{config}", "--out", "{tmp}/run"], "run/metrics.csv", "dir"
+    ),
+    "simulate-manifest-dir": (
+        ["simulate", "--config", "{config}", "--out", "{tmp}/run"], "run/manifest.json", "dir"
+    ),
+    "simulate-out-file": (
+        ["simulate", "--config", "{config}", "--out", "{tmp}/run"], "run", "file"
+    ),
+    "ablate-csv-dir": (
+        ["ablate", "--config", "{config}", "--out", "{tmp}/run",
+         "--set", "off:none", "--set", "on:all", "--seeds", "1"],
+        "run/ablation.csv",
+        "dir",
+    ),
+    "calibrate-out-file": (
+        ["calibrate", "--config", "{config}", "--out", "{tmp}/run", "--sessions", "50"],
+        "run",
+        "file",
+    ),
+    "init-config-missing-dir": (
+        ["init-config", "--out", "{tmp}/missing/config.json"], "missing/config.json", None
+    ),
+    "plan-rotation-export-missing-dir": (
+        ["plan-rotation", "--current", "08:00", "--target", "12:00",
+         "--export", "{tmp}/missing/plan.json"],
+        "missing/plan.json",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_two_with_path(case, config_path, tmp_path, capsys):
+    argv, blocked, obstacle = _UNWRITABLE_OUTPUTS[case]
+    target = tmp_path / blocked
+    if obstacle == "dir":
+        target.mkdir(parents=True)
+    elif obstacle == "file":
+        target.write_text("")
+    argv = [arg.format(config=config_path, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    assert str(target) in capsys.readouterr().err
 
 
 def test_semantically_bad_config_exits_one(tmp_path):
@@ -455,6 +521,21 @@ def test_ablate_writes_paired_table(config_path, tmp_path, capsys):
     table = (out / "ablation.csv").read_text()
     assert table.startswith("toggle_set,seed,metric,baseline,value,delta")
     assert "time_at_ord_ge4_min" in table
+
+
+def test_calibrate_writes_the_fitted_hazard(config_path, tmp_path, capsys):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--config", str(config_path), "--out", str(out), "--sessions", "50"]
+    assert main(argv) == 0
+    text = (out / "calibration.json").read_text()
+    assert capsys.readouterr().out == text
+    payload = json.loads(text)
+    assert list(payload) == [
+        "hazard", "exact_short", "exact_long", "mc_short", "mc_long",
+        "ratio", "converged", "iterations", "sessions_per_bucket",
+    ]
+    assert list(payload["hazard"]) == ["base_per_min", "task_load_gain", "alertness_gain"]
+    assert payload["converged"] is True and payload["sessions_per_bucket"] == 50
 
 
 def test_init_config_roundtrip(tmp_path):
