@@ -46,6 +46,19 @@ def _load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_json(Path(path).read_bytes())
 
 
+def _read_utf8(path: str) -> str:
+    """The text of a file that ``report`` reads beside the log; a file
+    that is not UTF-8 is a parse error naming it and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogParseError(
+            f"{path} is not UTF-8: {exc.reason} at byte {exc.start}",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from exc
+
+
 def _parse_hhmm(value: str) -> int:
     parts = value.split(":")
     if len(parts) != 2:
@@ -220,7 +233,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print("== metrics ==")
     print(csv_text, end="")
     if args.metrics is not None:
-        stored = Path(args.metrics).read_text()
+        stored = _read_utf8(args.metrics)
         if stored != csv_text:
             print("recomputed metrics do not match the stored metrics file")
             return EXIT_DOMAIN
@@ -254,7 +267,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     if args.ablation is not None:
         print("== ablation deltas ==")
-        print(Path(args.ablation).read_text(), end="")
+        print(_read_utf8(args.ablation), end="")
     return EXIT_OK
 
 

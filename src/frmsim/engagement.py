@@ -201,9 +201,6 @@ class DemandPattern:
         end_s = min(period_s, max(start_s, math.ceil((start_min + duration_min) * 60)))
         return cls(period_s, start_s, end_s, origin)
 
-    def high(self, t: int) -> bool:
-        return self.start_s <= (t - self.origin) % self.period_s < self.end_s
-
     def next_quiet(self, t: int) -> Optional[int]:
         """The first second from ``t`` at which demand is not high, or
         None if it always is."""

@@ -27,12 +27,18 @@ __all__ = [
     "advance_components",
     "circadian_dip",
     "compose_alertness",
+    "ord_hold_s",
     "to_kss",
     "to_ord_truth",
 ]
 
 # Bands on the alertness axis separating ORD levels 1..5 (descending).
 DEFAULT_ORD_EDGES = (0.8, 0.6, 0.4, 0.2)
+
+# What ``ord_hold_s`` keeps between alertness and an ORD edge, far above
+# the rounding error of a composed alertness (about 1e-15), so that a
+# certified span holds for the computed values as well as the exact ones.
+_ORD_EDGE_SLACK = 1e-9
 
 
 class BreakActivity(str, Enum):
@@ -154,6 +160,57 @@ def advance_components(
             tau_min *= _RECOVERY_TAU_SCALE[ctx.break_activity]
         task_load = task_load * math.exp(-(dt_s / 60.0) / tau_min)
     return _clamp01(pressure), phase, _clamp01(task_load)
+
+
+def ord_hold_s(
+    pressure: float,
+    task_load: float,
+    alertness: float,
+    ctx: FatigueContext,
+    params: ModelParams,
+) -> float:
+    """Seconds from now over which the ORD level of ``alertness`` (the
+    composition of ``pressure``, ``task_load`` and any phase) cannot change
+    while ``ctx`` holds; ``math.inf`` if alertness cannot move.
+
+    The span is the distance to the nearest ORD edge over a bound on the
+    slope of alertness. Under a constant context, sleep pressure and task
+    load are monotone exponentials, so each moves fastest now: pressure
+    at ``(1 - pressure) / homeostat_rise_tau`` per hour awake or
+    ``pressure / homeostat_decay_tau`` asleep, task load at
+    ``rate * (1 - task_load)`` on task or ``task_load / tau`` off it. The
+    circadian dip's slope is at most ``circadian_amplitude * pi / 24`` per
+    hour. Alertness moves at most the weighted sum of these, since the
+    clamp in :func:`compose_alertness` cannot speed it up.
+    """
+    w1, w2, w3 = params.component_weights
+    if ctx.asleep:
+        pressure_slope = pressure / params.homeostat_decay_tau
+    else:
+        pressure_slope = (1.0 - pressure) / params.homeostat_rise_tau
+    if ctx.on_task:
+        load_slope = params.task_load_rate * ctx.monotony * (1.0 - task_load)
+    else:
+        tau_min = params.task_recovery_tau
+        if ctx.in_break:
+            tau_min *= _RECOVERY_TAU_SCALE[ctx.break_activity]
+        load_slope = 60.0 * task_load / tau_min
+    slope_per_h = (
+        w1 * pressure_slope
+        + w2 * params.circadian_amplitude * math.pi / 24.0
+        + w3 * load_slope
+    )
+    # The level rises once alertness falls below the highest edge at or
+    # under it, and falls once alertness reaches the lowest edge above it.
+    margin = min(
+        alertness - max((e for e in DEFAULT_ORD_EDGES if e <= alertness), default=-math.inf),
+        min((e for e in DEFAULT_ORD_EDGES if e > alertness), default=math.inf) - alertness,
+    ) - _ORD_EDGE_SLACK
+    if margin <= 0.0:
+        return 0.0
+    if slope_per_h <= 0.0:
+        return math.inf
+    return 3600.0 * margin / slope_per_h
 
 
 def _round_half_up(x: float) -> int:

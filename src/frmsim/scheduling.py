@@ -28,7 +28,6 @@ __all__ = [
     "evaluate_break_triggers",
     "lifecycle_step",
     "plan_rotation",
-    "rotation_from_records",
     "rotation_to_records",
     "validate_rotation",
 ]
@@ -104,32 +103,6 @@ def rotation_to_records(plan: RotationPlan) -> list[dict]:
             }
         records.append(record)
     return records
-
-
-def rotation_from_records(records: list[dict]) -> RotationPlan:
-    shifts = []
-    transitions = []
-    for i, record in enumerate(records):
-        shifts.append(
-            ShiftSpec(
-                day_index=record["day_index"],
-                start_min=record["start_min"],
-                end_min=record["end_min"],
-                scheduled_breaks=tuple(
-                    (int(o), int(d)) for o, d in record.get("scheduled_breaks", [])
-                ),
-            )
-        )
-        if i > 0:
-            transition = record["transition"]
-            transitions.append(
-                Transition(
-                    direction=RotationDirection(transition["direction"]),
-                    step_min=transition["step_min"],
-                    extended_rest_min=transition.get("extended_rest_min", 0),
-                )
-            )
-    return RotationPlan(shifts=tuple(shifts), transitions=tuple(transitions))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,12 @@ The minute item also samples each specialist's ground-truth ORD level
 and whether they are on task (driving). It logs an
 ``ord_change`` record only when that pair differs from the one last
 logged in the shift, and every shift logs one at its start; the metrics
-fold on-task time and time at ORD >= 4 from these records. A positive
+fold on-task time and time at ORD >= 4 from these records. The fatigue
+state is a closed form of its last anchor (``_Agent.state``), so the
+minute item evaluates it only where a value is read: when the ORD
+level's certificate (``fatigue.ord_hold_s``) has expired, when a hazard
+draw falls under the bound on every hazard rate, and in the checks that
+read alertness. A positive
 ``sample_period_s`` adds a full-state ``state_sample`` trace on the
 minutes into the shift that are multiples of it; nothing folds the
 trace, and it changes no other record.
@@ -82,7 +87,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import awareness as aw
 from . import engagement as eng
@@ -96,6 +101,7 @@ from .fatigue import (
     ModelParams,
     advance_components,
     compose_alertness,
+    ord_hold_s,
     to_kss,
     to_ord_truth,
 )
@@ -111,6 +117,7 @@ __all__ = [
 ]
 
 INVITED_CHECK_S = 300
+PEER_CHECK_S = 3600
 SIGNAL_RECENCY_S = 1800
 SIGNAL_ICT_OUTCOMES = 10
 RETRAIN_SHIFTS_OFF = 1
@@ -144,6 +151,21 @@ class Activity(Enum):
 # Driving or on a break: surveys run and may ask for a break or a
 # reassignment, and a confirmed escalation may retrieve the vehicle.
 _IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
+
+
+class _MinuteChecks(NamedTuple):
+    """The cadenced checks of the minute item. Built once per run, each
+    field is the check's cadence in whole seconds (0 while its block is
+    off); built each minute, whether the check is due then."""
+
+    sample: int
+    dms: int
+    rating: int
+    pfs: int
+    peer: int
+    invited: int
+    impromptu: int
+    reliability: int
 
 
 def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
@@ -186,11 +208,20 @@ class _Agent:
         self.rng_raters = _substream(cfg.seed, "raters", who)
         self.rng_breaks = _substream(cfg.seed, "breaks", who)
         self.rng_sa = _substream(cfg.seed, "sa", who)
-        self.pressure = spec.initial_sleep_pressure
-        self.phase = 0.0
-        self.task_load = 0.0
-        self.comp_time = 0
+        # The fatigue state is a closed form of its anchor: the components
+        # (sleep pressure, circadian phase, task load) at second t0, from
+        # which it evolves under ctx (see ``state``).
+        self.t0 = 0
+        self.anchor = (spec.initial_sleep_pressure, 0.0, 0.0)
         self.ctx = _IDLE
+        # The last evaluation, (second, components), and how many
+        # ``advance_components`` calls the evaluations made.
+        self._evaluated = (0, self.anchor)
+        self.evaluations = 0
+        # The ORD level, certified to hold through second ord_until; a
+        # re-anchor voids the certificate.
+        self.ord_level = 0
+        self.ord_until = -math.inf
         self.activity = Activity.OFF_SHIFT
         self.session_start = 0
         self.session_had_incautious = False
@@ -220,27 +251,53 @@ class _Agent:
         # (ord, on_task) of the last ord_change record this shift.
         self.logged_pair: Optional[tuple[int, bool]] = None
 
-    # -- lazy fatigue integration ------------------------------------
+    # -- fatigue state ---------------------------------------------------
 
-    def advance_to(self, t: int) -> None:
-        if t > self.comp_time:
-            self.pressure, self.phase, self.task_load = advance_components(
-                self.pressure,
-                self.phase,
-                self.task_load,
-                t - self.comp_time,
-                self.ctx,
-                self.params,
-            )
-            self.comp_time = t
-
-    def set_ctx(self, t: int, ctx: FatigueContext) -> None:
-        self.advance_to(t)
-        self.ctx = ctx
+    def state(self, t: int) -> tuple[float, float, float]:
+        """The components at second ``t`` (at or after t0), in closed form
+        from the anchor, so their bits do not depend on which seconds were
+        evaluated before."""
+        at, components = self._evaluated
+        if t != at:
+            components = advance_components(*self.anchor, t - self.t0, self.ctx, self.params)
+            self._evaluated = (t, components)
+            self.evaluations += 1
+        return components
 
     def alertness(self, t: int) -> float:
-        self.advance_to(t)
-        return compose_alertness(self.pressure, self.phase, self.task_load, self.params)
+        return compose_alertness(*self.state(t), self.params)
+
+    def load_and_alertness(self, t: int) -> tuple[float, float]:
+        components = self.state(t)
+        return components[2], compose_alertness(*components, self.params)
+
+    def reanchor(
+        self,
+        t: int,
+        ctx: FatigueContext,
+        pressure_scale: float = 1.0,
+        task_load_scale: float = 1.0,
+    ) -> None:
+        """Anchor the state at ``t`` under ``ctx``, scaling sleep pressure
+        and task load there. Every context change and every direct edit of
+        the state goes through here, and each voids the ORD certificate."""
+        pressure, phase, task_load = self.state(t)
+        self.t0 = t
+        self.anchor = (pressure * pressure_scale, phase, task_load * task_load_scale)
+        self._evaluated = (t, self.anchor)
+        self.ctx = ctx
+        self.ord_until = -math.inf
+
+    def certify_ord(self, t: int) -> int:
+        """Evaluate the ground-truth ORD level at ``t`` and certify it
+        through the last second the level provably holds."""
+        components = self.state(t)
+        alertness = compose_alertness(*components, self.params)
+        self.ord_level = to_ord_truth(alertness)
+        self.ord_until = t + ord_hold_s(
+            components[0], components[2], alertness, self.ctx, self.params
+        )
+        return self.ord_level
 
     def current_odometer(self, t: int) -> float:
         if self.moving_since is None:
@@ -254,7 +311,7 @@ class _Agent:
         self.odometer = self.current_odometer(t)
         self.moving_since = t if activity is Activity.DRIVING else None
         self.activity = activity
-        self.set_ctx(t, ctx)
+        self.reanchor(t, ctx)
 
 
 class ScenarioRunner:
@@ -264,6 +321,24 @@ class ScenarioRunner:
         self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
         self._rng_qualification = _substream(cfg.seed, "qualification", "fleet")
+        # Validation keeps every cadence at least a second; the loop
+        # truncates it to whole seconds.
+        toggles = cfg.toggles
+        self._cadences_s = _MinuteChecks(
+            sample=cfg.sample_period_s,
+            dms=int(cfg.dms.observation_period) if toggles.vigilance else 0,
+            rating=int(cfg.vigilance.periodic_cadence_min * 60) if toggles.vigilance else 0,
+            pfs=int(cfg.pfs.cadence_min * 60) if toggles.awareness else 0,
+            peer=PEER_CHECK_S if toggles.awareness else 0,
+            invited=INVITED_CHECK_S if toggles.scheduling else 0,
+            impromptu=int(cfg.behavior.impromptu_check_min * 60) if toggles.scheduling else 0,
+            reliability=(
+                int(cfg.vigilance.reliability_interval_min * 60) if toggles.vigilance else 0
+            ),
+        )
+        # No rate exceeds this: the coefficients are nonnegative, task load
+        # is at most 1, alertness at least 0, and IEEE rounding is monotone.
+        self._hazard_bound = cfg.hazard.rate(1.0, 0.0)
         self.horizon_s = cfg.horizon_days * 86400
         self._heap: list = []
         self._heap_seq = 0
@@ -306,13 +381,16 @@ class ScenarioRunner:
     def stats(self) -> dict:
         """What the run did and what it cost the loop: events per record
         type, heap items scheduled, the heap's high-water mark, stale items
-        dropped (see ``_live``), seconds visited, and shifts run and skipped."""
+        dropped (see ``_live``), seconds visited, closed-form fatigue state
+        evaluations (``advance_components`` calls), and shifts run and
+        skipped."""
         return {
             "events_by_type": dict(sorted(Counter(e.type for e in self.log).items())),
             "heap_items": self._heap_seq,
             "heap_high_water": self._heap_high_water,
             "stale_items_dropped": self._stale_dropped,
             "seconds_visited": self._visits,
+            "fatigue_evaluations": sum(agent.evaluations for agent in self.agents),
             "shifts_run": self._shifts_run,
             "shifts_skipped": self._shifts_skipped,
         }
@@ -342,16 +420,18 @@ class ScenarioRunner:
         """Jump each agent through idle/sleep segments up to shift start."""
         sleep_start = shift_start - 9 * 3600
         sleep_end = shift_start - 1 * 3600
+        # Sleep-hygiene training buys a fuller overnight recovery.
+        recovery = 1.0
+        if self.cfg.toggles.education:
+            recovery -= self.cfg.behavior.education_recovery_bonus
         for agent in self.agents:
-            if agent.comp_time < sleep_start:
-                agent.set_ctx(sleep_start, _ASLEEP)
-            if agent.comp_time < sleep_end:
-                agent.advance_to(sleep_end)
-                if self.cfg.toggles.education:
-                    # Sleep-hygiene training buys a fuller overnight recovery.
-                    agent.pressure *= 1.0 - self.cfg.behavior.education_recovery_bonus
-                agent.ctx = _IDLE
-            agent.advance_to(shift_start)
+            if agent.t0 < sleep_start:
+                agent.reanchor(sleep_start, _ASLEEP)
+            if agent.t0 < sleep_end:
+                agent.reanchor(sleep_end, _IDLE, pressure_scale=recovery)
+            # Also for a specialist who sits the shift out, so every
+            # off-shift day is bridged in the same segments.
+            agent.reanchor(shift_start, agent.ctx)
 
     # -- shift loop -------------------------------------------------------
 
@@ -430,10 +510,14 @@ class ScenarioRunner:
         reliability checkpoint; on the last minute, the shift end (shift
         lengths are whole minutes)."""
         elapsed = t - self._shift_start
+        # Every check but the trace waits for its first cadence to pass.
+        due = _MinuteChecks._make(
+            cadence > 0 and elapsed % cadence == 0 and (elapsed > 0 or name == "sample")
+            for name, cadence in zip(_MinuteChecks._fields, self._cadences_s)
+        )
         for agent in agents:
-            self._agent_minute(agent, t, elapsed)
-        interval_s = int(self.cfg.vigilance.reliability_interval_min * 60)
-        if self.cfg.toggles.vigilance and elapsed > 0 and elapsed % interval_s == 0:
+            self._agent_minute(agent, t, due)
+        if due.reliability:
             self._reliability_checkpoint(t)
         if t < self._shift_end:
             self._schedule(t + 60, _PHASE_MINUTE, "minute", agents=agents)
@@ -471,60 +555,65 @@ class ScenarioRunner:
 
     # -- minute checks ----------------------------------------------------
 
-    def _agent_minute(self, agent: _Agent, t: int, elapsed: int) -> None:
-        cfg = self.cfg
-        toggles = cfg.toggles
+    def _agent_minute(self, agent: _Agent, t: int, due: _MinuteChecks) -> None:
+        """The agent's checks at minute ``t``. The state is evaluated only
+        where a value is read: once the ORD certificate has expired, for a
+        hazard draw under the bound on every rate, and in the checks that
+        read alertness. A traced minute evaluates both the ORD level and
+        the hazard rate, so a traced run checks the certificate and the
+        bound against the untraced one."""
+        sample, dms, rating, pfs, peer, invited, impromptu, _ = due
         who = agent.spec.specialist_id
         driving = agent.activity is Activity.DRIVING
 
-        alertness = agent.alertness(t)
-        level = to_ord_truth(alertness)
+        if sample:
+            pressure, _, task_load = components = agent.state(t)
+            alertness = compose_alertness(*components, agent.params)
+            level = to_ord_truth(alertness)
+        elif t <= agent.ord_until:
+            level = agent.ord_level
+        else:
+            level = agent.certify_ord(t)
         if (level, driving) != agent.logged_pair:
             agent.logged_pair = (level, driving)
             self.log.append(t, "ord_change", who, ord=level, on_task=driving)
-        period_s = cfg.sample_period_s
-        if period_s and elapsed % period_s == 0:
+        if sample:
             self.log.append(
                 t,
                 "state_sample",
                 who,
                 alertness=round(alertness, 6),
                 ord=level,
-                task_load=round(agent.task_load, 6),
-                pressure=round(agent.pressure, 6),
+                task_load=round(task_load, 6),
+                pressure=round(pressure, 6),
                 on_task=driving,
-                period_s=period_s,
+                period_s=self.cfg.sample_period_s,
             )
 
         if driving:
             # Incautious-behavior hazard accrues per driving minute.
-            if agent.rng_hazard.random() < cfg.hazard.rate(agent.task_load, alertness):
+            draw = agent.rng_hazard.random()
+            if (draw < self._hazard_bound or sample) and draw < self.cfg.hazard.rate(
+                *agent.load_and_alertness(t)
+            ):
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True
-
-        if toggles.vigilance and driving:
             if (
-                elapsed > 0
-                and elapsed % int(cfg.dms.observation_period) == 0
+                dms
                 and t >= agent.dms_cooldown_until
+                and vig.dms_observe(level, self.cfg.dms, agent.rng_raters)
             ):
-                self._dms_observation(agent, t, level)
-            if elapsed > 0 and elapsed % int(cfg.vigilance.periodic_cadence_min * 60) == 0:
+                self._dms_flag(agent, t, level)
+            if rating:
                 self._periodic_rating(agent, t)
-
-        if toggles.awareness:
-            if elapsed > 0 and elapsed % int(cfg.pfs.cadence_min * 60) == 0 and driving:
+            if pfs:
                 self._submit_pfs(agent, t, is_followup=False)
-            if agent.spec.dual and elapsed > 0 and elapsed % 3600 == 0:
-                self._peer_checks(agent, t)
-
-        if toggles.scheduling and driving:
-            if elapsed % INVITED_CHECK_S == 0 and elapsed > 0:
+        if peer and agent.spec.dual:
+            self._peer_checks(agent, t)
+        if driving:
+            if invited:
                 self._invited_break_check(agent, t)
-            if (
-                elapsed > 0
-                and elapsed % int(cfg.behavior.impromptu_check_min * 60) == 0
-            ):
+            if impromptu:
                 self._impromptu_check(agent, t)
 
     # -- engagement items ---------------------------------------------------
@@ -633,8 +722,7 @@ class ScenarioRunner:
         self._log_ict_outcome(agent, t, resolution)
         if signal == "responded":
             # Completing an in-car task is itself engaging.
-            agent.advance_to(t)
-            agent.task_load *= 1.0 - cfg.behavior.ict_relief
+            agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.ict_relief)
             self._record_interactivity(agent, t)
         self._plan_ict(agent, t)
 
@@ -697,8 +785,7 @@ class ScenarioRunner:
                 actions=list(resolution.intervention.actions),
             )
             self._record_fatigue_event(agent, t, "severe", "ict_intervention")
-            agent.advance_to(t)
-            agent.task_load *= 1.0 - cfg.behavior.alert_relief
+            agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.alert_relief)
             self._record_interactivity(agent, t)
             if resolution.pull_over_recommended:
                 self.log.append(t, "pull_over", who, prompt_id=record.prompt_id)
@@ -885,11 +972,11 @@ class ScenarioRunner:
         )
         return resolve_at
 
-    def _dms_observation(self, agent: _Agent, t: int, true_ord: int) -> None:
+    def _dms_flag(self, agent: _Agent, t: int, true_ord: int) -> None:
+        """The detector flagged the agent at ``t``: alert them and open a
+        route-one case."""
         cfg = self.cfg
         who = agent.spec.specialist_id
-        if not vig.dms_observe(true_ord, cfg.dms, agent.rng_raters):
-            return
         flag_id = f"flag-{self._flag_seq}"
         self._flag_seq += 1
         self.log.append(t, "dms_flag", who, flag_id=flag_id, true_ord=true_ord)
@@ -899,8 +986,7 @@ class ScenarioRunner:
         if cfg.toggles.engagement:
             self._record_interactivity(agent, t)
             self._plan_ict(agent, t)
-        agent.advance_to(t)
-        agent.task_load *= 1.0 - cfg.behavior.alert_relief
+        agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.alert_relief)
         feed = vig.Feed(who, t - cfg.dms.observation_period, t, escalated=True)
         resolve_at = self._open_case(agent, t, vig.Route.ROUTE_ONE, feed, true_ord)
         agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)
@@ -1523,10 +1609,14 @@ def _monte_carlo_bucket(
 ) -> float:
     hits = 0
     rates = [hazard.rate(tl, al) for tl, al in trace]
+    draw = rng.random
     for _ in range(sessions):
         duration = rng.randint(*bucket)
-        if any(rng.random() < rates[m] for m in range(duration)):
-            hits += 1
+        # Stop at the first event, as the session would.
+        for rate in rates[:duration]:
+            if draw() < rate:
+                hits += 1
+                break
     return hits / sessions
 
 

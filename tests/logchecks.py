@@ -248,8 +248,10 @@ def assert_trace_observes_only(cfg: ScenarioConfig) -> None:
     plain_log, plain = run_scenario(dataclasses.replace(cfg, sample_period_s=0))
     traced_log, traced = run_scenario(dataclasses.replace(cfg, sample_period_s=60))
     assert not any(event.type == "state_sample" for event in plain_log)
-    assert [e for e in traced_log if e.type != "state_sample"] == list(plain_log)
-    assert traced == plain
+    assert [e for e in traced_log if e.type != "state_sample"] == list(plain_log), (
+        "the traced run logs other records than the untraced one"
+    )
+    assert traced == plain, "the trace changes the metrics"
     assert dataclasses.replace(traced, **fold_state_samples(traced_log)) == traced
 
 

@@ -10,10 +10,14 @@ records; and every log that fails ``assert_log_conserved`` or logs its
 ``reliability_checkpoints``, or does not round-trip: written by
 ``EventLog.write_jsonl`` and read back by ``EventLog.from_jsonl``, it
 must give the same records, seed and config hash, and the writer's
-digest must equal ``log.digest()``. Exits 1 if any record is outside
-the off-shift types or any log fails a check.
+digest must equal ``log.digest()``. Each draw is also run without and
+with the state trace at 60 s (``assert_trace_observes_only``): the
+traced run evaluates the fatigue state at every minute, while the
+untraced one skips minutes on the ORD certificate and the hazard-rate
+bound, so equal records show that neither skipped a change. Exits 1 if
+any record is outside the off-shift types or any log fails a check.
 
-Too slow for the unit tests (about 10 s), so pytest does not collect it.
+Too slow for the unit tests (about a minute), so pytest does not collect it.
 Run from the repository root::
 
     PYTHONPATH=src python tests/scan_generated.py
@@ -37,6 +41,7 @@ from configs import random_config  # noqa: E402
 from logchecks import (  # noqa: E402
     OFF_SHIFT_RECORD_TYPES,
     assert_log_conserved,
+    assert_trace_observes_only,
     carried_followups,
     off_shift_records,
     reliability_checkpoints,
@@ -83,6 +88,7 @@ def main() -> int:
                 assert times == reliability_checkpoints(cfg, log), (
                     "reliability records off the checkpoint seconds"
                 )
+                assert_trace_observes_only(cfg)
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
             if not round_trips(log):

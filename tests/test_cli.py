@@ -229,9 +229,10 @@ def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "configuration is not UTF-8" in capsys.readouterr().err
 
 
-# Each case: the command, the output path it cannot write (relative to
+# Each case: the command, the path it cannot write or read (relative to
 # the test directory), and what is in the way there: a directory, a
-# regular file, or nothing, when the parent directory is missing.
+# regular file, nothing, when the parent directory is missing, or, for
+# an input, bytes that are not UTF-8.
 _UNWRITABLE_OUTPUTS = {
     "simulate-metrics-dir": (
         ["simulate", "--config", "{config}", "--out", "{tmp}/run"], "run/metrics.csv", "dir"
@@ -262,6 +263,16 @@ _UNWRITABLE_OUTPUTS = {
         "missing/plan.json",
         None,
     ),
+    "report-metrics-not-utf8": (
+        ["report", "--log", "{log}", "--metrics", "{tmp}/metrics.csv"],
+        "metrics.csv",
+        "not_utf8",
+    ),
+    "report-ablation-not-utf8": (
+        ["report", "--log", "{log}", "--ablation", "{tmp}/ablation.csv"],
+        "ablation.csv",
+        "not_utf8",
+    ),
 }
 
 
@@ -273,7 +284,10 @@ def test_unwritable_output_exits_two_with_path(case, config_path, tmp_path, caps
         target.mkdir(parents=True)
     elif obstacle == "file":
         target.write_text("")
-    argv = [arg.format(config=config_path, tmp=tmp_path) for arg in argv]
+    elif obstacle == "not_utf8":
+        target.write_bytes(b"\xff\xfe")
+    log = Path(__file__).with_name("fixtures") / "v1" / "events.jsonl"
+    argv = [arg.format(config=config_path, tmp=tmp_path, log=log) for arg in argv]
     assert main(argv) == 2
     assert str(target) in capsys.readouterr().err
 
@@ -577,7 +591,5 @@ def test_plan_rotation_export(tmp_path):
         ]
     )
     assert code == 0
-    from frmsim.scheduling import rotation_from_records
-
-    plan = rotation_from_records(json.loads(path.read_text()))
-    assert [s.start_min for s in plan.shifts] == [480, 600, 720]
+    records = json.loads(path.read_text())
+    assert [record["start_min"] for record in records] == [480, 600, 720]

@@ -183,7 +183,8 @@ def test_due_time_is_the_first_second_a_per_second_check_fires():
                     trigger = IctTrigger.GAP_TIME
                 elif speed * (t - start) >= cfg.gap_distance_m * scale:
                     trigger = IctTrigger.GAP_DISTANCE
-            if trigger is not None and not demand.high(t):
+            phase = (t - demand.origin) % demand.period_s
+            if trigger is not None and not demand.start_s <= phase < demand.end_s:
                 break
             t += 1
         assert ict_due(state, start, 7.0, speed, cfg, demand) == (t, trigger)
@@ -196,7 +197,10 @@ def test_demand_pattern_next_seconds_match_its_predicate():
             rng.uniform(0.5, 10), rng.uniform(-1, 10), rng.uniform(-1, 10), origin=rng.randrange(600)
         )
         span = range(1200)
-        high = [demand.high(t) for t in span]
+        high = [
+            demand.start_s <= (t - demand.origin) % demand.period_s < demand.end_s
+            for t in span
+        ]
         for t in range(0, 600, 7):
             quiet = next((u for u in span[t:] if not high[u]), None)
             rise = next((u for u in span[t:] if high[u]), None)

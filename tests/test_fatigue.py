@@ -11,6 +11,7 @@ from frmsim.fatigue import (
     advance_components,
     circadian_dip,
     compose_alertness,
+    ord_hold_s,
     to_kss,
     to_ord_truth,
 )
@@ -216,3 +217,43 @@ def test_step_determinism():
     a = step(state, 330, ctx)
     b = step(state, 330, ctx)
     assert a == b
+
+
+def test_ord_level_holds_through_its_certified_span():
+    # Brute force over random anchors, contexts and parameters (with the
+    # susceptibility scaling of the simulator): the ORD level at every
+    # minute inside the certified span equals the level at its start.
+    rng = random.Random(16)
+    contexts = [
+        FatigueContext(on_task=True, monotony=0.9),
+        FatigueContext(on_task=True, monotony=1.0),
+        *(FatigueContext(on_task=False, in_break=True, break_activity=a) for a in BreakActivity),
+        FatigueContext(on_task=False),
+        FatigueContext(on_task=False, asleep=True),
+    ]
+    spans = []
+    for _ in range(300):
+        susceptibility = rng.uniform(0.5, 3.0)
+        weights = [rng.random() for _ in range(3)]
+        params = ModelParams(
+            homeostat_rise_tau=18.0 / susceptibility,
+            task_load_rate=0.3 * susceptibility,
+            circadian_amplitude=rng.random(),
+            circadian_trough_hour=rng.uniform(0, 24) % 24,
+            component_weights=tuple(w / sum(weights) for w in weights),
+        )
+        ctx = rng.choice(contexts)
+        anchor = (rng.random(), rng.uniform(0, 24) % 24, rng.random())
+        start = rng.randrange(1, 4 * 3600)
+        pressure, phase, task_load = advance_components(*anchor, start, ctx, params)
+        level = to_ord_truth(compose_alertness(pressure, phase, task_load, params))
+        span = ord_hold_s(
+            pressure, task_load, compose_alertness(pressure, phase, task_load, params), ctx, params
+        )
+        spans.append(span)
+        for minute in range(1, int(min(span, 12 * 3600) // 60) + 1):
+            later = advance_components(*anchor, start + 60 * minute, ctx, params)
+            assert to_ord_truth(compose_alertness(*later, params)) == level
+    # The spans are neither all empty nor all unbounded.
+    assert sum(60 <= span < 3600 for span in spans) > 50
+    assert sum(span >= 3600 for span in spans) > 20

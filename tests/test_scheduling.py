@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -317,12 +318,27 @@ def test_no_edge_into_single_qualified_except_gateway_and_return():
 
 
 def test_rotation_plan_records_round_trip():
-    from frmsim.scheduling import rotation_from_records, rotation_to_records
+    from frmsim.scheduling import rotation_to_records
 
     rng = random.Random(17)
     for _ in range(50):
         current = rng.randrange(0, 1440)
         target = rng.randrange(0, 1440)
         plan = plan_rotation(current, target, CONSTRAINTS)
-        records = rotation_to_records(plan)
-        assert rotation_from_records(records) == plan
+        records = json.loads(json.dumps(rotation_to_records(plan)))
+        assert [
+            (r["day_index"], r["start_min"], r["end_min"], r["scheduled_breaks"])
+            for r in records
+        ] == [
+            (s.day_index, s.start_min, s.end_min, [list(b) for b in s.scheduled_breaks])
+            for s in plan.shifts
+        ]
+        assert "transition" not in records[0]
+        assert [r["transition"] for r in records[1:]] == [
+            {
+                "direction": t.direction.value,
+                "step_min": t.step_min,
+                "extended_rest_min": t.extended_rest_min,
+            }
+            for t in plan.transitions
+        ]

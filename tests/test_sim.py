@@ -577,6 +577,61 @@ def test_all_on_visits_only_minute_ticks_and_items():
         assert stats["seconds_visited"] <= stats["heap_items"] - breaks
 
 
+def test_fatigue_state_at_any_subset_of_seconds_is_bit_equal():
+    # The state is a closed form of its last anchor, so an agent
+    # evaluated at a random subset of seconds carries the same bits as
+    # one evaluated at every second, through context changes and edits.
+    from frmsim.fatigue import BreakActivity, FatigueContext
+    from frmsim.sim import _Agent
+
+    cfg = default_config(seed=0)
+    spec = dataclasses.replace(cfg.fleet[0], susceptibility=1.3, initial_sleep_pressure=0.4)
+    every, sparse = _Agent(cfg, spec), _Agent(cfg, spec)
+    contexts = [
+        FatigueContext(on_task=True, monotony=0.9),
+        FatigueContext(on_task=False, in_break=True, break_activity=BreakActivity.SOCIAL),
+        FatigueContext(on_task=False),
+        FatigueContext(on_task=False, asleep=True),
+    ]
+    rng = random.Random(7)
+    t = 0
+    for _ in range(40):
+        end = t + rng.randrange(1, 1200)
+        for second in range(t + 1, end + 1):
+            value = every.state(second)
+            if rng.random() < 0.03:
+                assert sparse.state(second) == value
+        ctx = rng.choice(contexts)
+        scales = {"task_load_scale": rng.random()} if rng.random() < 0.5 else {}
+        for agent in (every, sparse):
+            agent.reanchor(end, ctx, **scales)
+        assert (sparse.t0, sparse.anchor) == (every.t0, every.anchor)
+        t = end
+    assert sparse.evaluations < every.evaluations / 10
+
+
+def test_fleet_evaluates_fatigue_at_under_half_of_its_specialist_minutes():
+    # Engagement off, 20 specialists over 3 days: most minute ticks read
+    # a certified ORD level and a hazard draw above the bound.
+    base = default_config(seed=3).with_overrides(toggles=Toggles(engagement=False))
+    fleet = tuple(
+        dataclasses.replace(
+            base.fleet[0],
+            specialist_id=f"as-{i:02d}",
+            susceptibility=0.8 + 0.02 * i,
+            dual=i % 4 == 0,
+        )
+        for i in range(20)
+    )
+    cfg = dataclasses.replace(base, fleet=fleet, horizon_days=3)
+    stats = {}
+    log, _ = run_scenario(cfg, stats=stats)
+    shifts_worked = sum(1 for e in log if e.type == "shift_start")
+    specialist_minutes = shifts_worked * (cfg.shift.duration_min + 1)
+    assert shifts_worked >= 20
+    assert 0 < stats["fatigue_evaluations"] < specialist_minutes / 2
+
+
 def test_horizon_runs_only_shifts_that_drain_within_it():
     # The default 22:00 shift ends at 06:00 and drains until 06:30 the
     # next day, so two days hold one shift and three hold two.
