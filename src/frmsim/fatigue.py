@@ -128,10 +128,6 @@ def compose_alertness(
     return 1.0 - min(1.0, max(0.0, sleepiness))
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def advance_components(
     pressure: float,
     phase: float,
@@ -159,7 +155,7 @@ def advance_components(
         if ctx.in_break:
             tau_min *= _RECOVERY_TAU_SCALE[ctx.break_activity]
         task_load = task_load * math.exp(-(dt_s / 60.0) / tau_min)
-    return _clamp01(pressure), phase, _clamp01(task_load)
+    return min(1.0, max(0.0, pressure)), phase, min(1.0, max(0.0, task_load))
 
 
 def ord_hold_s(
@@ -202,10 +198,13 @@ def ord_hold_s(
     )
     # The level rises once alertness falls below the highest edge at or
     # under it, and falls once alertness reaches the lowest edge above it.
-    margin = min(
-        alertness - max((e for e in DEFAULT_ORD_EDGES if e <= alertness), default=-math.inf),
-        min((e for e in DEFAULT_ORD_EDGES if e > alertness), default=math.inf) - alertness,
-    ) - _ORD_EDGE_SLACK
+    below, above = -math.inf, math.inf
+    for edge in DEFAULT_ORD_EDGES:  # descending
+        if edge <= alertness:
+            below = edge
+            break
+        above = edge
+    margin = min(alertness - below, above - alertness) - _ORD_EDGE_SLACK
     if margin <= 0.0:
         return 0.0
     if slope_per_h <= 0.0:
