@@ -246,10 +246,9 @@ def test_ord_level_holds_through_its_certified_span():
         anchor = (rng.random(), rng.uniform(0, 24) % 24, rng.random())
         start = rng.randrange(1, 4 * 3600)
         pressure, phase, task_load = advance_components(*anchor, start, ctx, params)
-        level = to_ord_truth(compose_alertness(pressure, phase, task_load, params))
-        span = ord_hold_s(
-            pressure, task_load, compose_alertness(pressure, phase, task_load, params), ctx, params
-        )
+        start_alertness = compose_alertness(pressure, phase, task_load, params)
+        level = to_ord_truth(start_alertness)
+        span = ord_hold_s(pressure, task_load, start_alertness, ctx, params)
         spans.append(span)
         for minute in range(1, int(min(span, 12 * 3600) // 60) + 1):
             later = advance_components(*anchor, start + 60 * minute, ctx, params)
