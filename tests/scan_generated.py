@@ -10,7 +10,11 @@ records; and every log that fails ``assert_log_conserved`` or logs its
 ``reliability_checkpoints``, or does not round-trip: written by
 ``EventLog.write_jsonl`` and read back by ``EventLog.from_jsonl``, it
 must give the same records, seed and config hash, and the writer's
-digest must equal ``log.digest()``. Each draw is also run without and
+digest must equal ``log.digest()``. Each valid draw's log digest must
+equal its pin in ``scan_digests.json`` (keyed ``seed/draw``), so a
+refactor that keeps behaviour keeps every generated log byte-identical;
+a draw whose digest moved, or that is missing from or extra to the pins,
+fails. Each draw is also run without and
 with the state trace at 60 s (``assert_trace_observes_only``): the
 traced run evaluates the fatigue state at every minute, while the
 untraced one skips minutes on the ORD certificate and the hazard-rate
@@ -21,11 +25,17 @@ Too slow for the unit tests (about a minute), so pytest does not collect it.
 Run from the repository root::
 
     PYTHONPATH=src python tests/scan_generated.py
+
+A change that alters behaviour re-pins the digests in its own commit and
+says why: ``PYTHONPATH=src python tests/scan_generated.py --rewrite``
+writes every valid draw's digest to ``scan_digests.json`` and prints the
+draws whose digest changed, then runs the scan against the new pins.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import random
 import sys
 from collections import Counter
@@ -49,6 +59,7 @@ from logchecks import (  # noqa: E402
 
 GENERATOR_SEEDS = range(11, 17)
 DRAWS_PER_SEED = 45
+PINS_PATH = Path(__file__).with_name("scan_digests.json")
 
 
 def round_trips(log: EventLog) -> bool:
@@ -63,8 +74,29 @@ def round_trips(log: EventLog) -> bool:
     )
 
 
-def main() -> int:
+def draw_digests(pins: dict, digests: dict) -> list[str]:
+    """Every draw whose log digest differs from its pin, with the draws
+    pinned but not drawn and drawn but not pinned."""
+    return [
+        f"{key}: digest {digests.get(key, 'missing')}, pinned {pins.get(key, 'none')}"
+        for key in sorted(pins.keys() | digests.keys())
+        if pins.get(key) != digests.get(key)
+    ]
+
+
+def rewrite_pins(digests: dict) -> None:
+    """Re-pin every draw's digest and print the draws whose digest changed."""
+    old = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+    PINS_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    changed = draw_digests(old, digests)
+    print(f"{len(changed)} of {len(digests)} pins changed")
+    for line in changed:
+        print(f"  {line}")
+
+
+def main(rewrite: bool = False) -> int:
     valid = 0
+    digests = {}
     off_shift: Counter = Counter()
     carried = []
     reliability = 0
@@ -79,6 +111,7 @@ def main() -> int:
                 continue
             valid += 1
             log, _ = run_scenario(cfg)
+            digests[f"{seed}/{draw}"] = log.digest()
             off_shift.update(event.type for event in off_shift_records(log))
             carried += [(seed, draw, event) for event in carried_followups(log)]
             times = [event.time for event in log if event.type == "reliability"]
@@ -94,6 +127,10 @@ def main() -> int:
             if not round_trips(log):
                 failures.append(f"{seed}/{draw}: the log does not round-trip")
 
+    if rewrite:
+        rewrite_pins(digests)
+    pins = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+    failures += [f"{line} (pinned in {PINS_PATH.name})" for line in draw_digests(pins, digests)]
     print(f"valid draws: {valid}")
     print("records between a shift_end and the next shift_start (* = not allowed):")
     for type_, count in sorted(off_shift.items()):
@@ -114,4 +151,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(rewrite=sys.argv[1:] == ["--rewrite"]))
