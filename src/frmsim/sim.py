@@ -3,16 +3,19 @@
 One scenario is a discrete-event loop over the horizon on a 1-second
 time grid. Within a shift, time advances by events only: the loop pops
 the next item off one heap, ordered by (second, phase, push order), and
-dispatches it to the runner's ``_on_<kind>`` handler. The phases order
-the work that falls due in one second: ordinary items (break ends,
-follow-up surveys, secondary alerts), then scheduled breaks (all pushed
-when the shift starts), engagement items, the fleet's minute checks
-(and, on the last minute, the shift end), and last the escalation
+calls the handler the item carries with the item's arguments. The
+phases order the work that falls due in one second: ordinary items
+(break ends, follow-up surveys, secondary alerts), then scheduled breaks
+(all pushed when the shift starts), engagement items, the fleet's minute
+checks (and, on the last minute, the shift end), and last the escalation
 validations, which may fall due in the second their case opened. The
-minute item runs every active specialist's cadenced checks, then the
-fleet's reliability checkpoint (one ``reliability`` record), and
-re-schedules itself a minute later until the shift end, so a run costs
-in proportion to its items, not to its simulated seconds.
+minute item runs every active specialist's minute: the ORD level, the
+hazard draw, then the checks of the enabled blocks' check table (built
+once per run, so a block that is off adds no check) that are due that
+minute. Then it runs the fleet's reliability checkpoint (one
+``reliability`` record) and re-schedules itself a minute later until the
+shift end, so a run costs in proportion to its items, not to its
+simulated seconds.
 
 Each specialist does one thing at a time, their activity: off shift,
 driving, on a break, or off the vehicle (retrieved, or reassigned to
@@ -87,7 +90,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import awareness as aw
 from . import engagement as eng
@@ -151,21 +154,6 @@ class Activity(Enum):
 # Driving or on a break: surveys run and may ask for a break or a
 # reassignment, and a confirmed escalation may retrieve the vehicle.
 _IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
-
-
-class _MinuteChecks(NamedTuple):
-    """The cadenced checks of the minute item. Built once per run, each
-    field is the check's cadence in whole seconds (0 while its block is
-    off); built each minute, whether the check is due then."""
-
-    sample: int
-    dms: int
-    rating: int
-    pfs: int
-    peer: int
-    invited: int
-    impromptu: int
-    reliability: int
 
 
 def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
@@ -267,10 +255,6 @@ class _Agent:
     def alertness(self, t: int) -> float:
         return compose_alertness(*self.state(t), self.params)
 
-    def load_and_alertness(self, t: int) -> tuple[float, float]:
-        components = self.state(t)
-        return components[2], compose_alertness(*components, self.params)
-
     def reanchor(
         self,
         t: int,
@@ -321,21 +305,29 @@ class ScenarioRunner:
         self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
         self._rng_qualification = _substream(cfg.seed, "qualification", "fleet")
-        # Validation keeps every cadence at least a second; the loop
-        # truncates it to whole seconds.
+        # The enabled blocks' cadenced checks, in their order within the
+        # minute, each as (cadence in whole seconds, check); the minute
+        # item calls a due check as check(agent, t, ORD level). Validation
+        # keeps every cadence at least a second.
         toggles = cfg.toggles
-        self._cadences_s = _MinuteChecks(
-            sample=cfg.sample_period_s,
-            dms=int(cfg.dms.observation_period) if toggles.vigilance else 0,
-            rating=int(cfg.vigilance.periodic_cadence_min * 60) if toggles.vigilance else 0,
-            pfs=int(cfg.pfs.cadence_min * 60) if toggles.awareness else 0,
-            peer=PEER_CHECK_S if toggles.awareness else 0,
-            invited=INVITED_CHECK_S if toggles.scheduling else 0,
-            impromptu=int(cfg.behavior.impromptu_check_min * 60) if toggles.scheduling else 0,
-            reliability=(
-                int(cfg.vigilance.reliability_interval_min * 60) if toggles.vigilance else 0
-            ),
-        )
+        self._checks: list = []
+        self._reliability_s = 0
+        if toggles.vigilance:
+            self._checks += [
+                (int(cfg.dms.observation_period), self._dms_check),
+                (int(cfg.vigilance.periodic_cadence_min * 60), self._periodic_rating),
+            ]
+            self._reliability_s = int(cfg.vigilance.reliability_interval_min * 60)
+        if toggles.awareness:
+            self._checks += [
+                (int(cfg.pfs.cadence_min * 60), self._pfs_check),
+                (PEER_CHECK_S, self._peer_check),
+            ]
+        if toggles.scheduling:
+            self._checks += [
+                (INVITED_CHECK_S, self._invited_break_check),
+                (int(cfg.behavior.impromptu_check_min * 60), self._impromptu_check),
+            ]
         # No rate exceeds this: the coefficients are nonnegative, task load
         # is at most 1, alertness at least 0, and IEEE rounding is monotone.
         self._hazard_bound = cfg.hazard.rate(1.0, 0.0)
@@ -366,14 +358,15 @@ class ScenarioRunner:
 
     # -- helpers -------------------------------------------------------
 
-    def _schedule(self, time: int, phase: int, kind: str, **payload) -> None:
+    def _schedule(self, time: int, phase: int, handler, *args) -> None:
+        """Push an item that calls ``handler(time, *args)`` when it falls due."""
         time = int(time)
         if (time, phase) <= self._popped:
             raise RuntimeError(
-                f"{kind!r} scheduled into slot {(time, phase)}, "
+                f"{handler.__name__!r} scheduled into slot {(time, phase)}, "
                 f"at or before the last popped slot {self._popped}"
             )
-        heapq.heappush(self._heap, (time, phase, self._heap_seq, kind, payload))
+        heapq.heappush(self._heap, (time, phase, self._heap_seq, handler, args))
         self._heap_seq += 1
         if len(self._heap) > self._heap_high_water:
             self._heap_high_water = len(self._heap)
@@ -479,22 +472,22 @@ class ScenarioRunner:
             self._schedule(
                 shift_start + offset * 60,
                 _PHASE_SCHEDULED_BREAK,
-                "scheduled_break",
-                agents=active,
-                duration_min=duration,
+                self._on_scheduled_break,
+                active,
+                duration,
             )
-        self._schedule(shift_start, _PHASE_MINUTE, "minute", agents=active)
+        self._schedule(shift_start, _PHASE_MINUTE, self._on_minute, active)
 
         heap = self._heap
         loop_end = shift_end + SHIFT_DRAIN_S
         visited = None
         while heap and heap[0][0] <= loop_end:
-            t, phase, _, kind, payload = heapq.heappop(heap)
+            t, phase, _, handler, args = heapq.heappop(heap)
             self._popped = (t, phase)
             if t != visited:
                 visited = t
                 self._visits += 1
-            getattr(self, "_on_" + kind)(t, **payload)
+            handler(t, *args)
         if heap:
             # Validation bounds every delay by the drain.
             raise RuntimeError(
@@ -506,21 +499,20 @@ class ScenarioRunner:
             self._start_break(agent, t, duration_min, "scheduled", "scheduled")
 
     def _on_minute(self, t: int, agents: list) -> None:
-        """Every active agent's cadenced checks, then the fleet's
-        reliability checkpoint; on the last minute, the shift end (shift
-        lengths are whole minutes)."""
+        """Every active agent's minute, then the fleet's reliability
+        checkpoint; on the last minute, the shift end (shift lengths are
+        whole minutes)."""
         elapsed = t - self._shift_start
+        period = self.cfg.sample_period_s
+        sample = period > 0 and elapsed % period == 0
         # Every check but the trace waits for its first cadence to pass.
-        due = _MinuteChecks._make(
-            cadence > 0 and elapsed % cadence == 0 and (elapsed > 0 or name == "sample")
-            for name, cadence in zip(_MinuteChecks._fields, self._cadences_s)
-        )
+        due = [check for cadence, check in self._checks if elapsed and elapsed % cadence == 0]
         for agent in agents:
-            self._agent_minute(agent, t, due)
-        if due.reliability:
+            self._agent_minute(agent, t, sample, due)
+        if self._reliability_s and elapsed and elapsed % self._reliability_s == 0:
             self._reliability_checkpoint(t)
         if t < self._shift_end:
-            self._schedule(t + 60, _PHASE_MINUTE, "minute", agents=agents)
+            self._schedule(t + 60, _PHASE_MINUTE, self._on_minute, agents)
         else:
             for agent in agents:
                 self._end_shift(agent, t)
@@ -543,7 +535,7 @@ class ScenarioRunner:
 
     def _end_shift(self, agent: _Agent, t: int) -> None:
         self._leave_vehicle(agent, t, "shift_end", Activity.OFF_SHIFT)
-        if self.cfg.toggles.engagement and agent.ict.recent_outcomes:
+        if agent.ict.recent_outcomes:
             multiplier = eng.ict_adapt(agent.ict, self.cfg.ict)
             self.log.append(
                 t,
@@ -555,14 +547,14 @@ class ScenarioRunner:
 
     # -- minute checks ----------------------------------------------------
 
-    def _agent_minute(self, agent: _Agent, t: int, due: _MinuteChecks) -> None:
-        """The agent's checks at minute ``t``. The state is evaluated only
-        where a value is read: once the ORD certificate has expired, for a
-        hazard draw under the bound on every rate, and in the checks that
-        read alertness. A traced minute evaluates both the ORD level and
-        the hazard rate, so a traced run checks the certificate and the
-        bound against the untraced one."""
-        sample, dms, rating, pfs, peer, invited, impromptu, _ = due
+    def _agent_minute(self, agent: _Agent, t: int, sample: bool, due: list) -> None:
+        """The agent's minute ``t``: the ORD level (and, if ``sample``, the
+        state trace), the hazard draw, then the ``due`` checks. The state
+        is evaluated only where a value is read: once the ORD certificate
+        has expired, for a hazard draw under the bound on every rate, and
+        in the checks that read alertness. A traced minute evaluates both
+        the ORD level and the hazard rate, so a traced run checks the
+        certificate and the bound against the untraced one."""
         who = agent.spec.specialist_id
         driving = agent.activity is Activity.DRIVING
 
@@ -594,35 +586,14 @@ class ScenarioRunner:
             # Incautious-behavior hazard accrues per driving minute.
             draw = agent.rng_hazard.random()
             if (draw < self._hazard_bound or sample) and draw < self.cfg.hazard.rate(
-                *agent.load_and_alertness(t)
+                agent.state(t)[2], agent.alertness(t)
             ):
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True
-            if (
-                dms
-                and t >= agent.dms_cooldown_until
-                and vig.dms_observe(level, self.cfg.dms, agent.rng_raters)
-            ):
-                self._dms_flag(agent, t, level)
-            if rating:
-                self._periodic_rating(agent, t)
-            if pfs:
-                self._submit_pfs(agent, t, is_followup=False)
-        if peer and agent.spec.dual:
-            self._peer_checks(agent, t)
-        if driving:
-            if invited:
-                self._invited_break_check(agent, t)
-            if impromptu:
-                self._impromptu_check(agent, t)
+        for check in due:
+            check(agent, t, level)
 
     # -- engagement items ---------------------------------------------------
-
-    def _engaged(self, agent: _Agent) -> bool:
-        """Whether the agent has engagement items: engagement is on and
-        the agent drives. Manual control also pauses the ICT items, but
-        not the one that ends it."""
-        return self.cfg.toggles.engagement and agent.activity is Activity.DRIVING
 
     def _record_interactivity(self, agent: _Agent, t: int) -> None:
         eng.record_interactivity(
@@ -633,9 +604,10 @@ class ScenarioRunner:
         """Supersede the agent's ICT item with the next ICT event after
         second ``t``: the gap prompt, or the end of the pending prompt
         (demand rising, the planned response, or the deadline passing,
-        in that order on a tie)."""
+        in that order on a tie). Only a driving agent outside manual
+        control has one."""
         agent.ict_gen += 1
-        if not self._engaged(agent) or agent.manual_until is not None:
+        if agent.activity is not Activity.DRIVING or agent.manual_until is not None:
             return
         pending = agent.ict.pending
         after = t + 1
@@ -650,37 +622,36 @@ class ScenarioRunner:
             )
             if due is None:
                 return
-            at, trigger = due
-            kind, payload = "ict_prompt", {"trigger": trigger}
+            at, arg = due
+            handler = self._on_ict_prompt
         else:
-            at, signal = math.floor(pending.deadline) + 1, "deadline_passed"
+            at, arg = math.floor(pending.deadline) + 1, "deadline_passed"
             if agent.planned_response is not None:
                 respond_at = math.ceil(agent.planned_response)
                 if respond_at <= pending.deadline:
-                    at, signal = respond_at, "responded"
+                    at, arg = respond_at, "responded"
             rises_at = self._demand.next_high(after)
             if rises_at is not None and rises_at <= at:
-                at, signal = rises_at, "demand_rose"
-            kind, payload = "ict_resolve", {"signal": signal}
+                at, arg = rises_at, "demand_rose"
+            handler = self._on_ict_resolve
         if at < self._shift_end:
-            self._schedule(
-                at, _PHASE_ENGAGEMENT, kind, agent=agent, gen=agent.ict_gen, **payload
-            )
+            self._schedule(at, _PHASE_ENGAGEMENT, handler, agent, agent.ict_gen, arg)
 
     def _plan_control(self, agent: _Agent, t: int) -> None:
         """Supersede the agent's control item with the end of manual
-        control or, outside it, the next control transition."""
+        control or, outside it, the next control transition. Only a
+        driving agent has one."""
         agent.control_gen += 1
-        if not self._engaged(agent):
+        if agent.activity is not Activity.DRIVING:
             return
         if agent.manual_until is not None:
-            at, kind = agent.manual_until, "manual_end"
+            at, handler = agent.manual_until, self._on_manual_end
         elif agent.next_transition is not None:
-            at, kind = max(agent.next_transition, t + 1), "transition"
+            at, handler = max(agent.next_transition, t + 1), self._on_transition
         else:
             return
         if at < self._shift_end:
-            self._schedule(at, _PHASE_ENGAGEMENT, kind, agent=agent, gen=agent.control_gen)
+            self._schedule(at, _PHASE_ENGAGEMENT, handler, agent, agent.control_gen)
 
     def _live(self, live: bool) -> bool:
         """Whether a popped item still applies; a stale one (its token was
@@ -688,10 +659,6 @@ class ScenarioRunner:
         if not live:
             self._stale_dropped += 1
         return live
-
-    def _on_transition(self, t: int, agent: _Agent, gen: int) -> None:
-        if self._live(gen == agent.control_gen):
-            self._control_transition(agent, t)
 
     def _on_manual_end(self, t: int, agent: _Agent, gen: int) -> None:
         if not self._live(gen == agent.control_gen):
@@ -817,7 +784,9 @@ class ScenarioRunner:
             return
         agent.next_transition = t + max(1, int(agent.rng_sa.expovariate(rate_per_s)))
 
-    def _control_transition(self, agent: _Agent, t: int) -> None:
+    def _on_transition(self, t: int, agent: _Agent, gen: int) -> None:
+        if not self._live(gen == agent.control_gen):
+            return
         cfg = self.cfg
         b = cfg.behavior
         who = agent.spec.specialist_id
@@ -879,13 +848,7 @@ class ScenarioRunner:
             issue_at = t + int(decision.delay_s or 0)
             if issue_at < self._shift_end:
                 self._schedule(
-                    issue_at,
-                    _PHASE_ITEM,
-                    "sa_issue",
-                    agent=agent,
-                    sa_id=sa_id,
-                    outcome=outcome,
-                    resolve_delay_s=resolve_delay_s,
+                    issue_at, _PHASE_ITEM, self._on_sa_issue, agent, sa_id, outcome, resolve_delay_s
                 )
         self._draw_transition(agent, t)
         self._plan_ict(agent, t)
@@ -967,15 +930,20 @@ class ScenarioRunner:
             )
             self._log_task(t, case.task)
         resolve_at = t + int(cfg.vigilance.rating_latency_s)
-        self._schedule(
-            resolve_at, _PHASE_VALIDATION, "escalation_validate", agent=agent, case=case
-        )
+        self._schedule(resolve_at, _PHASE_VALIDATION, self._on_escalation_validate, agent, case)
         return resolve_at
 
-    def _dms_flag(self, agent: _Agent, t: int, true_ord: int) -> None:
-        """The detector flagged the agent at ``t``: alert them and open a
-        route-one case."""
+    def _dms_check(self, agent: _Agent, t: int, true_ord: int) -> None:
+        """The detector observes a driving agent out of its cooldown at
+        ORD level ``true_ord``; a flag alerts them and opens a route-one
+        case."""
         cfg = self.cfg
+        if (
+            agent.activity is not Activity.DRIVING
+            or t < agent.dms_cooldown_until
+            or not vig.dms_observe(true_ord, cfg.dms, agent.rng_raters)
+        ):
+            return
         who = agent.spec.specialist_id
         flag_id = f"flag-{self._flag_seq}"
         self._flag_seq += 1
@@ -991,7 +959,9 @@ class ScenarioRunner:
         resolve_at = self._open_case(agent, t, vig.Route.ROUTE_ONE, feed, true_ord)
         agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)
 
-    def _periodic_rating(self, agent: _Agent, t: int) -> None:
+    def _periodic_rating(self, agent: _Agent, t: int, _level: int) -> None:
+        if agent.activity is not Activity.DRIVING:
+            return
         cfg = self.cfg
         who = agent.spec.specialist_id
         true_ord = to_ord_truth(agent.alertness(t))
@@ -1162,9 +1132,15 @@ class ScenarioRunner:
             if is_followup:
                 agent.pending_followup_for = None
 
-    def _peer_checks(self, agent: _Agent, t: int) -> None:
-        # A peer grants no detection benefit; once an hour they may raise
-        # a concern ticket with small probability.
+    def _pfs_check(self, agent: _Agent, t: int, _level: int) -> None:
+        if agent.activity is Activity.DRIVING:
+            self._submit_pfs(agent, t, is_followup=False)
+
+    def _peer_check(self, agent: _Agent, t: int, _level: int) -> None:
+        # A dual specialist's peer grants no detection benefit; once an
+        # hour they may raise a concern ticket with small probability.
+        if not agent.spec.dual:
+            return
         b = self.cfg.behavior
         rng = agent.rng_breaks
         if to_ord_truth(agent.alertness(t)) >= 4 and rng.random() < b.peer_concern_p_per_h:
@@ -1186,18 +1162,18 @@ class ScenarioRunner:
     # -- scheduling ---------------------------------------------------------
 
     def _signal_bundle(self, agent: _Agent, t: int) -> sched.BreakSignalBundle:
-        toggles = self.cfg.toggles
+        # Only the awareness block sets last_kss, only vigilance
+        # last_confirmed, and only engagement fills the ICT outcomes.
         kss = None
-        if toggles.awareness and agent.last_kss and t - agent.last_kss[0] <= SIGNAL_RECENCY_S:
+        if agent.last_kss and t - agent.last_kss[0] <= SIGNAL_RECENCY_S:
             kss = agent.last_kss[1]
         rater_level = None
         dms_recent = False
-        if toggles.vigilance and agent.last_confirmed:
+        if agent.last_confirmed:
             when, level = agent.last_confirmed
             if t - when <= SIGNAL_RECENCY_S:
                 rater_level = level
                 dms_recent = True
-        # Without engagement there are no ICT outcomes, hence no rate.
         miss_rate = eng.ict_miss_rate(agent.ict, SIGNAL_ICT_OUTCOMES)
         return sched.BreakSignalBundle(
             latest_pfs_kss=kss,
@@ -1206,7 +1182,9 @@ class ScenarioRunner:
             ict_miss_rate_window=miss_rate or 0.0,
         )
 
-    def _invited_break_check(self, agent: _Agent, t: int) -> None:
+    def _invited_break_check(self, agent: _Agent, t: int, _level: int) -> None:
+        if agent.activity is not Activity.DRIVING:
+            return
         cfg = self.cfg
         who = agent.spec.specialist_id
         offer = sched.evaluate_break_triggers(
@@ -1237,7 +1215,9 @@ class ScenarioRunner:
             return
         self._request_break(agent, t, offer.duration_min, "invited", offer.reason)
 
-    def _impromptu_check(self, agent: _Agent, t: int) -> None:
+    def _impromptu_check(self, agent: _Agent, t: int, _level: int) -> None:
+        if agent.activity is not Activity.DRIVING:
+            return
         cfg = self.cfg
         perceived = to_kss(agent.alertness(t), agent.rng_breaks, agent.params)
         if perceived < cfg.behavior.impromptu_kss_threshold:
@@ -1323,13 +1303,7 @@ class ScenarioRunner:
     ) -> None:
         """Ask for a break a minute from now."""
         self._schedule(
-            t + 60,
-            _PHASE_ITEM,
-            "break_start",
-            agent=agent,
-            duration_min=duration_min,
-            initiator=initiator,
-            reason=reason,
+            t + 60, _PHASE_ITEM, self._on_break_start, agent, duration_min, initiator, reason
         )
 
     def _start_break(
@@ -1358,7 +1332,7 @@ class ScenarioRunner:
             duration_min=duration_min,
             activity=activity.value,
         )
-        self._schedule(t + int(duration_min * 60), _PHASE_ITEM, "break_end", agent=agent)
+        self._schedule(t + int(duration_min * 60), _PHASE_ITEM, self._on_break_end, agent)
 
     def _on_break_end(self, t: int, agent: _Agent) -> None:
         if not self._live(agent.activity is Activity.ON_BREAK):
@@ -1368,16 +1342,16 @@ class ScenarioRunner:
         if self.cfg.toggles.awareness:
             if agent.pending_followup_for is not None:
                 if agent.rng_breaks.random() < self.cfg.pfs.followup_compliance:
-                    self._schedule(t + 60, _PHASE_ITEM, "pfs_followup", agent=agent)
+                    self._schedule(t + 60, _PHASE_ITEM, self._on_pfs_followup, agent)
                 else:
                     self._schedule(
                         t + int(self.cfg.pfs.followup_due_min * 60),
                         _PHASE_ITEM,
-                        "pfs_reminder",
-                        agent=agent,
+                        self._on_pfs_reminder,
+                        agent,
                     )
             else:
-                self._schedule(t + 60, _PHASE_ITEM, "pfs_regular", agent=agent)
+                self._schedule(t + 60, _PHASE_ITEM, self._on_pfs_regular, agent)
 
     # -- ordinary items ----------------------------------------------------
 
@@ -1403,7 +1377,7 @@ class ScenarioRunner:
                 agent.spec.specialist_id,
                 pending=agent.pending_followup_for,
             )
-            self._schedule(t + 60, _PHASE_ITEM, "pfs_followup", agent=agent)
+            self._schedule(t + 60, _PHASE_ITEM, self._on_pfs_followup, agent)
 
     def _on_sa_issue(
         self,
@@ -1417,10 +1391,10 @@ class ScenarioRunner:
         self._schedule(
             min(t + resolve_delay_s, self._shift_end),
             _PHASE_ITEM,
-            "sa_resolve",
-            agent=agent,
-            sa_id=sa_id,
-            outcome=outcome,
+            self._on_sa_resolve,
+            agent,
+            sa_id,
+            outcome,
         )
 
     def _on_sa_resolve(
@@ -1631,12 +1605,16 @@ def calibrate_session_length_effect(
     likelier to contain an event than short ones.
 
     Solves the two hazard coefficients against the exact product-form
-    session probabilities with damped Newton steps, then verifies with a
-    seeded Monte-Carlo run of ``sessions_per_bucket`` sessions per
-    duration bucket. With ``task_load_gain_override`` the time-on-task
-    coupling is frozen (e.g. at zero for a flat-hazard null model) and
-    only the base rate is fitted, which cannot reach the targets.
+    session probabilities with full Newton steps on a finite-difference
+    Jacobian, clamping each coefficient at zero, then verifies with a
+    seeded Monte-Carlo run of ``sessions_per_bucket`` (at least 1)
+    sessions per duration bucket. With ``task_load_gain_override`` the
+    time-on-task coupling is frozen (e.g. at zero for a flat-hazard null
+    model) and only the base rate is fitted, which cannot reach the
+    targets.
     """
+    if sessions_per_bucket < 1:
+        raise ValueError(f"sessions_per_bucket must be at least 1, got {sessions_per_bucket}")
     if cfg.toggles.any_on():
         raise ConfigError("calibration requires a baseline with countermeasures off")
     trace = _session_trace(cfg, LONG_SESSION_MIN[1])

@@ -244,10 +244,10 @@ def test_items_a_guard_drops_count_as_stale():
     silent = 0
 
     def counted(handler):
-        def run(t, **payload):
+        def run(t, *args):
             nonlocal silent
             before = len(runner.log)
-            handler(t, **payload)
+            handler(t, *args)
             silent += len(runner.log) == before
 
         return run
@@ -258,6 +258,13 @@ def test_items_a_guard_drops_count_as_stale():
     runner.run()
     assert silent > 0
     assert runner.stats()["stale_items_dropped"] == silent
+
+
+def test_scheduling_into_a_processed_slot_names_the_handler():
+    runner = ScenarioRunner(default_config(seed=0))
+    runner._popped = (100, 0)
+    with pytest.raises(RuntimeError, match="'_on_break_end' scheduled into slot"):
+        runner._schedule(100, 0, runner._on_break_end, runner.agents[0])
 
 
 def test_followup_survey_is_not_carried_into_the_next_shift():
@@ -546,6 +553,26 @@ def test_flat_hazard_null_model_cannot_calibrate():
     assert not result.converged
     assert result.ratio < 5.0
     assert result.hazard.task_load_gain == 0.0
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (0.001, 0.01)])
+def test_calibration_newton_steps_reach_the_packaged_fit(start):
+    # The packaged hazard already meets the targets, so a run from it
+    # stops at iteration 1; these starts take the two-parameter step.
+    cfg = default_config(seed=0).with_overrides(toggles=Toggles.all_off())
+    packaged = cfg.hazard
+    base_per_min, task_load_gain = start
+    cfg = dataclasses.replace(
+        cfg,
+        hazard=dataclasses.replace(
+            packaged, base_per_min=base_per_min, task_load_gain=task_load_gain
+        ),
+    )
+    result = calibrate_session_length_effect(cfg, sessions_per_bucket=10)
+    assert result.converged
+    assert result.iterations > 2
+    assert result.hazard.base_per_min == pytest.approx(packaged.base_per_min, abs=1e-6)
+    assert result.hazard.task_load_gain == pytest.approx(packaged.task_load_gain, abs=1e-6)
 
 
 def test_calibration_requires_countermeasures_off():
