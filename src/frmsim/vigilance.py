@@ -92,6 +92,23 @@ _ALL_INDICATOR_NAMES = frozenset(
     for name in names
 )
 
+# Per level, the names a rating draws for, in draw order: the level's own
+# names sorted as one list, and the neighbouring levels' names, sorted
+# within each body region.
+_OWN_NAMES = {
+    level: tuple(sorted(name for names in by_region.values() for name in names))
+    for level, by_region in DROWSINESS_INDICATORS.items()
+}
+_ADJACENT_NAMES = {
+    level: tuple(
+        name
+        for adjacent in (level - 1, level + 1)
+        for names in DROWSINESS_INDICATORS.get(adjacent, {}).values()
+        for name in sorted(names)
+    )
+    for level in DROWSINESS_INDICATORS
+}
+
 # Probability a rater marks an indicator belonging to the emitted level,
 # and one belonging to an adjacent level.
 LEVEL_INDICATOR_P = 0.7
@@ -287,20 +304,10 @@ def _emit_level(rater: RaterProfile, true_ord: int, rng: random.Random) -> int:
 def _sample_indicators(
     level: int, rng: random.Random
 ) -> tuple[frozenset[str], frozenset[str]]:
-    picked = set()
-    own = sorted(
-        name for names in DROWSINESS_INDICATORS[level].values() for name in names
-    )
-    for name in own:
-        if rng.random() < LEVEL_INDICATOR_P:
-            picked.add(name)
-    for adjacent in (level - 1, level + 1):
-        if adjacent in DROWSINESS_INDICATORS:
-            for names in DROWSINESS_INDICATORS[adjacent].values():
-                for name in sorted(names):
-                    if rng.random() < ADJACENT_INDICATOR_P:
-                        picked.add(name)
-    if not picked & set(own):
+    own = _OWN_NAMES[level]
+    picked = {name for name in own if rng.random() < LEVEL_INDICATOR_P}
+    picked.update(name for name in _ADJACENT_NAMES[level] if rng.random() < ADJACENT_INDICATOR_P)
+    if picked.isdisjoint(own):
         # A rating always cites at least one mannerism of its own level.
         picked.add(rng.choice(own))
     observations = frozenset(

@@ -552,6 +552,15 @@ def test_calibrate_writes_the_fitted_hazard(config_path, tmp_path, capsys):
     assert payload["converged"] is True and payload["sessions_per_bucket"] == 50
 
 
+@pytest.mark.parametrize("sessions", ["0", "-3"])
+def test_calibrate_with_fewer_than_one_session_exits_one(config_path, tmp_path, capsys, sessions):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--config", str(config_path), "--out", str(out), "--sessions", sessions]
+    assert main(argv) == 1
+    assert "sessions_per_bucket" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
+
+
 def test_init_config_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     assert main(["init-config", "--out", str(path), "--seed", "3"]) == 0
