@@ -307,26 +307,30 @@ class ScenarioRunner:
         self._rng_qualification = _substream(cfg.seed, "qualification", "fleet")
         # The enabled blocks' cadenced checks, in their order within the
         # minute, each as (cadence in whole seconds, check); the minute
-        # item calls a due check as check(agent, t, ORD level). Validation
-        # keeps every cadence at least a second.
+        # item calls a due check as check(self, agent, t, ORD level). The
+        # checks are plain functions: bound methods here would make the
+        # runner a reference cycle that outlives the run until the cyclic
+        # garbage collector finds it. Validation keeps every cadence at
+        # least a second.
         toggles = cfg.toggles
+        runner = ScenarioRunner
         self._checks: list = []
         self._reliability_s = 0
         if toggles.vigilance:
             self._checks += [
-                (int(cfg.dms.observation_period), self._dms_check),
-                (int(cfg.vigilance.periodic_cadence_min * 60), self._periodic_rating),
+                (int(cfg.dms.observation_period), runner._dms_check),
+                (int(cfg.vigilance.periodic_cadence_min * 60), runner._periodic_rating),
             ]
             self._reliability_s = int(cfg.vigilance.reliability_interval_min * 60)
         if toggles.awareness:
             self._checks += [
-                (int(cfg.pfs.cadence_min * 60), self._pfs_check),
-                (PEER_CHECK_S, self._peer_check),
+                (int(cfg.pfs.cadence_min * 60), runner._pfs_check),
+                (PEER_CHECK_S, runner._peer_check),
             ]
         if toggles.scheduling:
             self._checks += [
-                (INVITED_CHECK_S, self._invited_break_check),
-                (int(cfg.behavior.impromptu_check_min * 60), self._impromptu_check),
+                (INVITED_CHECK_S, runner._invited_break_check),
+                (int(cfg.behavior.impromptu_check_min * 60), runner._impromptu_check),
             ]
         # No rate exceeds this: the coefficients are nonnegative, task load
         # is at most 1, alertness at least 0, and IEEE rounding is monotone.
@@ -591,7 +595,7 @@ class ScenarioRunner:
                 self.log.append(t, "incautious", who)
                 agent.session_had_incautious = True
         for check in due:
-            check(agent, t, level)
+            check(self, agent, t, level)
 
     # -- engagement items ---------------------------------------------------
 

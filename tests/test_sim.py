@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
 import random
 import statistics
+import weakref
 from pathlib import Path
 
 import pytest
@@ -265,6 +267,21 @@ def test_scheduling_into_a_processed_slot_names_the_handler():
     runner._popped = (100, 0)
     with pytest.raises(RuntimeError, match="'_on_break_end' scheduled into slot"):
         runner._schedule(100, 0, runner._on_break_end, runner.agents[0])
+
+
+def test_a_finished_runner_is_freed_without_the_cycle_collector():
+    # A reference cycle through the runner (such as a bound method of it
+    # kept on it) would hold each finished run's log and agents until the
+    # cyclic collector runs, which raises a process's peak memory.
+    gc.disable()
+    try:
+        runner = ScenarioRunner(default_config(seed=0))
+        runner.run()
+        ref = weakref.ref(runner)
+        del runner
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_followup_survey_is_not_carried_into_the_next_shift():
