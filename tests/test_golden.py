@@ -1,9 +1,12 @@
-"""Pinned log digests for a fixed matrix of scenarios.
+"""Pinned log digests and work counters for a fixed matrix of scenarios.
 
 A refactor that keeps behaviour must keep every digest here bit for bit;
 a change that alters behaviour re-pins them in its own commit and says
-why. Regenerate with ``PYTHONPATH=src python tests/test_golden.py``,
-which prints the cases whose digest changed.
+why. The work counters (``stats()`` without ``events_by_type``, which the
+digest already covers) are pinned the same way, so a change in the work
+a run does shows as a diff of ``golden_stats.json``. Regenerate both
+with ``PYTHONPATH=src python tests/test_golden.py``, which prints the
+cases whose digest or counters changed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from logchecks import (
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+STATS_PATH = Path(__file__).with_name("golden_stats.json")
 SEEDS = (0, 1)
 
 
@@ -98,8 +102,12 @@ def matrix() -> dict:
     return cases
 
 
-def digests() -> dict:
-    return {name: run_scenario(cfg)[0].digest() for name, cfg in matrix().items()}
+def work_counters(cfg) -> tuple[str, dict]:
+    """The run's log digest and its ``stats()`` without ``events_by_type``."""
+    stats = {}
+    log, _ = run_scenario(cfg, stats=stats)
+    del stats["events_by_type"]
+    return log.digest(), stats
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +115,13 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def test_golden_file_covers_the_matrix(golden):
-    assert set(golden) == set(matrix())
+@pytest.fixture(scope="module")
+def golden_stats() -> dict:
+    return json.loads(STATS_PATH.read_text())
+
+
+def test_golden_file_covers_the_matrix(golden, golden_stats):
+    assert set(golden) == set(golden_stats) == set(matrix())
 
 
 def test_escalation_case_reaches_every_outcome():
@@ -139,6 +152,11 @@ def test_log_digest_matches_golden(name, golden):
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))
+def test_work_counters_match_golden(name, golden_stats):
+    assert work_counters(matrix()[name])[1] == golden_stats[name]
+
+
+@pytest.mark.parametrize("name", sorted(matrix()))
 def test_log_is_conserved(name):
     cfg = matrix()[name]
     log, _ = run_scenario(cfg)
@@ -152,15 +170,21 @@ def test_ord_change_fold_matches_the_state_trace(name):
     assert_trace_observes_only(matrix()[name])
 
 
-def rewrite_golden() -> None:
-    """Re-pin every digest and print the cases whose digest changed."""
-    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    new = digests()
-    GOLDEN_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+def _rewrite(path: Path, new: dict, what: str) -> None:
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     changed = sorted(name for name in new | old if old.get(name) != new.get(name))
-    print(f"{len(changed)} of {len(new)} digests changed")
+    print(f"{len(changed)} of {len(new)} {what} changed")
     for name in changed:
         print(f"  {name}")
+
+
+def rewrite_golden() -> None:
+    """Re-pin every digest and work counter and print the cases whose
+    digest or counters changed."""
+    pinned = {name: work_counters(cfg) for name, cfg in matrix().items()}
+    _rewrite(GOLDEN_PATH, {name: d for name, (d, _) in pinned.items()}, "digests")
+    _rewrite(STATS_PATH, {name: s for name, (_, s) in pinned.items()}, "work counters")
 
 
 if __name__ == "__main__":
