@@ -3,6 +3,15 @@ safety-concern tickets.
 
 Self-reports never feed a formal drowsiness rating; they gate break
 suggestions and supervisor outreach only.
+
+In the fleet run (``frmsim.sim``) the functions at the end of this
+module take the runner as ``run``. A specialist files a survey at the
+shift start, on the survey cadence while driving, and a minute after a
+break ends. A high report asks for a break, and the first survey after
+it is a follow-up (with a reminder when the specialist does not answer
+at once); a follow-up still high brings supervisor outreach, which
+reassigns the specialist to auxiliary work when scheduling is on. Once
+an hour a dual specialist's peer may raise a concern ticket.
 """
 
 from __future__ import annotations
@@ -12,6 +21,9 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
+
+from . import scheduling as sched
+from .fatigue import IN_VEHICLE, Activity, to_kss, to_ord_truth
 
 __all__ = [
     "ALERTNESS_TIPS",
@@ -29,6 +41,7 @@ __all__ = [
 ]
 
 KSS_BREAK_THRESHOLD = 6
+PEER_CHECK_S = 3600
 
 ALERTNESS_TIPS = (
     "take a short walk",
@@ -236,3 +249,119 @@ def open_concern(
         summary=summary,
         specialist_id=None if anonymous else specialist_id,
     )
+
+
+# -- the fleet run --------------------------------------------------------
+
+
+def checks(cfg) -> list:
+    """The minute check table's entries, as (cadence in seconds, check)."""
+    return [(int(cfg.pfs.cadence_min * 60), _survey_check), (PEER_CHECK_S, _peer_check)]
+
+
+def start_driving(run, agent, t: int) -> None:
+    """At the shift start the opening survey; at a break end the
+    follow-up survey (or its reminder) or the next regular one."""
+    pfs = run.cfg.pfs
+    if t == run.shift_start:
+        _survey(run, agent, t, is_followup=False)
+    elif agent.pending_followup_for is not None:
+        if agent.rng_breaks.random() < pfs.followup_compliance:
+            run.schedule(t + 60, run.PHASE_ITEM, _on_followup, agent)
+        else:
+            run.schedule(t + int(pfs.followup_due_min * 60), run.PHASE_ITEM, _on_reminder, agent)
+    else:
+        run.schedule(t + 60, run.PHASE_ITEM, _on_regular, agent)
+
+
+def _survey(run, agent, t: int, is_followup: bool) -> None:
+    cfg = run.cfg
+    who = agent.spec.specialist_id
+    kss = to_kss(agent.alertness(t), agent.rng_breaks, agent.params)
+    record_id = f"pfs-{who}-{agent.pfs_seq}"
+    agent.pfs_seq += 1
+    record, outcome = submit_pfs(
+        who,
+        kss,
+        t,
+        is_followup=is_followup,
+        triggered_by=agent.pending_followup_for if is_followup else None,
+        record_id=record_id,
+    )
+    run.log.append(
+        t,
+        "pfs",
+        who,
+        record_id=record.record_id,
+        kss=record.kss,
+        is_followup=record.is_followup,
+        triggered_by=record.triggered_by,
+        window_minutes=record.window_minutes,
+        action=outcome.action.value,
+    )
+    agent.last_kss = (t, kss)
+    if outcome.action is PfsAction.SUGGEST_BREAK_AND_FOLLOWUP:
+        if agent.rng_breaks.random() < cfg.pfs.break_compliance:
+            agent.pending_followup_for = record.record_id
+            run.request_break(agent, t, cfg.breaks.duration_min, "pfs", "high_kss")
+    elif outcome.action is PfsAction.SUPERVISOR_OUTREACH:
+        agent.pending_followup_for = None
+        run.log.append(
+            t,
+            "supervisor_outreach",
+            who,
+            record_id=record.record_id,
+            tips=list(outcome.tips or ()),
+        )
+        if kss >= cfg.pfs.outreach_reassign_kss and cfg.toggles.scheduling:
+            sched.reassign(run, agent, t, "persistent_high_kss")
+    else:
+        if is_followup:
+            agent.pending_followup_for = None
+
+
+def _survey_check(run, agent, t: int, _level: int) -> None:
+    if agent.activity is Activity.DRIVING:
+        _survey(run, agent, t, is_followup=False)
+
+
+def _peer_check(run, agent, t: int, _level: int) -> None:
+    # A dual specialist's peer grants no detection benefit; once an
+    # hour they may raise a concern ticket with small probability.
+    if not agent.spec.dual:
+        return
+    b = run.cfg.behavior
+    rng = agent.rng_breaks
+    if to_ord_truth(agent.alertness(t)) >= 4 and rng.random() < b.peer_concern_p_per_h:
+        channel = (
+            ConcernChannel.SUPERVISOR_DIRECT
+            if rng.random() < 0.7
+            else ConcernChannel.ANONYMOUS_SURVEY
+        )
+        ticket = open_concern(
+            channel,
+            "peer observed possible drowsiness",
+            anonymous=channel is ConcernChannel.ANONYMOUS_SURVEY,
+            specialist_id=agent.spec.specialist_id,
+            ticket_id=f"ticket-{run.ticket_seq}",
+        )
+        run.ticket_seq += 1
+        run.log.append(t, "concern", ticket.specialist_id, **ticket.to_record())
+
+
+def _on_followup(run, t: int, agent) -> None:
+    if run.live(agent.pending_followup_for is not None):
+        _survey(run, agent, t, is_followup=True)
+
+
+def _on_regular(run, t: int, agent) -> None:
+    if run.live(agent.activity in IN_VEHICLE):
+        _survey(run, agent, t, is_followup=False)
+
+
+def _on_reminder(run, t: int, agent) -> None:
+    if run.live(agent.pending_followup_for is not None):
+        run.log.append(
+            t, "pfs_reminder", agent.spec.specialist_id, pending=agent.pending_followup_for
+        )
+        run.schedule(t + 60, run.PHASE_ITEM, _on_followup, agent)

@@ -16,6 +16,19 @@ checking the gap every second. ``DemandPattern`` gives the recurring
 high-demand windows in the same closed form, so a prompt is moved past
 a window it would fall in, and a pending prompt is voided at the first
 second of the next one.
+
+In the fleet run (``frmsim.sim``) the functions at the end of this
+module take the runner as ``run``. A driving specialist has at most one
+live ICT item (the gap prompt, or the planned response, the deadline or
+the demand-window voiding of the pending prompt) and one live control
+item (the next control transition or the end of manual control). When
+an input changes (an interaction, a frequency adaptation, a break,
+manual control), the item is planned afresh and the agent's generation
+token for it marks the one it supersedes, which its handler drops when
+it falls due. A control transition draws the secondary-alert decision,
+whose outcome ``sa_resolve`` fixes at once, so neither a break nor the
+shift end changes it. No engagement item or secondary alert is
+scheduled at or after the shift end.
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+from .fatigue import Activity
 
 __all__ = [
     "DemandPattern",
@@ -485,3 +500,289 @@ def sa_resolve(
     if input_latency_s is not None and input_latency_s <= cfg.clear_timeout_s:
         return SaResolution.CLEARED
     return SaResolution.SUPPORT_ALERTED
+
+
+# -- the fleet run --------------------------------------------------------
+
+
+def start_driving(run, agent, t: int) -> None:
+    """A driving session starts: at the shift start the shift's first
+    control transition is drawn; a new gap starts and the ICT and
+    control items are planned."""
+    if t == run.shift_start:
+        agent.ict.interventions_this_shift = 0
+        _draw_transition(run, agent, t)
+    interact(run, agent, t)
+    plan_ict(run, agent, t)
+    _plan_control(run, agent, t)
+
+
+def leave_driving(run, agent, t: int) -> None:
+    """Void a pending prompt, end manual control and supersede the live
+    items."""
+    if agent.ict.pending is not None:
+        _void_pending_prompt(run, agent, t)
+    agent.manual_until = None
+    agent.ict_gen += 1
+    agent.control_gen += 1
+
+
+def end_shift(run, agent, t: int) -> None:
+    if agent.ict.recent_outcomes:
+        multiplier = ict_adapt(agent.ict, run.cfg.ict)
+        run.log.append(t, "ict_adapt", agent.spec.specialist_id, multiplier=round(multiplier, 6))
+
+
+def interact(run, agent, t: int) -> None:
+    """The specialist interacts with the vehicle at ``t``; a new gap starts."""
+    record_interactivity(agent.ict, t, agent.current_odometer(t), agent.rng_ict, run.cfg.ict)
+
+
+def plan_ict(run, agent, t: int) -> None:
+    """Supersede the agent's ICT item with the next ICT event after
+    second ``t``: the gap prompt, or the end of the pending prompt
+    (demand rising, the planned response, or the deadline passing,
+    in that order on a tie). Only a driving agent outside manual
+    control has one."""
+    agent.ict_gen += 1
+    if agent.activity is not Activity.DRIVING or agent.manual_until is not None:
+        return
+    pending = agent.ict.pending
+    after = t + 1
+    if pending is None:
+        due = ict_due(
+            agent.ict, after, agent.current_odometer(after), agent.speed, run.cfg.ict, run.demand
+        )
+        if due is None:
+            return
+        at, arg = due
+        handler = _on_ict_prompt
+    else:
+        at, arg = math.floor(pending.deadline) + 1, "deadline_passed"
+        if agent.planned_response is not None:
+            respond_at = math.ceil(agent.planned_response)
+            if respond_at <= pending.deadline:
+                at, arg = respond_at, "responded"
+        rises_at = run.demand.next_high(after)
+        if rises_at is not None and rises_at <= at:
+            at, arg = rises_at, "demand_rose"
+        handler = _on_ict_resolve
+    if at < run.shift_end:
+        run.schedule(at, run.PHASE_ENGAGEMENT, handler, agent, agent.ict_gen, arg)
+
+
+def _plan_control(run, agent, t: int) -> None:
+    """Supersede the agent's control item with the end of manual
+    control or, outside it, the next control transition. Only a
+    driving agent has one."""
+    agent.control_gen += 1
+    if agent.activity is not Activity.DRIVING:
+        return
+    if agent.manual_until is not None:
+        at, handler = agent.manual_until, _on_manual_end
+    elif agent.next_transition is not None:
+        at, handler = max(agent.next_transition, t + 1), _on_transition
+    else:
+        return
+    if at < run.shift_end:
+        run.schedule(at, run.PHASE_ENGAGEMENT, handler, agent, agent.control_gen)
+
+
+def _on_manual_end(run, t: int, agent, gen: int) -> None:
+    if not run.live(gen == agent.control_gen):
+        return
+    agent.manual_until = None
+    interact(run, agent, t)
+    plan_ict(run, agent, t)
+    _plan_control(run, agent, t)
+
+
+def _on_ict_prompt(run, t: int, agent, gen: int, trigger: IctTrigger) -> None:
+    if not run.live(gen == agent.ict_gen):
+        return
+    _log_ict_prompt(run, agent, t, ict_issue(agent.ict, t, trigger, run.cfg.ict))
+    plan_ict(run, agent, t)
+
+
+def _on_ict_resolve(run, t: int, agent, gen: int, signal: str) -> None:
+    """End the pending prompt: the planned response arrives, the
+    deadline passes, or demand rises."""
+    if not run.live(gen == agent.ict_gen):
+        return
+    cfg = run.cfg
+    latency = None
+    if signal == "responded":
+        latency = agent.planned_response - agent.ict.pending.issued_at
+    resolution = ict_resolve(agent.ict, signal, t, cfg.ict, latency_s=latency)
+    _log_ict_outcome(run, agent, t, resolution)
+    if signal == "responded":
+        # Completing an in-car task is itself engaging.
+        agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.ict_relief)
+        interact(run, agent, t)
+    plan_ict(run, agent, t)
+
+
+def _log_ict_prompt(run, agent, t: int, prompt: IctPrompt) -> None:
+    """Log a prompt and plan the specialist's response to it: a miss, or
+    a latency that grows with fatigue and ends before the deadline."""
+    run.log.append(
+        t,
+        "ict_prompt",
+        agent.spec.specialist_id,
+        prompt_id=prompt.prompt_id,
+        trigger=prompt.trigger.value,
+        deadline=prompt.deadline,
+        is_followup=prompt.is_followup,
+        followup_of=prompt.followup_of,
+    )
+    b = run.cfg.behavior
+    alertness = agent.alertness(t)
+    miss_p = min(0.98, b.ict_miss_base_p + (1.0 - alertness) ** 3)
+    if agent.rng_ict.random() < miss_p:
+        agent.planned_response = None
+        return
+    latency = (
+        b.ict_latency_base_s
+        + b.ict_latency_fatigue_s * (1.0 - alertness)
+        + agent.rng_ict.uniform(0.0, 3.0)
+    )
+    latency = min(latency, run.cfg.ict.response_deadline_s - 1.0)
+    agent.planned_response = prompt.issued_at + max(1.0, latency)
+
+
+def _log_ict_outcome(run, agent, t: int, resolution: IctResolution) -> None:
+    cfg = run.cfg
+    who = agent.spec.specialist_id
+    record = resolution.record
+    agent.planned_response = None
+    run.log.append(
+        t,
+        "ict_outcome",
+        who,
+        prompt_id=record.prompt_id,
+        trigger=record.trigger.value,
+        outcome=record.outcome.value,
+        response_latency=record.response_latency,
+        followup_of=record.followup_of,
+    )
+    agent.outcomes_since_adapt += 1
+    if resolution.followup is not None:
+        _log_ict_prompt(run, agent, t, resolution.followup)
+    if resolution.intervention is not None:
+        run.log.append(
+            t,
+            "ict_intervention",
+            who,
+            prompt_id=resolution.intervention.prompt_id,
+            actions=list(resolution.intervention.actions),
+        )
+        run.record_fatigue_event(agent, t, "severe", "ict_intervention")
+        agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.alert_relief)
+        interact(run, agent, t)
+        if resolution.pull_over_recommended:
+            run.log.append(t, "pull_over", who, prompt_id=record.prompt_id)
+            run.start_break(agent, t, cfg.breaks.duration_min, "pull_over", "pull_over")
+        elif agent.rng_ict.random() < 0.9:
+            run.request_break(agent, t, cfg.breaks.duration_min, "intervention", "ict_intervention")
+    if agent.outcomes_since_adapt >= cfg.ict.adapt_window:
+        agent.outcomes_since_adapt = 0
+        multiplier = ict_adapt(agent.ict, cfg.ict)
+        run.log.append(t, "ict_adapt", who, multiplier=round(multiplier, 6))
+
+
+def _void_pending_prompt(run, agent, t: int) -> None:
+    # The driving task went away (manual control, or the specialist
+    # stopped driving); no penalty. The caller plans or supersedes
+    # the agent's next ICT item.
+    _log_ict_outcome(run, agent, t, ict_resolve(agent.ict, "demand_rose", t, run.cfg.ict))
+
+
+def _draw_transition(run, agent, t: int) -> None:
+    rate_per_s = run.cfg.behavior.transition_rate_per_h / 3600.0
+    if rate_per_s <= 0:
+        agent.next_transition = None
+        return
+    agent.next_transition = t + max(1, int(agent.rng_sa.expovariate(rate_per_s)))
+
+
+def _on_transition(run, t: int, agent, gen: int) -> None:
+    if not run.live(gen == agent.control_gen):
+        return
+    cfg = run.cfg
+    b = cfg.behavior
+    who = agent.spec.specialist_id
+    alertness = agent.alertness(t)
+    rng = agent.rng_sa
+    cause = rng.choices(
+        (
+            TransitionCause.PEDAL,
+            TransitionCause.BUTTON,
+            TransitionCause.STEERING,
+            TransitionCause.BRAKE,
+        ),
+        weights=(0.4, 0.2, 0.2, 0.2),
+    )[0]
+    responsive_p = min(0.95, max(0.1, alertness + 0.1))
+    inp = SaDecisionInput(
+        transition_cause=cause,
+        speed=b.speed_mps + rng.uniform(0.0, 10.0),
+        input_before=rng.random() < responsive_p,
+        input_after=rng.random() < responsive_p,
+        emergency=rng.random() < b.emergency_p,
+    )
+    run.log.append(
+        t,
+        "control_transition",
+        who,
+        cause=cause.value,
+        speed=round(inp.speed, 3),
+        input_before=inp.input_before,
+        input_after=inp.input_after,
+        emergency=inp.emergency,
+    )
+    agent.manual_until = t + max(1, int(b.manual_period_s))
+    if agent.ict.pending is not None:
+        # Taking manual control is peak driving demand.
+        _void_pending_prompt(run, agent, t)
+    interact(run, agent, t)
+    decision = sa_evaluate(inp, cfg.sa)
+    run.log.append(
+        t,
+        "sa_decision",
+        who,
+        action=decision.action.value,
+        rationale_score=round(decision.rationale_score, 6),
+    )
+    if decision.action is SaAction.ISSUE:
+        sa_id = f"sa-{run.sa_seq}"
+        run.sa_seq += 1
+        clear_p = min(0.98, b.sa_clear_base_p + 0.4 * alertness)
+        if rng.random() < clear_p:
+            input_latency = rng.uniform(1.0, cfg.sa.clear_timeout_s * 0.8)
+        else:
+            input_latency = None
+        outcome = sa_resolve(decision, input_latency, cfg.sa)
+        if outcome is SaResolution.CLEARED:
+            resolve_delay_s = max(1, int(input_latency))
+        else:
+            resolve_delay_s = int(cfg.sa.clear_timeout_s)
+        issue_at = t + int(decision.delay_s or 0)
+        if issue_at < run.shift_end:
+            run.schedule(
+                issue_at, run.PHASE_ITEM, _on_sa_issue, agent, sa_id, outcome, resolve_delay_s
+            )
+    _draw_transition(run, agent, t)
+    plan_ict(run, agent, t)
+    _plan_control(run, agent, t)
+
+
+def _on_sa_issue(
+    run, t: int, agent, sa_id: str, outcome: SaResolution, resolve_delay_s: int
+) -> None:
+    run.log.append(t, "sa_issued", agent.spec.specialist_id, sa_id=sa_id)
+    resolve_at = min(t + resolve_delay_s, run.shift_end)
+    run.schedule(resolve_at, run.PHASE_ITEM, _on_sa_resolve, agent, sa_id, outcome)
+
+
+def _on_sa_resolve(run, t: int, agent, sa_id: str, outcome: SaResolution) -> None:
+    run.log.append(t, "sa_resolved", agent.spec.specialist_id, sa_id=sa_id, outcome=outcome.value)

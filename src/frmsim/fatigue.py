@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
+    "IN_VEHICLE",
+    "Activity",
     "BreakActivity",
     "FatigueContext",
     "ModelParams",
@@ -39,6 +41,22 @@ DEFAULT_ORD_EDGES = (0.8, 0.6, 0.4, 0.2)
 # the rounding error of a composed alertness (about 1e-15), so that a
 # certified span holds for the computed values as well as the exact ones.
 _ORD_EDGE_SLACK = 1e-9
+
+
+class Activity(Enum):
+    """What a specialist is doing. Every change goes through the
+    simulator's ``_Agent.enter``."""
+
+    OFF_SHIFT = "off_shift"
+    DRIVING = "driving"
+    ON_BREAK = "on_break"
+    # Retrieved or reassigned to auxiliary work for the rest of the shift.
+    OFF_VEHICLE = "off_vehicle"
+
+
+# Driving or on a break: surveys run and may ask for a break or a
+# reassignment, and a confirmed escalation may retrieve the vehicle.
+IN_VEHICLE = (Activity.DRIVING, Activity.ON_BREAK)
 
 
 class BreakActivity(str, Enum):

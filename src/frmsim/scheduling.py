@@ -1,13 +1,24 @@
 """Adaptive scheduling: forward shift rotation planning, invited-break
 triggers, and the specialist lifecycle with its fatigue-event gateways.
-The simulator grants impromptu breaks and reassigns fatigued specialists
-to auxiliary work itself."""
+
+In the fleet run (``frmsim.sim``) the functions at the end of this
+module take the runner as ``run``. Every five minutes a driving
+specialist's recent fatigue signals (their last survey, a confirmed
+escalation, their ICT misses) may bring an invited break offer, which
+they may decline. On the impromptu cadence a specialist who feels
+sleepy enough may take a break at once. Supervisor outreach may
+reassign a specialist to auxiliary work, off the vehicle, for the rest
+of the shift.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from . import engagement as eng
+from .fatigue import Activity, to_kss
 
 __all__ = [
     "BreakPolicy",
@@ -34,6 +45,9 @@ __all__ = [
 
 MINUTES_PER_DAY = 1440
 MAX_SHIFT_MINUTES = 14 * 60
+INVITED_CHECK_S = 300
+SIGNAL_RECENCY_S = 1800
+SIGNAL_ICT_OUTCOMES = 10
 
 
 class RotationDirection(str, Enum):
@@ -408,3 +422,98 @@ def lifecycle_step(
             stage=lifecycle.return_stage, fatigue_events=lifecycle.fatigue_events
         )
     raise InvalidTransitionError(f"unknown lifecycle event: {event!r}")
+
+
+# -- the fleet run --------------------------------------------------------
+
+
+def checks(cfg) -> list:
+    """The minute check table's entries, as (cadence in seconds, check)."""
+    return [
+        (INVITED_CHECK_S, _invited_break_check),
+        (int(cfg.behavior.impromptu_check_min * 60), _impromptu_check),
+    ]
+
+
+def _signal_bundle(agent, t: int) -> BreakSignalBundle:
+    # Only the awareness block sets last_kss, only vigilance
+    # last_confirmed, and only engagement fills the ICT outcomes.
+    kss = None
+    if agent.last_kss and t - agent.last_kss[0] <= SIGNAL_RECENCY_S:
+        kss = agent.last_kss[1]
+    rater_level = None
+    dms_recent = False
+    if agent.last_confirmed:
+        when, level = agent.last_confirmed
+        if t - when <= SIGNAL_RECENCY_S:
+            rater_level = level
+            dms_recent = True
+    miss_rate = eng.ict_miss_rate(agent.ict, SIGNAL_ICT_OUTCOMES)
+    return BreakSignalBundle(
+        latest_pfs_kss=kss,
+        dms_flag_recent=dms_recent,
+        rater_level_recent=rater_level,
+        ict_miss_rate_window=miss_rate or 0.0,
+    )
+
+
+def _invited_break_check(run, agent, t: int, _level: int) -> None:
+    if agent.activity is not Activity.DRIVING:
+        return
+    cfg = run.cfg
+    who = agent.spec.specialist_id
+    offer = evaluate_break_triggers(
+        _signal_bundle(agent, t),
+        cfg.breaks,
+        now_min=t / 60.0,
+        last_invited_min=None
+        if agent.last_invited_offer is None
+        else agent.last_invited_offer / 60.0,
+    )
+    if offer is None:
+        return
+    agent.last_invited_offer = t
+    run.log.append(
+        t, "invited_break_offer", who, reason=offer.reason, duration_min=offer.duration_min
+    )
+    if agent.rng_breaks.random() < cfg.behavior.invited_decline_p:
+        agent.declines_this_shift += 1
+        run.log.append(t, "invited_break_declined", who, declines=agent.declines_this_shift)
+        if agent.declines_this_shift == 2:
+            run.log.append(t, "decline_outreach", who)
+        return
+    run.request_break(agent, t, offer.duration_min, "invited", offer.reason)
+
+
+def _impromptu_check(run, agent, t: int, _level: int) -> None:
+    if agent.activity is not Activity.DRIVING:
+        return
+    cfg = run.cfg
+    perceived = to_kss(agent.alertness(t), agent.rng_breaks, agent.params)
+    if perceived < cfg.behavior.impromptu_kss_threshold:
+        return
+    if agent.rng_breaks.random() >= cfg.behavior.impromptu_p:
+        return
+    run.log.append(
+        t,
+        "impromptu_break",
+        agent.spec.specialist_id,
+        perceived_kss=perceived,
+        duration_min=cfg.breaks.duration_min,
+    )
+    run.start_break(agent, t, cfg.breaks.duration_min, "self", "self_assessed_fatigue")
+
+
+def reassign(run, agent, t: int, reason: str) -> None:
+    """Reassign the specialist to auxiliary work, off the vehicle (no
+    monitoring, lighter load), for the rest of the shift."""
+    run.log.append(
+        t,
+        "assignment_change",
+        agent.spec.specialist_id,
+        from_assignment="driving",
+        to_assignment="auxiliary",
+        reason=reason,
+        restaffed=True,
+    )
+    run.leave_vehicle(agent, t, "reassigned", Activity.OFF_VEHICLE)

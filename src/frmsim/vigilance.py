@@ -8,20 +8,33 @@ reliability.
 
 An escalation is two pure steps: ``open_case`` assigns the validators
 and ``resolve_case`` rates the case and decides the supervisor's
-follow-up. The simulator runs them a rating latency apart, carrying the
-open ``EscalationCase`` in between.
+follow-up.
 
 Rating tasks deliberately carry no field that reveals whether they were
 escalated or drawn by routine periodic sampling; blinding is structural.
+
+In the fleet run (``frmsim.sim``) the functions at the end of this
+module take the runner as ``run``. The fleet's raters are qualified once,
+at the first shift's start. Each minute the detector observes every
+driving specialist at their ORD level, and on its cadence a rater
+rates a recent window of each one's video. A detector flag alerts the
+specialist and opens a route-one case, and a single high rating a
+route-two case; the case is carried on the heap across the rating
+latency and resolved then, possibly after the shift end. A confirmed
+case sends the specialist on a break, or at level 5 retrieves the
+vehicle. The fleet's reliability checkpoint logs the kappa over every
+validation rating so far.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
+
+from . import engagement as eng
+from .fatigue import IN_VEHICLE, Activity, _round_half_up, to_ord_truth
 
 __all__ = [
     "ALERT_MODALITIES",
@@ -290,10 +303,6 @@ def assign_rating_tasks(
     return tasks
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def _emit_level(rater: RaterProfile, true_ord: int, rng: random.Random) -> int:
     value = float(true_ord) + rater.bias
     if rater.noise_sd > 0:
@@ -484,4 +493,205 @@ def qualify_rater(
     return (
         matches / n >= exact_match_threshold
         and abs_error / n <= QUALIFICATION_MAX_MEAN_ABS_ERROR
+    )
+
+
+# -- the fleet run --------------------------------------------------------
+
+
+def checks(cfg) -> list:
+    """The minute check table's entries, as (cadence in seconds, check)."""
+    return [
+        (int(cfg.dms.observation_period), _detector_check),
+        (int(cfg.vigilance.periodic_cadence_min * 60), _periodic_rating),
+    ]
+
+
+def fleet_checks(cfg) -> list:
+    """The fleet's minute checks, as (cadence in seconds, check)."""
+    return [(int(cfg.vigilance.reliability_interval_min * 60), _reliability_checkpoint)]
+
+
+def qualify_raters(run, t: int) -> None:
+    """Qualify the fleet's raters into ``run.pool`` at the first shift's
+    start; later shifts keep the pool."""
+    if run.pool:
+        return
+    policy = run.cfg.vigilance
+    test_set = [(1 + i % 5, frozenset()) for i in range(policy.qualification_items)]
+    for rater in run.cfg.raters:
+        if not rater.qualified:
+            continue
+        passed = qualify_rater(
+            rater,
+            test_set,
+            run.rng_qualification,
+            exact_match_threshold=policy.qualification_match_threshold,
+        )
+        run.log.append(t, "rater_qualification", None, rater_id=rater.rater_id, passed=passed)
+        if passed:
+            run.pool.append(rater)
+    if len(run.pool) < policy.k_validation_raters + 1:
+        from .config import ConfigError
+
+        raise ConfigError("too few raters passed qualification for validation coverage")
+
+
+def _log_task(run, t: int, task: RatingTask) -> None:
+    run.log.append(t, "rating_task", task.specialist_id, **task.to_record())
+
+
+def _open_case(
+    run,
+    agent,
+    t: int,
+    route: Route,
+    feed: Feed,
+    true_ord: int,
+    trigger_rating: Optional[OrdRating] = None,
+) -> int:
+    """Open a case, log it, and schedule its validation for the second
+    the validators' ratings arrive, which it returns."""
+    cfg = run.cfg
+    case = open_case(
+        route,
+        feed,
+        run.pool,
+        cfg.vigilance.k_validation_raters,
+        true_ord,
+        agent.rng_raters,
+        case_id=f"case-{run.case_seq}",
+        first_task_index=run.task_seq,
+        trigger_rating=trigger_rating,
+        high_threshold=cfg.vigilance.route_two_threshold,
+        detect_threshold=cfg.dms.detect_threshold_ord,
+    )
+    run.case_seq += 1
+    run.task_seq += 1
+    who = case.specialist_id
+    opened = {"case_id": case.case_id, "route": route.value, "trigger": case.trigger}
+    if route is Route.ROUTE_ONE:
+        _log_task(run, t, case.task)
+        run.log.append(t, "escalation_opened", who, **opened)
+    else:
+        run.log.append(t, "escalation_opened", who, **opened)
+        # Immediate supervisor action, before any validation rating.
+        run.log.append(
+            t,
+            "supervisor_action",
+            who,
+            case_id=case.case_id,
+            action=SupervisorAction.CHECK_IN.value,
+        )
+        _log_task(run, t, case.task)
+    resolve_at = t + int(cfg.vigilance.rating_latency_s)
+    run.schedule(resolve_at, run.PHASE_VALIDATION, _on_validate, agent, case)
+    return resolve_at
+
+
+def _detector_check(run, agent, t: int, true_ord: int) -> None:
+    """The detector observes a driving agent out of its cooldown at
+    ORD level ``true_ord``; a flag alerts them and opens a route-one
+    case."""
+    cfg = run.cfg
+    if (
+        agent.activity is not Activity.DRIVING
+        or t < agent.dms_cooldown_until
+        or not dms_observe(true_ord, cfg.dms, agent.rng_raters)
+    ):
+        return
+    who = agent.spec.specialist_id
+    flag_id = f"flag-{run.flag_seq}"
+    run.flag_seq += 1
+    run.log.append(t, "dms_flag", who, flag_id=flag_id, true_ord=true_ord)
+    run.log.append(t, "alert", who, flag_id=flag_id, modalities=list(ALERT_MODALITIES))
+    if cfg.toggles.engagement:
+        # The alert is an interaction: the engagement gap restarts.
+        eng.interact(run, agent, t)
+        eng.plan_ict(run, agent, t)
+    agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.alert_relief)
+    feed = Feed(who, t - cfg.dms.observation_period, t, escalated=True)
+    resolve_at = _open_case(run, agent, t, Route.ROUTE_ONE, feed, true_ord)
+    agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)
+
+
+def _periodic_rating(run, agent, t: int, _level: int) -> None:
+    if agent.activity is not Activity.DRIVING:
+        return
+    cfg = run.cfg
+    who = agent.spec.specialist_id
+    true_ord = to_ord_truth(agent.alertness(t))
+    window_start = t - cfg.vigilance.periodic_cadence_min * 60
+    task = assign_rating_tasks(
+        run.pool,
+        [Feed(who, window_start, t)],
+        cfg.vigilance.k_validation_raters,
+        agent.rng_raters,
+        first_task_index=run.task_seq,
+    )[0]
+    run.task_seq += 1
+    _log_task(run, t, task)
+    rater = next(r for r in run.pool if r.rater_id == task.assigned_rater_ids[0])
+    rating = rate(rater, task, true_ord, agent.rng_raters)
+    _log_rating(run, t, who, rating)
+    if rating.level >= cfg.vigilance.route_two_threshold:
+        feed = Feed(who, window_start, t, escalated=True)
+        _open_case(run, agent, t, Route.ROUTE_TWO, feed, true_ord, rating)
+
+
+def _log_rating(run, t: int, who: str, rating: OrdRating) -> None:
+    run.log.append(
+        t,
+        "rating",
+        who,
+        rater_id=rating.rater_id,
+        task_id=rating.task_id,
+        level=rating.level,
+        indicators=sorted(rating.indicators),
+        observations=sorted(rating.observations),
+    )
+
+
+def _on_validate(run, t: int, agent, case: EscalationCase) -> None:
+    who = case.specialist_id
+    outcome = resolve_case(case, run.pool, agent.rng_raters)
+    for rating in outcome.validation_ratings:
+        _log_rating(run, t, who, rating)
+    # Only a case's validators share a task and so move the kappa.
+    run.validation_ratings.extend(outcome.validation_ratings)
+    level = outcome.validated_level
+    action = outcome.supervisor_action
+    run.log.append(
+        t,
+        "escalation_resolved",
+        who,
+        case_id=case.case_id,
+        route=case.route.value,
+        trigger=case.trigger,
+        validated_level=level,
+        resolution=outcome.resolution.value,
+        supervisor_action=None if action is None else action.value,
+    )
+    if outcome.resolution is not Resolution.CONFIRMED:
+        return
+    agent.last_confirmed = (t, level)
+    run.record_fatigue_event(agent, t, "severe" if level >= 5 else "moderate", "escalation")
+    if level < 5:
+        run.start_break(
+            agent, t, run.cfg.vigilance.post_confirm_break_min, "supervisor", "confirmed_escalation"
+        )
+    elif agent.activity in IN_VEHICLE:
+        run.log.append(t, "vehicle_retrieved", who, case_id=case.case_id)
+        run.leave_vehicle(agent, t, "vehicle_retrieved", Activity.OFF_VEHICLE)
+
+
+def _reliability_checkpoint(run, t: int) -> None:
+    """Log the kappa over every validation rating so far and how many
+    it folds, once two raters share a task."""
+    try:
+        kappa = inter_rater_reliability(run.validation_ratings)
+    except NoSharedTasksError:
+        return
+    run.log.append(
+        t, "reliability", None, kappa=round(kappa, 6), ratings=len(run.validation_ratings)
     )

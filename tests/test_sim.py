@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from frmsim import awareness
 from frmsim.config import ConfigError, ScenarioConfig, Toggles, default_config
 from frmsim.events import EventLog, LogParseError
 from frmsim.metrics import DETECTION_GRACE_S, compute_metrics
@@ -237,7 +238,7 @@ def test_break_request_due_as_a_break_ends_is_dropped():
     assert_log_conserved(log)
 
 
-def test_items_a_guard_drops_count_as_stale():
+def test_items_a_guard_drops_count_as_stale(monkeypatch):
     # With engagement off no item carries a generation token, so every
     # stale item is a break or survey item whose handler logs nothing.
     runner = ScenarioRunner(
@@ -246,17 +247,22 @@ def test_items_a_guard_drops_count_as_stale():
     silent = 0
 
     def counted(handler):
-        def run(t, *args):
+        def wrapped(run, t, *args):
             nonlocal silent
-            before = len(runner.log)
-            handler(t, *args)
-            silent += len(runner.log) == before
+            before = len(run.log)
+            handler(run, t, *args)
+            silent += len(run.log) == before
 
-        return run
+        return wrapped
 
-    for kind in ("break_start", "break_end", "pfs_regular", "pfs_followup", "pfs_reminder"):
-        name = "_on_" + kind
-        setattr(runner, name, counted(getattr(runner, name)))
+    for owner, name in (
+        (ScenarioRunner, "_on_break_start"),
+        (ScenarioRunner, "_on_break_end"),
+        (awareness, "_on_regular"),
+        (awareness, "_on_followup"),
+        (awareness, "_on_reminder"),
+    ):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     runner.run()
     assert silent > 0
     assert runner.stats()["stale_items_dropped"] == silent
@@ -266,7 +272,7 @@ def test_scheduling_into_a_processed_slot_names_the_handler():
     runner = ScenarioRunner(default_config(seed=0))
     runner._popped = (100, 0)
     with pytest.raises(RuntimeError, match="'_on_break_end' scheduled into slot"):
-        runner._schedule(100, 0, runner._on_break_end, runner.agents[0])
+        runner.schedule(100, 0, ScenarioRunner._on_break_end, runner.agents[0])
 
 
 def test_a_finished_runner_is_freed_without_the_cycle_collector():
@@ -692,9 +698,10 @@ def test_odometer_does_not_move_across_a_break():
     runner = ScenarioRunner(cfg)
     agent = runner.agents[0]
     start = cfg.shift.start_min * 60
-    runner._shift_end = start + cfg.shift.duration_min * 60
+    runner.shift_start = start
+    runner.shift_end = start + cfg.shift.duration_min * 60
     runner._start_shift(agent, start)
-    runner._start_break(agent, start + 600, 20, "scheduled", "scheduled")
+    runner.start_break(agent, start + 600, 20, "scheduled", "scheduled")
     at_break = agent.current_odometer(start + 600)
     assert at_break == 600 * cfg.behavior.speed_mps
     runner._on_break_end(start + 1800, agent)
