@@ -809,6 +809,7 @@ LONG_SESSION_MIN = (31, 60)
 TARGET_SHORT = 0.11
 TARGET_LONG = 0.66
 MAX_CALIBRATION_ITERATIONS = 50
+MAX_STEP_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -899,8 +900,10 @@ def calibrate_session_length_effect(
     likelier to contain an event than short ones.
 
     Solves the two hazard coefficients against the exact product-form
-    session probabilities with full Newton steps on a finite-difference
-    Jacobian, clamping each coefficient at zero, then verifies with a
+    session probabilities with Newton steps on a finite-difference
+    Jacobian, clamping each coefficient at zero and halving a step until
+    the squared residual shrinks; a start where every rate clamps at 1
+    (a singular Jacobian) stops unconverged. Then it verifies with a
     seeded Monte-Carlo run of ``sessions_per_bucket`` (at least 1)
     sessions per duration bucket. With ``task_load_gain_override`` the
     time-on-task coupling is frozen (e.g. at zero for a flat-hazard null
@@ -928,8 +931,8 @@ def calibrate_session_length_effect(
         gain = task_load_gain_override
     iterations = 0
     eps = 1e-7
+    p_short, p_long = probabilities(base, gain)
     for iterations in range(1, MAX_CALIBRATION_ITERATIONS + 1):
-        p_short, p_long = probabilities(base, gain)
         f1 = p_short - TARGET_SHORT
         f2 = p_long - TARGET_LONG
         if abs(f1) < 1e-9 and abs(f2) < 1e-9:
@@ -940,6 +943,7 @@ def calibrate_session_length_effect(
             if d <= 0:
                 break
             base = max(0.0, base - f1 / d)
+            p_short, p_long = probabilities(base, gain)
             continue
         d11 = (probabilities(base + eps, gain)[0] - p_short) / eps
         d12 = (probabilities(base, gain + eps)[0] - p_short) / eps
@@ -950,8 +954,20 @@ def calibrate_session_length_effect(
             break
         step_base = (f1 * d22 - f2 * d12) / det
         step_gain = (f2 * d11 - f1 * d21) / det
-        base = max(0.0, base - step_base)
-        gain = max(0.0, gain - step_gain)
+        # Backtracking line search (Nocedal & Wright, Numerical
+        # Optimization, ch. 3): halve the step until the squared residual
+        # shrinks, so a far start cannot jump to where every rate clamps
+        # at 1 and the Jacobian is singular. A full step that shrinks it
+        # is taken as it is.
+        for halvings in range(MAX_STEP_HALVINGS + 1):
+            scale = 0.5**halvings
+            trial = (max(0.0, base - scale * step_base), max(0.0, gain - scale * step_gain))
+            p_short, p_long = probabilities(*trial)
+            if (p_short - TARGET_SHORT) ** 2 + (p_long - TARGET_LONG) ** 2 < f1 * f1 + f2 * f2:
+                break
+        else:
+            break
+        base, gain = trial
 
     fitted = HazardConfig(
         base_per_min=base, task_load_gain=gain, alertness_gain=al_gain

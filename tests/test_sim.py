@@ -578,24 +578,34 @@ def test_flat_hazard_null_model_cannot_calibrate():
     assert result.hazard.task_load_gain == 0.0
 
 
-@pytest.mark.parametrize("start", [(0.0, 0.0), (0.001, 0.01)])
+def calibration_start(base_per_min: float, task_load_gain: float):
+    cfg = default_config(seed=0).with_overrides(toggles=Toggles.all_off())
+    return dataclasses.replace(
+        cfg,
+        hazard=dataclasses.replace(
+            cfg.hazard, base_per_min=base_per_min, task_load_gain=task_load_gain
+        ),
+    )
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (0.001, 0.01), (0.05, 1.0), (0.02, 3.0)])
 def test_calibration_newton_steps_reach_the_packaged_fit(start):
     # The packaged hazard already meets the targets, so a run from it
     # stops at iteration 1; these starts take the two-parameter step.
-    cfg = default_config(seed=0).with_overrides(toggles=Toggles.all_off())
-    packaged = cfg.hazard
-    base_per_min, task_load_gain = start
-    cfg = dataclasses.replace(
-        cfg,
-        hazard=dataclasses.replace(
-            packaged, base_per_min=base_per_min, task_load_gain=task_load_gain
-        ),
-    )
-    result = calibrate_session_length_effect(cfg, sessions_per_bucket=10)
+    # From the last two a full first step lands where every rate clamps
+    # at 1 and the Jacobian is singular; the line search halves it.
+    packaged = default_config(seed=0).hazard
+    result = calibrate_session_length_effect(calibration_start(*start), sessions_per_bucket=10)
     assert result.converged
     assert result.iterations > 2
     assert result.hazard.base_per_min == pytest.approx(packaged.base_per_min, abs=1e-6)
     assert result.hazard.task_load_gain == pytest.approx(packaged.task_load_gain, abs=1e-6)
+
+
+def test_calibration_from_where_every_rate_clamps_does_not_converge():
+    result = calibrate_session_length_effect(calibration_start(1.0, 1.0), sessions_per_bucket=10)
+    assert not result.converged
+    assert result.iterations == 1
 
 
 def test_calibration_requires_countermeasures_off():
