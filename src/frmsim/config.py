@@ -278,6 +278,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"config.ict.adapt_window must be in 1..{ICT_OUTCOME_HISTORY}"
             )
+        # A break draws its activity with these weights.
+        weights = self.behavior.break_activity_weights
+        if min(weights) < 0 or sum(weights) == 0:
+            raise ConfigError(
+                "config.behavior.break_activity_weights must be nonnegative with a positive "
+                f"sum, got {list(weights)}"
+            )
         if self.toggles.vigilance and len(self.raters) <= self.vigilance.k_validation_raters:
             raise ConfigError(
                 "vigilance requires more raters than k_validation_raters"

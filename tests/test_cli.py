@@ -140,6 +140,11 @@ _UNRUNNABLE = [
     (("ict", "adapt_window"), 0),
     (("ict", "adapt_window"), -3),
     (("ict", "adapt_window"), 80),
+    # Break-activity weights that random.choices rejects (a zero sum) or
+    # would draw with a negative weight.
+    (("behavior", "break_activity_weights"), [-1, 0.3, 0.1]),
+    (("behavior", "break_activity_weights"), [0, 0, 0]),
+    (("behavior", "break_activity_weights"), [0.5, -0.2, 0.5]),
 ]
 
 
