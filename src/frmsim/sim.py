@@ -43,8 +43,8 @@ trace, and it changes no other record.
 This module is the core of the run: the agent, the heap loop, the shift
 boundaries, the activity changes, the minute's ORD level and hazard
 draw, and education's two effects (a fuller overnight recovery, and
-fatigue events that move a specialist's lifecycle). Every other block
-keeps its fleet-run code next to its protocol, in ``engagement``,
+fatigue events that move a specialist's lifecycle). Every block but
+education keeps its fleet-run code next to its protocol, in ``engagement``,
 ``vigilance``, ``awareness`` and ``scheduling``, as plain functions that
 take the runner as ``run``. ``ScenarioRunner`` reads each toggle once,
 when it is built, and lists the enabled blocks' minute checks and hooks

@@ -58,9 +58,10 @@ def patch_to_raise(monkeypatch, module) -> list[str]:
 
 
 def configs_with(block: str, on: bool):
-    """A fleet with every record source exercised, and a specialist whose
-    survey outreach reassigns them, with ``block`` switched on or off."""
-    for cfg in (next(iter(odd_shift_configs())), reassignment_config(seed=1)):
+    """A mixed three-specialist fleet with frequent control transitions,
+    and a specialist whose survey outreach reassigns them, with ``block``
+    switched on or off."""
+    for cfg in (next(odd_shift_configs()), reassignment_config(seed=1)):
         yield cfg.with_overrides(toggles=dataclasses.replace(cfg.toggles, **{block: on}))
 
 
