@@ -332,7 +332,7 @@ class ScenarioRunner:
         self.flag_seq = 0
         self.sa_seq = 0
         self.ticket_seq = 0
-        self.validation_ratings: list[vig.OrdRating] = []
+        self.agreement = vig.RaterAgreement()
         self.pool: list[vig.RaterProfile] = []
 
     # -- helpers -------------------------------------------------------

@@ -23,7 +23,8 @@ route-two case; the case is carried on the heap across the rating
 latency and resolved then, possibly after the shift end. A confirmed
 case sends the specialist on a break, or at level 5 retrieves the
 vehicle. The fleet's reliability checkpoint logs the kappa over every
-validation rating so far.
+validation rating so far, from running per-pair counts
+(``run.agreement``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "NoSharedTasksError",
     "OBSERVATION_ITEMS",
     "OrdRating",
+    "RaterAgreement",
     "RaterProfile",
     "RatingTask",
     "Resolution",
@@ -428,48 +430,91 @@ def resolve_case(
     )
 
 
+class _PairCounts:
+    """What the linearly weighted kappa of one rater pair needs, counted
+    as their paired levels arrive: the summed agreement weights, the
+    first rater's and the second rater's count of each level, and the
+    number of pairs."""
+
+    __slots__ = ("observed", "row", "col", "n")
+
+    def __init__(self) -> None:
+        self.observed = 0.0
+        self.row = [0.0] * ORD_LEVELS
+        self.col = [0.0] * ORD_LEVELS
+        self.n = 0
+
+    def add(self, a: int, b: int) -> None:
+        self.observed += 1.0 - abs(a - b) / (ORD_LEVELS - 1)
+        self.row[a - 1] += 1.0
+        self.col[b - 1] += 1.0
+        self.n += 1
+
+    def kappa(self) -> float:
+        n = self.n
+        span = ORD_LEVELS - 1
+        row, col = self.row, self.col
+        p_obs = self.observed / n
+        p_exp = 0.0
+        for i in range(ORD_LEVELS):
+            for j in range(ORD_LEVELS):
+                weight = 1.0 - abs(i - j) / span
+                p_exp += weight * (row[i] / n) * (col[j] / n)
+        if p_exp >= 1.0:
+            # Degenerate marginals: agreement is complete or undefined.
+            return 1.0 if p_obs >= 1.0 else 0.0
+        return (p_obs - p_exp) / (1.0 - p_exp)
+
+
 def linear_weighted_kappa(pairs: Sequence[tuple[int, int]]) -> float:
     """Linearly weighted kappa for two raters over paired ORD levels."""
     if not pairs:
         raise ValueError("no paired ratings")
-    n = len(pairs)
-    span = ORD_LEVELS - 1
-    row = [0.0] * ORD_LEVELS
-    col = [0.0] * ORD_LEVELS
-    observed = 0.0
+    counts = _PairCounts()
     for a, b in pairs:
-        observed += 1.0 - abs(a - b) / span
-        row[a - 1] += 1.0
-        col[b - 1] += 1.0
-    p_obs = observed / n
-    p_exp = 0.0
-    for i in range(ORD_LEVELS):
-        for j in range(ORD_LEVELS):
-            weight = 1.0 - abs(i - j) / span
-            p_exp += weight * (row[i] / n) * (col[j] / n)
-    if p_exp >= 1.0:
-        # Degenerate marginals: agreement is complete or undefined.
-        return 1.0 if p_obs >= 1.0 else 0.0
-    return (p_obs - p_exp) / (1.0 - p_exp)
+        counts.add(a, b)
+    return counts.kappa()
+
+
+class RaterAgreement:
+    """Running inter-rater reliability: the mean pairwise linearly
+    weighted kappa (Cohen 1968) over raters sharing tasks, from per-pair
+    counts that grow with the rater pairs, not with the ratings.
+    ``ratings`` counts the ratings added."""
+
+    def __init__(self) -> None:
+        self.ratings = 0
+        self._pairs: dict[tuple[str, str], _PairCounts] = {}
+
+    def add_task(self, ratings: Sequence[OrdRating]) -> None:
+        """Add every rating of one task; a rater's later rating of the
+        task replaces their earlier one."""
+        self.ratings += len(ratings)
+        levels = {rating.rater_id: rating.level for rating in ratings}
+        rater_ids = sorted(levels)
+        for i, a in enumerate(rater_ids):
+            for b in rater_ids[i + 1 :]:
+                counts = self._pairs.get((a, b))
+                if counts is None:
+                    counts = self._pairs[(a, b)] = _PairCounts()
+                counts.add(levels[a], levels[b])
+
+    def kappa(self) -> float:
+        if not self._pairs:
+            raise NoSharedTasksError("no pair of raters shares a task")
+        kappas = [self._pairs[pair].kappa() for pair in sorted(self._pairs)]
+        return sum(kappas) / len(kappas)
 
 
 def inter_rater_reliability(ratings: Iterable[OrdRating]) -> float:
     """Mean pairwise linearly weighted kappa over raters sharing tasks."""
-    by_task: dict[str, dict[str, int]] = {}
+    by_task: dict[str, list[OrdRating]] = {}
     for rating in ratings:
-        by_task.setdefault(rating.task_id, {})[rating.rater_id] = rating.level
-    shared: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for levels_by_rater in by_task.values():
-        rater_ids = sorted(levels_by_rater)
-        for i, a in enumerate(rater_ids):
-            for b in rater_ids[i + 1 :]:
-                shared.setdefault((a, b), []).append(
-                    (levels_by_rater[a], levels_by_rater[b])
-                )
-    if not shared:
-        raise NoSharedTasksError("no pair of raters shares a task")
-    kappas = [linear_weighted_kappa(pairs) for _, pairs in sorted(shared.items())]
-    return sum(kappas) / len(kappas)
+        by_task.setdefault(rating.task_id, []).append(rating)
+    agreement = RaterAgreement()
+    for task_ratings in by_task.values():
+        agreement.add_task(task_ratings)
+    return agreement.kappa()
 
 
 def qualify_rater(
@@ -657,8 +702,10 @@ def _on_validate(run, t: int, agent, case: EscalationCase) -> None:
     outcome = resolve_case(case, run.pool, agent.rng_raters)
     for rating in outcome.validation_ratings:
         _log_rating(run, t, who, rating)
-    # Only a case's validators share a task and so move the kappa.
-    run.validation_ratings.extend(outcome.validation_ratings)
+    # Only a case's validators share a task and so move the kappa. They
+    # rate it together and task ids are unique, so adding each case's
+    # ratings as it resolves sums the pairs in the batch fold's order.
+    run.agreement.add_task(outcome.validation_ratings)
     level = outcome.validated_level
     action = outcome.supervisor_action
     run.log.append(
@@ -689,9 +736,7 @@ def _reliability_checkpoint(run, t: int) -> None:
     """Log the kappa over every validation rating so far and how many
     it folds, once two raters share a task."""
     try:
-        kappa = inter_rater_reliability(run.validation_ratings)
+        kappa = run.agreement.kappa()
     except NoSharedTasksError:
         return
-    run.log.append(
-        t, "reliability", None, kappa=round(kappa, 6), ratings=len(run.validation_ratings)
-    )
+    run.log.append(t, "reliability", None, kappa=round(kappa, 6), ratings=run.agreement.ratings)
