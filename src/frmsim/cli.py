@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .awareness import PfsRecord, pfs_trend, trend_to_csv
@@ -26,8 +27,8 @@ from .config import (
     Toggles,
     default_config,
 )
-from .events import SCHEMA_VERSION, EventLog, LogParseError
-from .metrics import compute_metrics, metrics_to_csv
+from .events import SCHEMA_VERSION, LogParseError, read_jsonl
+from .metrics import MetricsFold, metrics_to_csv
 from .scheduling import (
     RotationConstraints,
     RotationDirection,
@@ -106,16 +107,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = cfg.with_overrides(seed=args.seed, toggles=toggles)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    events_path = out_dir / "events.jsonl"
+    # The run streams its log into a temporary file, renamed only once
+    # the run has finished, so a failed run leaves no log behind. The
+    # file, the manifest and the printed line share the digest of the
+    # streamed bytes (the same value as ``EventLog.digest()``).
+    partial = out_dir / ".events.jsonl.partial"
     stats: dict = {}
     started = time.perf_counter()
-    log, metrics = run_scenario(cfg, stats=stats)
+    try:
+        with partial.open("wb") as stream:
+            log, metrics = run_scenario(cfg, stats=stats, stream=stream)
+        partial.replace(events_path)
+    finally:
+        partial.unlink(missing_ok=True)
     ran = time.perf_counter()
-    # Encode once, line by line: the file, the manifest and the printed
-    # line share the bytes' digest (the same value as ``log.digest()``).
-    events_path = out_dir / "events.jsonl"
-    with events_path.open("wb") as stream:
-        written = log.write_jsonl(stream)
-    wrote = time.perf_counter()
+    written = log.written
     (out_dir / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.config_hash(), cfg.seed)
     )
@@ -129,7 +136,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "log_digest": written.digest,
             "stats": stats,
             # Wall times vary from run to run; no digest covers them.
-            "wall_s": {"run": ran - started, "write_log": wrote - ran},
+            "wall_s": {"run": ran - started},
         },
     )
     print(f"wrote {events_path} ({written.records} events)")
@@ -226,10 +233,44 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # One pass over the log: fold the metrics, keep the self-reports'
+    # fields, count escalation outcomes and keep the last timestamp. A
+    # line that does not parse exits 2 wherever it is, so an error of the
+    # fold's is held back until the whole log has parsed.
+    fold = MetricsFold()
+    fold_error: Optional[ValueError] = None
+    surveys: list[tuple] = []
+    outcomes: dict[tuple[str, str], int] = {}
+    horizon = 0
     with open(args.log, "rb") as lines:
-        log = EventLog.from_jsonl(lines)
-    metrics = compute_metrics(log)
-    csv_text = metrics_to_csv(metrics, log.config_hash, log.seed)
+        events = read_jsonl(lines)
+        header = next(events).data
+        for event in events:
+            if fold_error is None and event.type in fold.TYPES:
+                try:
+                    fold.feed(*event)
+                except ValueError as exc:
+                    fold_error = exc
+            if event.type == "pfs":
+                data = event.data
+                surveys.append(
+                    (
+                        data["record_id"],
+                        event.specialist or "",
+                        event.time,
+                        data["kss"],
+                        data["is_followup"],
+                        data.get("triggered_by"),
+                    )
+                )
+            elif event.type == "escalation_resolved":
+                key = (event.data["route"], event.data["resolution"])
+                outcomes[key] = outcomes.get(key, 0) + 1
+            horizon = event.time
+    if fold_error is not None:
+        raise fold_error
+    metrics = fold.finish()
+    csv_text = metrics_to_csv(metrics, header["config_hash"], header["seed"])
     print("== metrics ==")
     print(csv_text, end="")
     if args.metrics is not None:
@@ -241,26 +282,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     pfs_records = [
         PfsRecord(
-            record_id=e.data["record_id"],
-            specialist_id=e.specialist or "",
-            timestamp=e.time,
-            kss=e.data["kss"],
-            is_followup=e.data["is_followup"],
-            triggered_by=e.data.get("triggered_by"),
+            record_id=record_id,
+            specialist_id=specialist_id,
+            timestamp=timestamp,
+            kss=kss,
+            is_followup=is_followup,
+            triggered_by=triggered_by,
         )
-        for e in log
-        if e.type == "pfs"
+        for record_id, specialist_id, timestamp, kss, is_followup, triggered_by in surveys
     ]
-    horizon = log.last_time
     print("== self-report trend ==")
     print(trend_to_csv(pfs_trend(pfs_records, (0, horizon))), end="")
 
     print("== escalations ==")
-    outcomes: dict[tuple[str, str], int] = {}
-    for e in log:
-        if e.type == "escalation_resolved":
-            key = (e.data["route"], e.data["resolution"])
-            outcomes[key] = outcomes.get(key, 0) + 1
     print("route,resolution,count")
     for (route, resolution), count in sorted(outcomes.items()):
         print(f"{route},{resolution},{count}")

@@ -15,20 +15,45 @@ produce byte-identical files.
 
 Schema v1 logs, which have no header and repeat ``seed`` and
 ``config_hash`` in every record, are read but never written.
+
+One line encoder writes every log and one strict reader,
+``read_jsonl``, reads every log, both one record at a time. ``EventLog``
+holds a run's records in memory. ``StreamedLog`` holds none: it encodes,
+hashes and writes each record as it is appended (in chunks of
+``CHUNK_LINES`` lines), counts records per type and feeds a metrics
+fold. ``frmsim simulate`` runs on a ``StreamedLog`` and ``frmsim
+report`` folds while it reads, so neither command's memory grows with
+the log; ``tests/memory_budget.py`` holds each to a 40 MiB peak on an
+80-specialist, 28-day fleet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
-__all__ = ["Event", "EventLog", "LogParseError", "SCHEMA_VERSION", "WrittenLog"]
+__all__ = [
+    "CHUNK_LINES",
+    "Event",
+    "EventLog",
+    "LogParseError",
+    "SCHEMA_VERSION",
+    "StreamedLog",
+    "WrittenLog",
+    "read_jsonl",
+]
 
 SCHEMA_VERSION = 2
 HEADER_TYPE = "log_header"
 
-# The one encoder and the one decoder of the log format.
+# Lines encoded, hashed and written together: one write per chunk keeps
+# the per-record cost of streaming at that of encoding.
+CHUNK_LINES = 256
+
+# The one JSON encoder and decoder of the log format.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _decode = json.JSONDecoder().decode
 
@@ -51,16 +76,75 @@ class Event(NamedTuple):
 
 
 class WrittenLog(NamedTuple):
-    """What ``EventLog.write_jsonl`` wrote: the SHA-256 of the bytes,
-    the number of lines (header included) and the number of bytes."""
+    """What a log wrote: the SHA-256 of the bytes, the number of lines
+    (header included) and the number of bytes."""
 
     digest: str
     records: int
     size: int
 
 
+def _header_line(seed: int, config_hash: str) -> str:
+    header = {"config_hash": config_hash, "schema_version": SCHEMA_VERSION, "seed": seed}
+    return _encode({"data": header, "specialist": None, "t": 0, "type": HEADER_TYPE}) + "\n"
+
+
+class _LineEncoder:
+    """The one record encoder. A record's line is '{"data":' + data + the
+    specialist's piece + the timestamp + the type's piece (the keys sort
+    in that order); the pieces are built once per specialist and type."""
+
+    def __init__(self) -> None:
+        self._who: dict[Optional[str], str] = {}
+        self._kind: dict[str, str] = {}
+
+    def lines(self, records: Iterable[tuple]) -> Iterator[str]:
+        """The line of each ``(time, type, specialist, data)`` record,
+        ending in a newline."""
+        who_pieces = self._who
+        kind_pieces = self._kind
+        for time, type_, specialist, data in records:
+            who = who_pieces.get(specialist)
+            if who is None:
+                who = ',"specialist":' + _encode(specialist) + ',"t":'
+                who_pieces[specialist] = who
+            kind = kind_pieces.get(type_)
+            if kind is None:
+                kind = kind_pieces[type_] = ',"type":' + _encode(type_) + "}\n"
+            yield '{"data":' + _encode(data) + who + str(time) + kind
+
+
+class _HashingWriter:
+    """Writes text into a binary stream as UTF-8, hashing the bytes and
+    counting the lines and bytes written."""
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+        self._sha = hashlib.sha256()
+        self._lines = 0
+        self._size = 0
+
+    def write(self, text: str, lines: int) -> None:
+        data = text.encode("utf-8")
+        self._sha.update(data)
+        self._stream.write(data)
+        self._lines += lines
+        self._size += len(data)
+
+    def written(self) -> WrittenLog:
+        return WrittenLog(self._sha.hexdigest(), self._lines, self._size)
+
+
+class _Discard:
+    """A binary stream that keeps nothing, for hashing alone."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
 class EventLog:
-    """Timestamp-ordered sequence of typed records for one scenario run."""
+    """Timestamp-ordered sequence of typed records for one scenario run,
+    held in memory."""
 
     def __init__(self, seed: int, config_hash: str):
         self.seed = seed
@@ -87,6 +171,10 @@ class EventLog:
         """Timestamp of the last record, or 0 for an empty log."""
         return self._events[-1].time if self._events else 0
 
+    def type_counts(self) -> dict[str, int]:
+        """The number of records of each type."""
+        return Counter(event.type for event in self._events)
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -95,137 +183,196 @@ class EventLog:
 
     def lines(self) -> Iterator[str]:
         """The log's JSONL lines, header first, each ending in a newline."""
-        header = {
-            "config_hash": self.config_hash,
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-        }
-        yield _encode({"data": header, "specialist": None, "t": 0, "type": HEADER_TYPE}) + "\n"
-        # A record's line is '{"data":' + data + the specialist's piece +
-        # the timestamp + the type's piece; the keys sort in that order.
-        specialist_pieces: dict[Optional[str], str] = {}
-        type_pieces: dict[str, str] = {}
-        for event in self._events:
-            who = specialist_pieces.get(event.specialist)
-            if who is None:
-                who = ',"specialist":' + _encode(event.specialist) + ',"t":'
-                specialist_pieces[event.specialist] = who
-            kind = type_pieces.get(event.type)
-            if kind is None:
-                kind = type_pieces[event.type] = ',"type":' + _encode(event.type) + "}\n"
-            yield '{"data":' + _encode(event.data) + who + str(event.time) + kind
+        yield _header_line(self.seed, self.config_hash)
+        yield from _LineEncoder().lines(self._events)
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())
 
     def write_jsonl(self, stream: BinaryIO) -> WrittenLog:
-        """Encode the log into ``stream`` line by line, hashing the bytes
-        as they are written, without holding the whole text."""
-        sha = hashlib.sha256()
-        records = size = 0
-        for line in self.lines():
-            data = line.encode("utf-8")
-            sha.update(data)
-            stream.write(data)
-            records += 1
-            size += len(data)
-        return WrittenLog(sha.hexdigest(), records, size)
+        """Encode the log into ``stream`` a chunk of lines at a time,
+        hashing the bytes as they are written, without holding the whole
+        text."""
+        writer = _HashingWriter(stream)
+        lines = self.lines()
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            writer.write("".join(chunk), len(chunk))
+        return writer.written()
 
     def digest(self) -> str:
-        sha = hashlib.sha256()
-        for line in self.lines():
-            sha.update(line.encode("utf-8"))
-        return sha.hexdigest()
+        return self.write_jsonl(_Discard()).digest
 
     @classmethod
     def from_jsonl(cls, source: Union[str, Iterable[Union[str, bytes]]]) -> "EventLog":
         """Read a v2 or v1 log from its text or from its lines (str or
-        UTF-8 bytes, such as an open file). Blank lines are skipped.
-        Raises ``LogParseError`` naming the first line that is not a
-        well-formed record of the log's schema."""
-        lines = source.splitlines() if isinstance(source, str) else source
-        log: Optional[EventLog] = None
-        keys = _RECORD_KEYS
-        events: list[Event] = []
-        last = 0
-        for number, line in enumerate(lines, start=1):
-            try:
-                if type(line) is not str:
-                    line = line.decode("utf-8")
-                record = _decode(line)
-            except UnicodeDecodeError as exc:
-                raise LogParseError("not UTF-8", number) from exc
-            except json.JSONDecodeError as exc:
-                if not line.strip():
-                    continue
-                raise LogParseError(f"invalid JSON ({exc.msg})", number) from exc
-            if type(record) is not dict:
-                raise LogParseError("not a JSON object", number)
-            if log is None:
-                log, keys = cls._open(record, number)
-                events = log._events
-                if keys is _RECORD_KEYS:
-                    continue  # the v2 header
-            if record.keys() != keys:
-                missing = sorted(keys - record.keys())
-                unknown = sorted(record.keys() - keys)
-                raise LogParseError(
-                    f"missing fields {missing}" if missing else f"unknown fields {unknown}",
-                    number,
-                )
-            t = record["t"]
-            type_ = record["type"]
-            specialist = record["specialist"]
-            data = record["data"]
-            if type(t) is not int:
-                raise LogParseError(f"t is not an integer: {t!r}", number)
-            if type(type_) is not str:
-                raise LogParseError(f"type is not a string: {type_!r}", number)
-            if specialist is not None and type(specialist) is not str:
-                raise LogParseError(f"specialist is not a string or null: {specialist!r}", number)
-            if type(data) is not dict:
-                raise LogParseError("data is not an object", number)
-            if type_ == HEADER_TYPE:
-                raise LogParseError("the log header is not the first record", number)
-            if t < last:
-                raise LogParseError(f"timestamp regression: {t} < {last}", number)
-            if keys is _V1_KEYS and (
-                type(record["seed"]) is not int
-                or record["seed"] != log.seed
-                or record["config_hash"] != log.config_hash
-            ):
-                raise LogParseError(
-                    "seed or config_hash differs from the first record's", number
-                )
-            last = t
-            events.append(Event(t, type_, specialist, data))
-        if log is None:
-            raise LogParseError("empty log: no header", 1)
+        UTF-8 bytes, such as an open file) through ``read_jsonl``, which
+        raises ``LogParseError`` naming the first malformed line."""
+        events = read_jsonl(source.splitlines() if isinstance(source, str) else source)
+        header = next(events).data
+        log = cls(seed=header["seed"], config_hash=header["config_hash"])
+        log._events.extend(events)
         return log
 
-    @classmethod
-    def _open(cls, record: dict, number: int) -> tuple["EventLog", frozenset]:
-        """The empty log that the first record opens, and the keys of
-        every record after it: a v2 header opens a v2 log, a record
-        carrying the seed and the config hash opens a v1 log."""
-        if record.get("type") == HEADER_TYPE:
-            data = record.get("data")
-            version = data.get("schema_version") if type(data) is dict else None
-            if type(version) is not int or version != SCHEMA_VERSION:
-                raise LogParseError(f"unknown schema_version {version!r}", number)
-            if (
-                record.keys() != _RECORD_KEYS
-                or data.keys() != _HEADER_DATA_KEYS
-                or record["specialist"] is not None
-                or type(record["t"]) is not int
-                or record["t"] != 0
-            ):
-                raise LogParseError("malformed log header", number)
-            seed, config_hash, keys = data["seed"], data["config_hash"], _RECORD_KEYS
-        elif "seed" in record and "config_hash" in record:
-            seed, config_hash, keys = record["seed"], record["config_hash"], _V1_KEYS
-        else:
-            raise LogParseError("missing log header", number)
-        if type(seed) is not int or type(config_hash) is not str:
-            raise LogParseError("seed is not an integer or config_hash not a string", number)
-        return cls(seed=seed, config_hash=config_hash), keys
+
+class StreamedLog:
+    """A run's log, written as it is appended and never held.
+
+    Each record is encoded, hashed and written into ``stream`` (the lines
+    of ``CHUNK_LINES`` records at a time, after the header), counted by
+    type, and, if its type is in ``fold.TYPES``, passed to
+    ``fold.feed(time, type, specialist, data)``. ``close`` writes the
+    last chunk and sets ``written``; the stream stays open. The log
+    keeps no record, so iterating it raises ``TypeError``.
+    """
+
+    def __init__(self, stream: BinaryIO, seed: int, config_hash: str, fold=None):
+        self.seed = seed
+        self.config_hash = config_hash
+        self.last_time = 0
+        self.written: Optional[WrittenLog] = None
+        self._writer = _HashingWriter(stream)
+        self._writer.write(_header_line(seed, config_hash), 1)
+        self._encoder = _LineEncoder()
+        self._pending: list[tuple] = []
+        self._counts: dict[str, int] = {}
+        self._feed = None if fold is None else fold.feed
+        self._fold_types = frozenset() if fold is None else fold.TYPES
+
+    def append(
+        self,
+        time: int,
+        type_: str,
+        specialist: Optional[str] = None,
+        **data,
+    ) -> None:
+        if time < self.last_time:
+            raise ValueError(f"timestamp regression: {time} < {self.last_time}")
+        time = self.last_time = int(time)
+        pending = self._pending
+        pending.append((time, type_, specialist, data))
+        if len(pending) == CHUNK_LINES:
+            self._write_pending()
+        counts = self._counts
+        counts[type_] = counts.get(type_, 0) + 1
+        if type_ in self._fold_types:
+            self._feed(time, type_, specialist, data)
+
+    def _write_pending(self) -> None:
+        pending = self._pending
+        self._writer.write("".join(self._encoder.lines(pending)), len(pending))
+        pending.clear()
+
+    def close(self) -> None:
+        """Write the records not yet written and set ``written``."""
+        self._write_pending()
+        self.written = self._writer.written()
+
+    def type_counts(self) -> dict[str, int]:
+        """The number of records of each type."""
+        return dict(self._counts)
+
+    def __iter__(self):
+        raise TypeError("a StreamedLog keeps no records; read the file it wrote")
+
+
+def read_jsonl(lines: Iterable[Union[str, bytes]]) -> Iterator[Event]:
+    """The one strict reader: the events of a v2 or v1 log, read from
+    its lines (str or UTF-8 bytes, such as an open file) one at a time.
+
+    The first event is the log's header, a ``log_header`` event whose
+    data holds the ``schema_version``, ``seed`` and ``config_hash`` (for
+    a v1 log, those of its first record); the records follow. Blank
+    lines are skipped. Raises ``LogParseError`` naming the first line
+    that is not a well-formed record of the log's schema.
+    """
+    keys = None
+    last = 0
+    for number, line in enumerate(lines, start=1):
+        try:
+            if type(line) is not str:
+                line = line.decode("utf-8")
+            record = _decode(line)
+        except UnicodeDecodeError as exc:
+            raise LogParseError("not UTF-8", number) from exc
+        except json.JSONDecodeError as exc:
+            if not line.strip():
+                continue
+            raise LogParseError(f"invalid JSON ({exc.msg})", number) from exc
+        if type(record) is not dict:
+            raise LogParseError("not a JSON object", number)
+        if keys is None:
+            keys, seed, config_hash = _open(record, number)
+            yield Event(
+                0,
+                HEADER_TYPE,
+                None,
+                {
+                    "config_hash": config_hash,
+                    "schema_version": SCHEMA_VERSION if keys is _RECORD_KEYS else 1,
+                    "seed": seed,
+                },
+            )
+            if keys is _RECORD_KEYS:
+                continue  # the v2 header
+        if record.keys() != keys:
+            missing = sorted(keys - record.keys())
+            unknown = sorted(record.keys() - keys)
+            raise LogParseError(
+                f"missing fields {missing}" if missing else f"unknown fields {unknown}",
+                number,
+            )
+        t = record["t"]
+        type_ = record["type"]
+        specialist = record["specialist"]
+        data = record["data"]
+        if type(t) is not int:
+            raise LogParseError(f"t is not an integer: {t!r}", number)
+        if type(type_) is not str:
+            raise LogParseError(f"type is not a string: {type_!r}", number)
+        if specialist is not None and type(specialist) is not str:
+            raise LogParseError(f"specialist is not a string or null: {specialist!r}", number)
+        if type(data) is not dict:
+            raise LogParseError("data is not an object", number)
+        if type_ == HEADER_TYPE:
+            raise LogParseError("the log header is not the first record", number)
+        if t < last:
+            raise LogParseError(f"timestamp regression: {t} < {last}", number)
+        if keys is _V1_KEYS and (
+            type(record["seed"]) is not int
+            or record["seed"] != seed
+            or record["config_hash"] != config_hash
+        ):
+            raise LogParseError(
+                "seed or config_hash differs from the first record's", number
+            )
+        last = t
+        yield Event(t, type_, specialist, data)
+    if keys is None:
+        raise LogParseError("empty log: no header", 1)
+
+
+def _open(record: dict, number: int) -> tuple[frozenset, int, str]:
+    """The keys of every record after the first one, and the log's seed
+    and config hash: a v2 header opens a v2 log, a record carrying the
+    seed and the config hash opens a v1 log."""
+    if record.get("type") == HEADER_TYPE:
+        data = record.get("data")
+        version = data.get("schema_version") if type(data) is dict else None
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise LogParseError(f"unknown schema_version {version!r}", number)
+        if (
+            record.keys() != _RECORD_KEYS
+            or data.keys() != _HEADER_DATA_KEYS
+            or record["specialist"] is not None
+            or type(record["t"]) is not int
+            or record["t"] != 0
+        ):
+            raise LogParseError("malformed log header", number)
+        seed, config_hash, keys = data["seed"], data["config_hash"], _RECORD_KEYS
+    elif "seed" in record and "config_hash" in record:
+        seed, config_hash, keys = record["seed"], record["config_hash"], _V1_KEYS
+    else:
+        raise LogParseError("missing log header", number)
+    if type(seed) is not int or type(config_hash) is not str:
+        raise LogParseError("seed is not an integer or config_hash not a string", number)
+    return keys, seed, config_hash

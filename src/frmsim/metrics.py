@@ -1,17 +1,20 @@
 """Run metrics, computed purely from a persisted event log so that a
-recomputation from disk always reproduces the run's own numbers."""
+recomputation from disk always reproduces the run's own numbers. The
+one fold, ``MetricsFold``, takes the log a record at a time."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
-from .events import EventLog
+from .events import Event
 
 __all__ = [
     "BucketStats",
     "Metrics",
+    "MetricsFold",
     "compute_metrics",
     "metrics_to_csv",
 ]
@@ -65,8 +68,9 @@ def _require(event_data: dict, key: str, event_type: str):
     return event_data[key]
 
 
-def compute_metrics(log: EventLog) -> Metrics:
-    """Fold an event log into run metrics. Pure function of the log.
+class MetricsFold:
+    """The one metrics fold: ``feed`` it a log's records in log order,
+    then ``finish``. Pure function of the records.
 
     On-task time, time at ORD >= 4 and the high-drowsiness episodes fold
     from ``ord_change`` records. Each one opens a span of its ``(ord,
@@ -77,116 +81,149 @@ def compute_metrics(log: EventLog) -> Metrics:
     from before these records existed) or a span without a ``shift_end``
     raises ``ValueError``. The optional ``state_sample`` trace is not
     folded.
+
+    Only records whose type is in ``TYPES`` change the fold, so a caller
+    may pass it those alone. What the fold holds grows with the fleet
+    and the high-drowsiness episodes, not with the log, so ``frmsim
+    simulate`` and ``frmsim report`` fold a log as it is written or read
+    without holding it (``tests/memory_budget.py`` holds each to a
+    40 MiB peak on an 80-specialist, 28-day fleet).
     """
-    time_ord_min = 0.0
-    on_task_min = 0.0
-    fatigue_events = 0
-    interventions = 0
-    invited = 0
-    impromptu = 0
-    incautious = 0
-    buckets = {name: [0, 0] for name in SESSION_BUCKETS}
 
-    # Per-specialist (since, ord, on_task) of the last ord_change, or
-    # None from a shift_start until the shift's first ord_change.
-    spans: dict[str, tuple[int, int, bool] | None] = {}
-    # Per-specialist high-drowsiness episodes: on task at ORD >= 4.
-    episode_open: dict[str, int] = {}
-    episodes: dict[str, list[tuple[int, int]]] = {}
-    confirmations: dict[str, list[int]] = {}
+    TYPES = frozenset(
+        (
+            "ord_change",
+            "shift_start",
+            "shift_end",
+            "fatigue_event",
+            "ict_intervention",
+            "break_start",
+            "incautious",
+            "session_end",
+            "escalation_resolved",
+        )
+    )
 
-    def close_span(who: str, end: int) -> None:
-        nonlocal time_ord_min, on_task_min
-        span = spans.get(who)
+    def __init__(self) -> None:
+        self._time_ord_min = 0.0
+        self._on_task_min = 0.0
+        self._fatigue_events = 0
+        self._interventions = 0
+        self._invited = 0
+        self._impromptu = 0
+        self._incautious = 0
+        self._buckets = {name: [0, 0] for name in SESSION_BUCKETS}
+        # Per-specialist (since, ord, on_task) of the last ord_change, or
+        # None from a shift_start until the shift's first ord_change.
+        self._spans: dict[str, tuple[int, int, bool] | None] = {}
+        # Per-specialist high-drowsiness episodes: on task at ORD >= 4.
+        self._episode_open: dict[str, int] = {}
+        self._episodes: dict[str, list[tuple[int, int]]] = {}
+        self._confirmations: dict[str, list[int]] = {}
+
+    def _close_span(self, who: str, end: int) -> None:
+        span = self._spans.get(who)
         if span is None:
             return
         since, level, on_task = span
         if on_task:
             minutes = (end - since) / 60.0
-            on_task_min += minutes
+            self._on_task_min += minutes
             if level >= 4:
-                time_ord_min += minutes
+                self._time_ord_min += minutes
 
-    def close_episode(who: str, end: int) -> None:
-        start = episode_open.pop(who, None)
+    def _close_episode(self, who: str, end: int) -> None:
+        start = self._episode_open.pop(who, None)
         if start is not None:
-            episodes.setdefault(who, []).append((start, end))
+            self._episodes.setdefault(who, []).append((start, end))
 
-    for event in log:
-        who = event.specialist
-        data = event.data
-        if event.type == "ord_change":
-            level = _require(data, "ord", event.type)
-            on_task = _require(data, "on_task", event.type)
-            close_span(who, event.time)
-            spans[who] = (event.time, level, on_task)
+    def feed(self, time: int, type_: str, who: Optional[str], data: dict) -> None:
+        """Fold the next record of the log."""
+        if type_ == "ord_change":
+            level = _require(data, "ord", type_)
+            on_task = _require(data, "on_task", type_)
+            self._close_span(who, time)
+            self._spans[who] = (time, level, on_task)
             if on_task and level >= 4:
-                episode_open.setdefault(who, event.time)
+                self._episode_open.setdefault(who, time)
             else:
-                close_episode(who, event.time)
-        elif event.type == "shift_start":
-            spans[who] = None
-        elif event.type == "shift_end":
-            if spans.get(who) is None:
+                self._close_episode(who, time)
+        elif type_ == "shift_start":
+            self._spans[who] = None
+        elif type_ == "shift_end":
+            if self._spans.get(who) is None:
                 raise ValueError(
-                    f"shift of {who} ending at t={event.time} has no ord_change "
+                    f"shift of {who} ending at t={time} has no ord_change "
                     "record: the log predates ord_change records and its "
                     "state_sample records are not folded; re-run the scenario"
                 )
-            close_span(who, event.time + 60)
-            close_episode(who, event.time + 60)
-            spans[who] = None
-        elif event.type == "fatigue_event":
-            fatigue_events += 1
-        elif event.type == "ict_intervention":
-            interventions += 1
-        elif event.type == "break_start":
-            initiator = _require(data, "initiator", event.type)
+            self._close_span(who, time + 60)
+            self._close_episode(who, time + 60)
+            self._spans[who] = None
+        elif type_ == "fatigue_event":
+            self._fatigue_events += 1
+        elif type_ == "ict_intervention":
+            self._interventions += 1
+        elif type_ == "break_start":
+            initiator = _require(data, "initiator", type_)
             if initiator == "invited":
-                invited += 1
+                self._invited += 1
             elif initiator == "self":
-                impromptu += 1
-        elif event.type == "incautious":
-            incautious += 1
-        elif event.type == "session_end":
-            duration = _require(data, "duration_min", event.type)
-            bucket = buckets[_session_bucket(duration)]
+                self._impromptu += 1
+        elif type_ == "incautious":
+            self._incautious += 1
+        elif type_ == "session_end":
+            duration = _require(data, "duration_min", type_)
+            bucket = self._buckets[_session_bucket(duration)]
             bucket[0] += 1
             bucket[1] += 1 if data.get("had_incautious") else 0
-        elif event.type == "escalation_resolved":
-            if _require(data, "resolution", event.type) == "confirmed":
-                confirmations.setdefault(who, []).append(event.time)
+        elif type_ == "escalation_resolved":
+            if _require(data, "resolution", type_) == "confirmed":
+                self._confirmations.setdefault(who, []).append(time)
 
-    for who, span in spans.items():
-        if span is not None:
-            raise ValueError(
-                f"ord_change span of {who} from t={span[0]} has no shift_end record"
-            )
-    latencies: list[float] = []
-    for who, windows in episodes.items():
-        confirmed = sorted(confirmations.get(who, []))
-        for start, end in windows:
-            hit = next(
-                (t for t in confirmed if start <= t <= end + DETECTION_GRACE_S), None
-            )
-            if hit is not None:
-                latencies.append(hit - start)
-    mean_latency = sum(latencies) / len(latencies) if latencies else None
+    def finish(self) -> Metrics:
+        """The metrics of the records fed so far, which must end every
+        span they open."""
+        for who, span in self._spans.items():
+            if span is not None:
+                raise ValueError(
+                    f"ord_change span of {who} from t={span[0]} has no shift_end record"
+                )
+        latencies: list[float] = []
+        for who, windows in self._episodes.items():
+            confirmed = sorted(self._confirmations.get(who, []))
+            for start, end in windows:
+                hit = next(
+                    (t for t in confirmed if start <= t <= end + DETECTION_GRACE_S), None
+                )
+                if hit is not None:
+                    latencies.append(hit - start)
+        mean_latency = sum(latencies) / len(latencies) if latencies else None
 
-    return Metrics(
-        time_at_ord_ge4_min=time_ord_min,
-        fatigue_event_count=fatigue_events,
-        mean_detection_latency_s=mean_latency,
-        interventions=interventions,
-        invited_breaks=invited,
-        impromptu_breaks=impromptu,
-        incautious_events=incautious,
-        on_task_min=on_task_min,
-        incautious_by_session=tuple(
-            (name, BucketStats(sessions=buckets[name][0], with_event=buckets[name][1]))
-            for name in SESSION_BUCKETS
-        ),
-    )
+        return Metrics(
+            time_at_ord_ge4_min=self._time_ord_min,
+            fatigue_event_count=self._fatigue_events,
+            mean_detection_latency_s=mean_latency,
+            interventions=self._interventions,
+            invited_breaks=self._invited,
+            impromptu_breaks=self._impromptu,
+            incautious_events=self._incautious,
+            on_task_min=self._on_task_min,
+            incautious_by_session=tuple(
+                (name, BucketStats(sessions=self._buckets[name][0], with_event=self._buckets[name][1]))
+                for name in SESSION_BUCKETS
+            ),
+        )
+
+
+def compute_metrics(events: Iterable[Event]) -> Metrics:
+    """Fold a log's events (an ``EventLog``, or any iterable of events in
+    log order) through one ``MetricsFold``."""
+    fold = MetricsFold()
+    feed = fold.feed
+    for event in events:
+        feed(*event)
+    return fold.finish()
 
 
 def metrics_to_csv(metrics: Metrics, config_hash: str, seed: int) -> str:

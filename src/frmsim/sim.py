@@ -82,16 +82,15 @@ import io
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 from . import awareness as aw
 from . import engagement as eng
 from . import scheduling as sched
 from . import vigilance as vig
 from .config import SHIFT_DRAIN_S, ConfigError, HazardConfig, ScenarioConfig, Toggles
-from .events import EventLog
+from .events import EventLog, StreamedLog
 from .fatigue import (
     Activity,
     BreakActivity,
@@ -102,7 +101,7 @@ from .fatigue import (
     ord_hold_s,
     to_ord_truth,
 )
-from .metrics import Metrics, compute_metrics
+from .metrics import Metrics, MetricsFold, compute_metrics
 
 __all__ = [
     "AblationResult",
@@ -268,10 +267,17 @@ class ScenarioRunner:
     PHASE_MINUTE = 3
     PHASE_VALIDATION = 4
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, stream: Optional[BinaryIO] = None):
         cfg.validate()
         self.cfg = cfg
-        self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
+        # An in-memory log, or one streamed into ``stream`` that folds the
+        # metrics as the run appends it (see ``run_scenario``).
+        if stream is None:
+            self._fold = None
+            self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
+        else:
+            self._fold = MetricsFold()
+            self.log = StreamedLog(stream, cfg.seed, cfg.config_hash(), self._fold)
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
         self.rng_qualification = _substream(cfg.seed, "qualification", "fleet")
         # The enabled blocks' functions, listed once. The minute checks
@@ -365,7 +371,7 @@ class ScenarioRunner:
         evaluations (``advance_components`` calls), and shifts run and
         skipped."""
         return {
-            "events_by_type": dict(sorted(Counter(e.type for e in self.log).items())),
+            "events_by_type": dict(sorted(self.log.type_counts().items())),
             "heap_items": self._heap_seq,
             "heap_high_water": self._heap_high_water,
             "stale_items_dropped": self._stale_dropped,
@@ -377,7 +383,7 @@ class ScenarioRunner:
 
     # -- top-level run ---------------------------------------------------
 
-    def run(self) -> tuple[EventLog, Metrics]:
+    def run(self) -> tuple[EventLog | StreamedLog, Metrics]:
         """Run one shift a day. A day's shift runs only if it ends, with
         the ``SHIFT_DRAIN_S`` drain after it, within the horizon
         (``horizon_days`` × 86400 s); later shifts are skipped and counted
@@ -394,7 +400,10 @@ class ScenarioRunner:
             self._shifts_run += 1
             self._fast_forward_to(start)
             self._run_shift(start, end)
-        return self.log, compute_metrics(self.log)
+        if self._fold is None:
+            return self.log, compute_metrics(self.log)
+        self.log.close()
+        return self.log, self._fold.finish()
 
     def _fast_forward_to(self, shift_start: int) -> None:
         """Jump each agent through idle/sleep segments up to shift start."""
@@ -700,11 +709,17 @@ class ScenarioRunner:
 
 
 def run_scenario(
-    cfg: ScenarioConfig, stats: Optional[dict] = None
-) -> tuple[EventLog, Metrics]:
+    cfg: ScenarioConfig, stats: Optional[dict] = None, stream: Optional[BinaryIO] = None
+) -> tuple[EventLog | StreamedLog, Metrics]:
     """Execute one scenario; identical configs yield identical logs. If
-    ``stats`` is a dict, the run's ``ScenarioRunner.stats()`` go into it."""
-    runner = ScenarioRunner(cfg)
+    ``stats`` is a dict, the run's ``ScenarioRunner.stats()`` go into it.
+
+    By default the log is held in memory and the metrics fold it after
+    the run. Given a binary ``stream``, the run writes its log there as
+    it appends each record and folds the metrics in the same pass; the
+    returned ``StreamedLog`` holds no record, and its ``written`` says
+    what it wrote."""
+    runner = ScenarioRunner(cfg, stream)
     result = runner.run()
     if stats is not None:
         stats.update(runner.stats())

@@ -4,12 +4,21 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from frmsim.cli import main
-from frmsim.config import ConfigError, ScenarioConfig, default_config
+from frmsim.config import (
+    ConfigError,
+    ScenarioConfig,
+    ShiftConfig,
+    SpecialistDef,
+    Toggles,
+    default_config,
+)
+from frmsim import events
 from frmsim.events import EventLog
 
 
@@ -58,40 +67,107 @@ def test_simulate_manifest_records_the_log_file(config_path, tmp_path, capsys):
     # The header counts as a record, as it does for any line reader.
     assert manifest["events"] == data.count(b"\n")
     assert f"({manifest['events']} events)" in capsys.readouterr().out
-    assert set(manifest["wall_s"]) == {"run", "write_log"}
+    # The log is written during the run, so the run's time covers it.
+    assert set(manifest["wall_s"]) == {"run"}
     assert all(seconds >= 0 for seconds in manifest["wall_s"].values())
 
 
 def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, monkeypatch):
-    encodes = []
-    to_jsonl = EventLog.to_jsonl
-    write_jsonl = EventLog.write_jsonl
+    encoded = []
+    whole = []
+    encode_lines = events._LineEncoder.lines
 
-    def counting_to_jsonl(self):
-        encodes.append("to_jsonl")
-        return to_jsonl(self)
+    def counting_lines(self, records):
+        for line in encode_lines(self, records):
+            encoded.append(line)
+            yield line
 
-    def counting_write_jsonl(self, stream):
-        encodes.append("write_jsonl")
-        return write_jsonl(self, stream)
+    def whole_text(name):
+        def refuse(*args, **kwargs):
+            whole.append(name)
+            raise AssertionError(f"simulate called EventLog.{name}")
 
-    monkeypatch.setattr(EventLog, "to_jsonl", counting_to_jsonl)
-    monkeypatch.setattr(EventLog, "write_jsonl", counting_write_jsonl)
+        return refuse
+
+    monkeypatch.setattr(events._LineEncoder, "lines", counting_lines)
+    for name in ("lines", "to_jsonl", "write_jsonl", "digest"):
+        monkeypatch.setattr(EventLog, name, whole_text(name))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-    # One streamed write encodes the log; the whole text is never built.
-    assert encodes == ["write_jsonl"]
+    # The streamed log encodes each record exactly once, as it is
+    # appended; the whole text is never built.
+    assert whole == []
+    data = (out / "events.jsonl").read_bytes()
+    assert "".join(encoded).encode("utf-8") == data.split(b"\n", 1)[1]
     printed = [
         line.split(": ", 1)[1]
         for line in capsys.readouterr().out.splitlines()
         if line.startswith("log digest: ")
     ]
     manifest = json.loads((out / "manifest.json").read_text())
-    data = (out / "events.jsonl").read_bytes()
     file_digest = hashlib.sha256(data).hexdigest()
     assert printed == [file_digest]
     assert manifest["log_digest"] == file_digest
+    monkeypatch.undo()
     assert EventLog.from_jsonl(data.decode("utf-8")).digest() == file_digest
+
+
+def test_a_failed_simulate_leaves_the_out_dir_empty(tmp_path, capsys):
+    # Rater qualification fails at the first shift start, after the log
+    # file was opened.
+    data = json.loads(default_config(seed=3).to_json())
+    data["vigilance"]["qualification_match_threshold"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "too few raters passed qualification" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def _peak_bytes(argv: list[str]) -> int:
+    """The tracemalloc peak of one in-process command, which must succeed."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_report_memory_follows_the_fleet_not_the_log(tmp_path, capsys):
+    # Doubling the horizon doubles the log; a command that holds the
+    # records doubles its peak, one that streams them keeps it.
+    fleet = tuple(
+        SpecialistDef(specialist_id=f"as-{i}", susceptibility=0.9 + 0.1 * i, dual=i % 2 == 0)
+        for i in range(4)
+    )
+
+    def peaks(days: int, measure=_peak_bytes) -> tuple:
+        config = tmp_path / f"config{days}.json"
+        config.write_text(
+            default_config(
+                seed=0,
+                horizon_days=days,
+                fleet=fleet,
+                shift=ShiftConfig(duration_min=240),
+                toggles=Toggles.all_on(),
+            ).to_json()
+        )
+        out = tmp_path / f"run{days}"
+        return (
+            measure(["simulate", "--config", str(config), "--out", str(out)]),
+            measure(["report", "--log", str(out / "events.jsonl")]),
+        )
+
+    # One shift first, untraced, so that first-use allocations (caches,
+    # lazy imports) do not count in the 7-day peaks.
+    peaks(2, measure=main)
+    week, fortnight = peaks(7), peaks(14)
+    for command, small, large in zip(("simulate", "report"), week, fortnight):
+        assert large <= 1.3 * small, f"{command}: {small} B at 7 d, {large} B at 14 d"
 
 
 def _assert_validate_and_simulate_exit_one(tmp_path, data, setting):
@@ -486,6 +562,47 @@ def test_metrics_do_not_depend_on_sample_period(tmp_path, capsys):
         assert header.split(",")[0] == "config_hash"
         rows.add(row.split(",", 1)[1])
     assert len(rows) == 1
+
+
+def _first_shift_without_ord_changes(tmp_path) -> list[bytes]:
+    """The lines of a two-shift log whose first shift lost its
+    ord_change records."""
+    config = tmp_path / "config.json"
+    config.write_text(default_config(seed=11, horizon_days=3).to_json())
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "events.jsonl").read_bytes().splitlines()
+    first_end = next(i for i, line in enumerate(lines) if b'"type":"shift_end"' in line)
+    assert first_end < len(lines) - 2
+    return [
+        line
+        for i, line in enumerate(lines)
+        if i > first_end or b'"type":"ord_change"' not in line
+    ]
+
+
+def test_report_on_a_shift_without_ord_change_exits_one(tmp_path, capsys):
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_bytes(b"\n".join(_first_shift_without_ord_changes(tmp_path)) + b"\n")
+    capsys.readouterr()
+    assert main(["report", "--log", str(log_path)]) == 1
+    captured = capsys.readouterr()
+    assert "has no ord_change record" in captured.err
+    assert captured.out == ""
+
+
+def test_report_names_a_malformed_line_after_an_unfoldable_shift(tmp_path, capsys):
+    # The fold fails at the first shift's end; the parse error on the
+    # last line still decides the exit code.
+    lines = _first_shift_without_ord_changes(tmp_path)
+    lines[-1] = lines[-1][:25]
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["report", "--log", str(log_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"line {len(lines)}: ")
+    assert captured.out == ""
 
 
 def test_report_rejects_log_without_ord_change_records(tmp_path, capsys):

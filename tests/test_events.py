@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from frmsim.config import ScenarioConfig
-from frmsim.events import EventLog
+from frmsim.events import CHUNK_LINES, EventLog, StreamedLog
 from frmsim.sim import run_scenario
 
 from test_golden import matrix
@@ -57,3 +57,21 @@ def test_v1_fixture_reads_as_a_fresh_run():
     old = EventLog.from_jsonl((V1_FIXTURE / "events.jsonl").read_text())
     assert (old.seed, old.config_hash) == (fresh.seed, fresh.config_hash)
     assert list(old) == list(fresh)
+
+
+def test_a_streamed_log_writes_what_an_event_log_writes_and_keeps_nothing():
+    held = EventLog(seed=4, config_hash="x")
+    stream = io.BytesIO()
+    streamed = StreamedLog(stream, seed=4, config_hash="x")
+    for i in range(CHUNK_LINES + 3):
+        for log in (held, streamed):
+            log.append(i, "tick" if i % 2 else "tock", f"as-{i % 3}", n=i)
+    streamed.close()
+    expected = io.BytesIO()
+    assert streamed.written == held.write_jsonl(expected)
+    assert stream.getvalue() == expected.getvalue()
+    assert streamed.type_counts() == held.type_counts()
+    with pytest.raises(TypeError):
+        list(streamed)
+    with pytest.raises(ValueError, match="timestamp regression"):
+        streamed.append(0, "late")

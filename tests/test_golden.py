@@ -11,13 +11,15 @@ cases whose digest or counters changed.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import dataclasses
-
+from frmsim.cli import main
 from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
@@ -154,6 +156,26 @@ def test_log_digest_matches_golden(name, golden):
 @pytest.mark.parametrize("name", sorted(matrix()))
 def test_work_counters_match_golden(name, golden_stats):
     assert work_counters(matrix()[name])[1] == golden_stats[name]
+
+
+@pytest.mark.parametrize("name", sorted(matrix()))
+def test_simulate_streams_the_golden_log(name, golden, golden_stats, tmp_path, capsys):
+    # The CLI path: the streamed file, its manifest counters and the
+    # metrics that report folds from it.
+    config = tmp_path / "config.json"
+    config.write_text(matrix()[name].to_json())
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    data = (out / "events.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == golden[name]
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    types = Counter(json.loads(line)["type"] for line in data.splitlines()[1:])
+    assert stats.pop("events_by_type") == dict(sorted(types.items()))
+    assert stats == golden_stats[name]
+    capsys.readouterr()
+    argv = ["report", "--log", str(out / "events.jsonl"), "--metrics", str(out / "metrics.csv")]
+    assert main(argv) == 0
+    assert "metrics match the stored file" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import importlib.util
+import io
 import json
 import math
 import random
@@ -282,6 +283,20 @@ def test_a_finished_runner_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         runner = ScenarioRunner(default_config(seed=0))
+        runner.run()
+        ref = weakref.ref(runner)
+        del runner
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_finished_streamed_runner_is_freed_without_the_cycle_collector():
+    # The streamed log holds the metrics fold's feed; nothing it holds
+    # may lead back to the runner.
+    gc.disable()
+    try:
+        runner = ScenarioRunner(default_config(seed=0), io.BytesIO())
         runner.run()
         ref = weakref.ref(runner)
         del runner
