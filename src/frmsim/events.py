@@ -166,11 +166,6 @@ class EventLog:
         self._events.append(event)
         return event
 
-    @property
-    def last_time(self) -> int:
-        """Timestamp of the last record, or 0 for an empty log."""
-        return self._events[-1].time if self._events else 0
-
     def type_counts(self) -> dict[str, int]:
         """The number of records of each type."""
         return Counter(event.type for event in self._events)
@@ -228,12 +223,12 @@ class StreamedLog:
     def __init__(self, stream: BinaryIO, seed: int, config_hash: str, fold=None):
         self.seed = seed
         self.config_hash = config_hash
-        self.last_time = 0
         self.written: Optional[WrittenLog] = None
         self._writer = _HashingWriter(stream)
         self._writer.write(_header_line(seed, config_hash), 1)
         self._encoder = _LineEncoder()
         self._pending: list[tuple] = []
+        self._last = 0
         self._counts: dict[str, int] = {}
         self._feed = None if fold is None else fold.feed
         self._fold_types = frozenset() if fold is None else fold.TYPES
@@ -245,9 +240,9 @@ class StreamedLog:
         specialist: Optional[str] = None,
         **data,
     ) -> None:
-        if time < self.last_time:
-            raise ValueError(f"timestamp regression: {time} < {self.last_time}")
-        time = self.last_time = int(time)
+        if time < self._last:
+            raise ValueError(f"timestamp regression: {time} < {self._last}")
+        time = self._last = int(time)
         pending = self._pending
         pending.append((time, type_, specialist, data))
         if len(pending) == CHUNK_LINES:
