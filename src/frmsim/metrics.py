@@ -83,8 +83,9 @@ class MetricsFold:
     folded.
 
     Only records whose type is in ``TYPES`` change the fold, so a caller
-    may pass it those alone. What the fold holds grows with the fleet
-    and the high-drowsiness episodes, not with the log, so ``frmsim
+    may pass it those alone. What the fold holds grows with the fleet,
+    the high-drowsiness episodes and the confirmed escalations, not with
+    the log, so ``frmsim
     simulate`` and ``frmsim report`` fold a log as it is written or read
     without holding it (``tests/memory_budget.py`` holds each to a
     40 MiB peak on an 80-specialist, 28-day fleet).
@@ -210,8 +211,8 @@ class MetricsFold:
             incautious_events=self._incautious,
             on_task_min=self._on_task_min,
             incautious_by_session=tuple(
-                (name, BucketStats(sessions=self._buckets[name][0], with_event=self._buckets[name][1]))
-                for name in SESSION_BUCKETS
+                (name, BucketStats(sessions=sessions, with_event=with_event))
+                for name, (sessions, with_event) in self._buckets.items()
             ),
         )
 

@@ -74,7 +74,6 @@ def test_simulate_manifest_records_the_log_file(config_path, tmp_path, capsys):
 
 def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, monkeypatch):
     encoded = []
-    whole = []
     encode_lines = events._LineEncoder.lines
 
     def counting_lines(self, records):
@@ -82,21 +81,16 @@ def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, 
             encoded.append(line)
             yield line
 
-    def whole_text(name):
-        def refuse(*args, **kwargs):
-            whole.append(name)
-            raise AssertionError(f"simulate called EventLog.{name}")
-
-        return refuse
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate encoded an in-memory log")
 
     monkeypatch.setattr(events._LineEncoder, "lines", counting_lines)
     for name in ("lines", "to_jsonl", "write_jsonl", "digest"):
-        monkeypatch.setattr(EventLog, name, whole_text(name))
+        monkeypatch.setattr(EventLog, name, refuse)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
     # The streamed log encodes each record exactly once, as it is
     # appended; the whole text is never built.
-    assert whole == []
     data = (out / "events.jsonl").read_bytes()
     assert "".join(encoded).encode("utf-8") == data.split(b"\n", 1)[1]
     printed = [
