@@ -215,14 +215,13 @@ class StreamedLog:
     Each record is encoded, hashed and written into ``stream`` (the lines
     of ``CHUNK_LINES`` records at a time, after the header), counted by
     type, and, if its type is in ``fold.TYPES``, passed to
-    ``fold.feed(time, type, specialist, data)``. ``close`` writes the
+    ``fold.feed(time, type, specialist, data)`` (``fold`` is a
+    ``frmsim.metrics.MetricsFold``). ``close`` writes the
     last chunk and sets ``written``; the stream stays open. The log
     keeps no record, so iterating it raises ``TypeError``.
     """
 
-    def __init__(self, stream: BinaryIO, seed: int, config_hash: str, fold=None):
-        self.seed = seed
-        self.config_hash = config_hash
+    def __init__(self, stream: BinaryIO, seed: int, config_hash: str, fold):
         self.written: Optional[WrittenLog] = None
         self._writer = _HashingWriter(stream)
         self._writer.write(_header_line(seed, config_hash), 1)
@@ -230,8 +229,8 @@ class StreamedLog:
         self._pending: list[tuple] = []
         self._last = 0
         self._counts: dict[str, int] = {}
-        self._feed = None if fold is None else fold.feed
-        self._fold_types = frozenset() if fold is None else fold.TYPES
+        self._feed = fold.feed
+        self._fold_types = fold.TYPES
 
     def append(
         self,

@@ -13,6 +13,7 @@ import pytest
 
 from frmsim.config import ScenarioConfig
 from frmsim.events import CHUNK_LINES, EventLog, StreamedLog
+from frmsim.metrics import MetricsFold, compute_metrics
 from frmsim.sim import run_scenario
 
 from test_golden import matrix
@@ -59,18 +60,20 @@ def test_v1_fixture_reads_as_a_fresh_run():
     assert list(old) == list(fresh)
 
 
-def test_a_streamed_log_writes_what_an_event_log_writes_and_keeps_nothing():
+def test_a_streamed_log_writes_and_folds_what_an_event_log_does_and_keeps_nothing():
     held = EventLog(seed=4, config_hash="x")
     stream = io.BytesIO()
-    streamed = StreamedLog(stream, seed=4, config_hash="x")
+    fold = MetricsFold()
+    streamed = StreamedLog(stream, seed=4, config_hash="x", fold=fold)
     for i in range(CHUNK_LINES + 3):
         for log in (held, streamed):
-            log.append(i, "tick" if i % 2 else "tock", f"as-{i % 3}", n=i)
+            log.append(i, "incautious" if i % 2 else "tick", f"as-{i % 3}", n=i)
     streamed.close()
     expected = io.BytesIO()
     assert streamed.written == held.write_jsonl(expected)
     assert stream.getvalue() == expected.getvalue()
     assert streamed.type_counts() == held.type_counts()
+    assert fold.finish() == compute_metrics(held)
     with pytest.raises(TypeError):
         list(streamed)
     with pytest.raises(ValueError, match="timestamp regression"):
