@@ -28,7 +28,7 @@ from .config import (
     default_config,
 )
 from .events import SCHEMA_VERSION, LogParseError, read_jsonl
-from .metrics import MetricsFold, metrics_to_csv
+from .metrics import MetricsFold, _require, metrics_to_csv
 from .scheduling import (
     RotationConstraints,
     RotationDirection,
@@ -235,40 +235,43 @@ def _cmd_validate_config(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     # One pass over the log: fold the metrics, keep the self-reports'
     # fields, count escalation outcomes and keep the last timestamp. A
-    # line that does not parse exits 2 wherever it is, so an error of the
-    # fold's is held back until the whole log has parsed.
+    # line that does not parse exits 2 wherever it is, so a record that
+    # parses but lacks a field (an error of the fold's or of this
+    # command's own reads) is held back until the whole log has parsed.
     fold = MetricsFold()
-    fold_error: Optional[ValueError] = None
-    surveys: list[tuple] = []
+    error: Optional[ValueError] = None
+    surveys: list[PfsRecord] = []
     outcomes: dict[tuple[str, str], int] = {}
     horizon = 0
     with open(args.log, "rb") as lines:
         events = read_jsonl(lines)
         header = next(events).data
         for event in events:
-            if fold_error is None and event.type in fold.TYPES:
-                try:
-                    fold.feed(*event)
-                except ValueError as exc:
-                    fold_error = exc
-            if event.type == "pfs":
-                data = event.data
-                surveys.append(
-                    (
-                        data["record_id"],
-                        event.specialist or "",
-                        event.time,
-                        data["kss"],
-                        data["is_followup"],
-                        data.get("triggered_by"),
-                    )
-                )
-            elif event.type == "escalation_resolved":
-                key = (event.data["route"], event.data["resolution"])
-                outcomes[key] = outcomes.get(key, 0) + 1
             horizon = event.time
-    if fold_error is not None:
-        raise fold_error
+            if error is not None:
+                continue
+            type_, data = event.type, event.data
+            try:
+                if type_ in fold.TYPES:
+                    fold.feed(*event)
+                if type_ == "pfs":
+                    surveys.append(
+                        PfsRecord(
+                            record_id=_require(data, "record_id", type_),
+                            specialist_id=event.specialist or "",
+                            timestamp=event.time,
+                            kss=_require(data, "kss", type_),
+                            is_followup=_require(data, "is_followup", type_),
+                            triggered_by=data.get("triggered_by"),
+                        )
+                    )
+                elif type_ == "escalation_resolved":
+                    key = (_require(data, "route", type_), _require(data, "resolution", type_))
+                    outcomes[key] = outcomes.get(key, 0) + 1
+            except ValueError as exc:
+                error = exc
+    if error is not None:
+        raise error
     metrics = fold.finish()
     csv_text = metrics_to_csv(metrics, header["config_hash"], header["seed"])
     print("== metrics ==")
@@ -280,19 +283,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return EXIT_DOMAIN
         print("metrics match the stored file")
 
-    pfs_records = [
-        PfsRecord(
-            record_id=record_id,
-            specialist_id=specialist_id,
-            timestamp=timestamp,
-            kss=kss,
-            is_followup=is_followup,
-            triggered_by=triggered_by,
-        )
-        for record_id, specialist_id, timestamp, kss, is_followup, triggered_by in surveys
-    ]
     print("== self-report trend ==")
-    print(trend_to_csv(pfs_trend(pfs_records, (0, horizon))), end="")
+    print(trend_to_csv(pfs_trend(surveys, (0, horizon))), end="")
 
     print("== escalations ==")
     print("route,resolution,count")

@@ -1,6 +1,8 @@
 """Scenario configuration: fleet, policies, countermeasure toggles, and
 deterministic hashing. Configurations round-trip through a versioned
-JSON document; the hash of the canonical form stamps every output."""
+JSON document; the hash of the canonical form stamps every output.
+``ScenarioConfig.validate`` checks every numeric leaf against one table,
+``BOUNDS``, and then the few rules that span fields."""
 
 from __future__ import annotations
 
@@ -10,16 +12,18 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Any, Optional, get_args, get_origin, get_type_hints
+from typing import Any, NamedTuple, Optional, get_args, get_origin, get_type_hints
 
-from .engagement import ICT_OUTCOME_HISTORY, EngagementConfig, SaConfig
+from .engagement import ICT_OUTCOME_HISTORY, EngagementConfig, SaConfig, TransitionCause
 from .fatigue import ModelParams
-from .scheduling import BreakPolicy, Stage
-from .vigilance import DmsConfig, RaterProfile
+from .scheduling import MAX_SHIFT_MINUTES, MINUTES_PER_DAY, BreakPolicy, Stage
+from .vigilance import DmsConfig, RaterProfile, qualification
 
 __all__ = [
+    "BOUNDS",
     "SHIFT_DRAIN_S",
     "BehaviorConfig",
+    "Bound",
     "ConfigError",
     "ConfigParseError",
     "HazardConfig",
@@ -57,34 +61,12 @@ class SpecialistDef:
     stage: Stage = Stage.SINGLE_QUALIFIED
     dual: bool = False
 
-    def __post_init__(self) -> None:
-        if self.susceptibility <= 0:
-            raise ConfigError("susceptibility must be positive")
-        if not 0.0 <= self.initial_sleep_pressure <= 1.0:
-            raise ConfigError("initial_sleep_pressure must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class ShiftConfig:
     start_min: int = 1320  # 22:00, where monotony and the circadian dip overlap
     duration_min: int = 480
     scheduled_breaks: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        # The simulator visits minute ticks relative to the shift start and
-        # relies on the start, end and scheduled breaks falling on them.
-        minutes = [self.start_min, self.duration_min]
-        for offset, length in self.scheduled_breaks:
-            minutes += [offset, length]
-        if any(value != int(value) for value in minutes):
-            raise ConfigError("shift times must be whole minutes")
-        if not 0 <= self.start_min < 1440:
-            raise ConfigError("start_min must be within one day")
-        if not 0 < self.duration_min <= 840:
-            raise ConfigError("duration_min must be in (0, 14 h]")
-        for offset, length in self.scheduled_breaks:
-            if offset < 0 or length <= 0 or offset + length > self.duration_min:
-                raise ConfigError("scheduled break outside the shift")
 
 
 @dataclass(frozen=True)
@@ -127,14 +109,6 @@ class VigilancePolicy:
     qualification_match_threshold: float = 0.8
     post_confirm_break_min: float = 15.0
 
-    def __post_init__(self) -> None:
-        if self.k_validation_raters < 2:
-            raise ConfigError("k_validation_raters must be at least 2")
-        if not 1 <= self.route_two_threshold <= 5:
-            raise ConfigError("route_two_threshold must be in 1..5")
-        if self.rating_latency_s <= 0:
-            raise ConfigError("rating_latency_s must be positive")
-
 
 @dataclass(frozen=True)
 class PfsPolicy:
@@ -143,13 +117,6 @@ class PfsPolicy:
     break_compliance: float = 0.9
     followup_compliance: float = 0.9
     outreach_reassign_kss: int = 8
-
-    def __post_init__(self) -> None:
-        if self.cadence_min <= 0:
-            raise ConfigError("cadence_min must be positive")
-        for name in ("break_compliance", "followup_compliance"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -178,25 +145,6 @@ class BehaviorConfig:
     peer_concern_p_per_h: float = 0.05
     education_recovery_bonus: float = 0.2
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.monotony <= 1.0:
-            raise ConfigError("monotony must be in [0, 1]")
-        for name in (
-            "ict_miss_base_p",
-            "ict_relief",
-            "alert_relief",
-            "impromptu_p",
-            "invited_decline_p",
-            "emergency_p",
-            "sa_clear_base_p",
-            "peer_concern_p_per_h",
-            "education_recovery_bonus",
-        ):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        if self.speed_mps < 0:
-            raise ConfigError("speed_mps must be nonnegative")
-
 
 @dataclass(frozen=True)
 class HazardConfig:
@@ -219,10 +167,112 @@ class HazardConfig:
         )
         return min(1.0, max(0.0, raw))
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be nonnegative")
+
+class Bound(NamedTuple):
+    """The values one numeric config leaf may take: from ``lo`` to ``hi``,
+    an end included unless it is open, whole numbers only if ``integer``.
+    The ends of a time in units of ``unit_s`` seconds are in seconds: the
+    loop runs in whole seconds, and items due after a shift ends must
+    fall due within its ``SHIFT_DRAIN_S``-second drain. On a list of
+    (name, weight) pairs, ``names`` are the names it holds, each once."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    open_lo: bool = False
+    open_hi: bool = False
+    integer: bool = False
+    unit_s: float = 0.0
+    names: tuple[str, ...] = ()
+
+    def fault(self, value: float) -> Optional[str]:
+        """What a number outside the bound must be, worded to follow
+        "must be"; None for one inside it."""
+        if not math.isfinite(value):
+            return f"finite, got {value!r}"
+        x = value * self.unit_s if self.unit_s else value
+        if (
+            self.lo <= x <= self.hi
+            and not (self.open_lo and x == self.lo)
+            and not (self.open_hi and x == self.hi)
+            and not (self.integer and x != int(x))
+        ):
+            return None
+        kind = "an integer in" if self.integer else "a time in" if self.unit_s else "in"
+        left = "([" [not self.open_lo and self.lo > -math.inf]
+        right = ")]" [not self.open_hi and self.hi < math.inf]
+        unit = " s" if self.unit_s else ""
+        return f"{kind} {left}{self.lo:g}, {self.hi:g}{right}{unit}, got {x!r}{unit}"
+
+
+def _each(bound: Bound, *keys: str) -> dict[str, Bound]:
+    return dict.fromkeys(keys, bound)
+
+
+# Each numeric leaf's bound, by the codec's dotted path with "[]" for a
+# list item. A leaf not listed may be any finite number.
+BOUNDS: dict[str, Bound] = {
+    # Counts and levels. The shift starts, ends and breaks on a minute
+    # tick; the ICT scheduler keeps ICT_OUTCOME_HISTORY outcomes.
+    **_each(Bound(0, integer=True), "horizon_days", "sample_period_s", "shift.scheduled_breaks[][]"),
+    "shift.start_min": Bound(0, MINUTES_PER_DAY - 1, integer=True),
+    "shift.duration_min": Bound(1, MAX_SHIFT_MINUTES, integer=True),
+    "vigilance.qualification_items": Bound(1, integer=True),
+    "vigilance.k_validation_raters": Bound(2, integer=True),
+    "ict.adapt_window": Bound(1, ICT_OUTCOME_HISTORY, integer=True),
+    "dms.detect_threshold_ord": Bound(2, 5, integer=True),
+    **_each(Bound(1, 5, integer=True), "vigilance.route_two_threshold", "breaks.rater_level_threshold"),
+    **_each(
+        Bound(1, 9, integer=True),
+        "breaks.kss_threshold", "pfs.outreach_reassign_kss", "behavior.impromptu_kss_threshold",
+    ),
+    # Probabilities, shares and thresholds on them.
+    **_each(
+        Bound(0.0, 1.0),
+        "fleet[].initial_sleep_pressure", "model.circadian_amplitude", "model.component_weights[]",
+        "dms.false_positive_rate", "dms.false_negative_rate",
+        "vigilance.qualification_match_threshold", "ict.miss_rate_threshold",
+        "breaks.ict_miss_rate_threshold", "pfs.break_compliance", "pfs.followup_compliance",
+        "behavior.monotony", "behavior.ict_miss_base_p", "behavior.ict_relief",
+        "behavior.alert_relief", "behavior.impromptu_p", "behavior.invited_decline_p",
+        "behavior.emergency_p", "behavior.sa_clear_base_p", "behavior.peer_concern_p_per_h",
+        "behavior.education_recovery_bonus",
+    ),
+    "ict.jitter": Bound(0.0, 1.0, open_hi=True),
+    "ict.multiplier_floor": Bound(0.0, 1.0, open_lo=True),
+    "model.circadian_trough_hour": Bound(0.0, 24.0, open_hi=True),
+    # Rates, weights, durations and offsets. The odometer cannot run backwards.
+    **_each(
+        Bound(0.0),
+        "model.task_load_rate", "model.report_noise_sd", "raters[].noise_sd",
+        "vigilance.flag_cooldown_min", "ict.slow_latency_threshold_s", "sa.cause_weights[][]",
+        "sa.no_input_before_weight", "sa.no_input_after_weight", "sa.speed_weight",
+        "sa.speed_threshold_mps", "breaks.cooldown_min", "behavior.ict_latency_base_s",
+        "behavior.ict_latency_fatigue_s", "behavior.break_activity_weights[]",
+        "behavior.transition_rate_per_h", "behavior.demand_start_min",
+        "behavior.demand_duration_min", "behavior.speed_mps", "hazard.base_per_min",
+        "hazard.task_load_gain", "hazard.alertness_gain",
+    ),
+    **_each(
+        Bound(0.0, open_lo=True),
+        "fleet[].susceptibility", "model.homeostat_rise_tau", "model.homeostat_decay_tau",
+        "model.task_recovery_tau", "ict.gap_time_s", "ict.gap_distance_m",
+        "ict.response_deadline_s", "behavior.manual_period_s",
+    ),
+    # Cadences and delays, and delays that may outlast the shift.
+    **_each(Bound(1, unit_s=1.0), "dms.observation_period", "sa.issue_delay_s", "sa.clear_timeout_s"),
+    **_each(
+        Bound(1, unit_s=60.0),
+        "vigilance.periodic_cadence_min", "vigilance.reliability_interval_min", "pfs.cadence_min",
+        "pfs.followup_due_min", "behavior.impromptu_check_min", "behavior.demand_period_min",
+    ),
+    **_each(
+        Bound(1, SHIFT_DRAIN_S, unit_s=60.0),
+        "vigilance.post_confirm_break_min", "breaks.duration_min",
+    ),
+    "vigilance.rating_latency_s": Bound(0, SHIFT_DRAIN_S, open_lo=True, unit_s=1.0),
+    # A control transition looks up its cause's weight.
+    "sa.cause_weights": Bound(names=tuple(cause.value for cause in TransitionCause)),
+}
 
 
 def _default_raters() -> tuple[RaterProfile, ...]:
@@ -254,73 +304,50 @@ class ScenarioConfig:
     sample_period_s: int = 0
 
     def validate(self) -> None:
-        if self.horizon_days < 0:
-            raise ConfigError("config.horizon_days must be nonnegative")
-        if self.sample_period_s < 0:
-            raise ConfigError("config.sample_period_s must be nonnegative")
-        ids = [s.specialist_id for s in self.fleet]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate specialist ids")
-        rater_ids = [r.rater_id for r in self.raters]
-        if len(set(rater_ids)) != len(rater_ids):
-            raise ConfigError("duplicate rater ids")
-        path = _non_finite_path(self.to_dict())
-        if path is not None:
-            raise ConfigError(f"{path} must be finite")
-        if self.vigilance.qualification_items < 1:
-            raise ConfigError("config.vigilance.qualification_items must be at least 1")
-        if not 0.0 <= self.vigilance.qualification_match_threshold <= 1.0:
-            raise ConfigError(
-                "config.vigilance.qualification_match_threshold must be in [0, 1]"
-            )
-        # The ICT scheduler keeps only the last ICT_OUTCOME_HISTORY outcomes.
-        if not 1 <= self.ict.adapt_window <= ICT_OUTCOME_HISTORY:
-            raise ConfigError(
-                f"config.ict.adapt_window must be in 1..{ICT_OUTCOME_HISTORY}"
-            )
-        # A break draws its activity with these weights.
-        weights = self.behavior.break_activity_weights
-        if min(weights) < 0 or sum(weights) == 0:
-            raise ConfigError(
-                "config.behavior.break_activity_weights must be nonnegative with a positive "
-                f"sum, got {list(weights)}"
-            )
-        if self.toggles.vigilance and len(self.raters) <= self.vigilance.k_validation_raters:
-            raise ConfigError(
-                "vigilance requires more raters than k_validation_raters"
-            )
-        # The simulator truncates these to whole seconds. The cadences are
-        # moduli of the time into the shift; the delays are offsets from a
-        # time slot already processed, so a zero offset would be lost.
-        for name, seconds in (
-            ("config.dms.observation_period", self.dms.observation_period),
-            ("config.vigilance.periodic_cadence_min", self.vigilance.periodic_cadence_min * 60),
-            ("config.vigilance.reliability_interval_min", self.vigilance.reliability_interval_min * 60),
-            ("config.pfs.cadence_min", self.pfs.cadence_min * 60),
-            ("config.behavior.impromptu_check_min", self.behavior.impromptu_check_min * 60),
-            ("config.behavior.demand_period_min", self.behavior.demand_period_min * 60),
-            ("config.sa.issue_delay_s", self.sa.issue_delay_s),
-            ("config.sa.clear_timeout_s", self.sa.clear_timeout_s),
-            ("config.breaks.duration_min", self.breaks.duration_min * 60),
-            ("config.vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
-            ("config.pfs.followup_due_min", self.pfs.followup_due_min * 60),
+        """Check every number against ``BOUNDS`` (each must be finite),
+        then the rules that span fields; with vigilance on, enough raters
+        must pass the seeded qualification. What validates, simulates.
+        Raises ``ConfigError`` naming the dotted path at fault."""
+        fault = _checker(ScenarioConfig, "")(self)
+        if fault is not None:
+            raise ConfigError(f"config{fault[0]} must be {fault[1]}")
+        for path, ids in (
+            ("config.fleet", [s.specialist_id for s in self.fleet]),
+            ("config.raters", [r.rater_id for r in self.raters]),
         ):
-            if not (math.isfinite(seconds) and seconds >= 1):
-                raise ConfigError(
-                    f"{name} must be a finite time of at least 1 s, got {seconds:g} s"
-                )
+            if len(set(ids)) != len(ids):
+                raise ConfigError(f"{path} must have unique ids, got {ids}")
+        for i, (offset, length) in enumerate(self.shift.scheduled_breaks):
+            if length < 1 or offset + length > self.shift.duration_min:
+                raise ConfigError(f"config.shift.scheduled_breaks[{i}] must lie inside the shift")
+        # A break draws its activity with these weights.
+        if sum(self.behavior.break_activity_weights) == 0:
+            raise ConfigError("config.behavior.break_activity_weights must have a positive sum")
+        if abs(sum(self.model.component_weights) - 1.0) > 1e-9:
+            raise ConfigError("config.model.component_weights must sum to 1")
         # An item scheduled by the end of a shift must fall due within the
         # drain that follows it.
         for name, seconds in (
             ("config.sa.issue_delay_s + config.sa.clear_timeout_s", self.sa.issue_delay_s + self.sa.clear_timeout_s),
-            ("config.vigilance.rating_latency_s", self.vigilance.rating_latency_s),
-            ("config.breaks.duration_min", self.breaks.duration_min * 60),
-            ("config.vigilance.post_confirm_break_min", self.vigilance.post_confirm_break_min * 60),
             ("config.pfs.followup_due_min + 1 min", self.pfs.followup_due_min * 60 + 60),
         ):
             if seconds > SHIFT_DRAIN_S:
+                raise ConfigError(f"{name} must be at most {SHIFT_DRAIN_S} s, got {seconds:g} s")
+        # A case's validators are more than k raters who passed qualification.
+        if self.toggles.vigilance:
+            need = self.vigilance.k_validation_raters + 1
+            if len(self.raters) < need:
                 raise ConfigError(
-                    f"{name} must be at most {SHIFT_DRAIN_S} s, got {seconds:g} s"
+                    "vigilance requires more config.raters than "
+                    f"config.vigilance.k_validation_raters, got {len(self.raters)}"
+                )
+            passed = sum(ok for _, ok in qualification(self.seed, self.raters, self.vigilance))
+            if passed < need:
+                raise ConfigError(
+                    "too few raters passed qualification for validation coverage: "
+                    f"{passed} pass config.vigilance.qualification_items at "
+                    f"config.vigilance.qualification_match_threshold (seed {self.seed}), "
+                    f"and config.vigilance.k_validation_raters needs {need}"
                 )
 
     def to_dict(self) -> dict:
@@ -386,24 +413,6 @@ class ScenarioConfig:
         return cfg
 
 
-def _non_finite_path(node: Any, path: str = "config") -> Optional[str]:
-    """Path of the first number in a plain document that is not finite,
-    named as the codec names paths (``config.raters[1].bias``), or None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    if isinstance(node, dict):
-        items = ((f"{path}.{key}", value) for key, value in node.items())
-    elif isinstance(node, list):
-        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
-    else:
-        return None
-    for item_path, value in items:
-        found = _non_finite_path(value, item_path)
-        if found is not None:
-            return found
-    return None
-
-
 @functools.cache
 def _field_types(cls: type) -> dict[str, Any]:
     """A dataclass's field types by name, in declaration order."""
@@ -412,6 +421,54 @@ def _field_types(cls: type) -> dict[str, Any]:
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+@functools.cache
+def _checker(tp: Any, key: str):
+    """The check of a value of type ``tp`` at table key ``key``, or None
+    if no number lies under such a value. The check returns the first
+    number under the value that is not finite or lies outside its bound,
+    as (its path below the value, what it must be), or None."""
+    if tp is float or tp is int:
+        bound = BOUNDS.get(key, Bound())
+
+        def check_number(value):
+            fault = bound.fault(value)
+            return fault and ("", fault)
+
+        return check_number
+    if is_dataclass(tp):
+        steps = [
+            (name, check)
+            for name, field_tp in _field_types(tp).items()
+            if (check := _checker(field_tp, f"{key}.{name}" if key else name))
+        ]
+
+        def check_fields(value):
+            for name, check in steps:
+                found = check(getattr(value, name))
+                if found:
+                    return f".{name}{found[0]}", found[1]
+            return None
+
+        return check_fields
+    if get_origin(tp) is tuple:
+        item_tps = [item_tp for item_tp in get_args(tp) if item_tp is not Ellipsis]
+        checks = [_checker(item_tp, f"{key}[]") for item_tp in item_tps]
+        names = BOUNDS[key].names if key in BOUNDS else ()
+
+        def check_items(value):
+            if names and sorted(name for name, _ in value) != sorted(names):
+                return "", f"a list naming each of {', '.join(names)} once, got {_encode(value)}"
+            for i, item in enumerate(value):
+                check = checks[i % len(checks)]
+                found = check and check(item)
+                if found:
+                    return f"[{i}]{found[0]}", found[1]
+            return None
+
+        return check_items if names or any(checks) else None
+    return None
 
 
 def _encode(value: Any) -> Any:
@@ -448,7 +505,7 @@ def _decode(tp: Any, value: Any, path: str) -> Any:
         kwargs = {key: _decode(types[key], item, f"{path}.{key}") for key, item in value.items()}
         try:
             return tp(**kwargs)
-        except (TypeError, ValueError) as exc:  # a missing field, or a check
+        except TypeError as exc:  # a missing required field
             raise ConfigError(f"{path}: {exc}") from exc
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):

@@ -97,16 +97,6 @@ class EngagementConfig:
     slow_latency_threshold_s: float = 15.0
     multiplier_floor: float = 0.25
 
-    def __post_init__(self) -> None:
-        if self.gap_time_s <= 0 or self.gap_distance_m <= 0:
-            raise ValueError("gap thresholds must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.response_deadline_s <= 0:
-            raise ValueError("response_deadline_s must be positive")
-        if not 0.0 < self.multiplier_floor <= 1.0:
-            raise ValueError("multiplier_floor must be in (0, 1]")
-
 
 @dataclass(frozen=True)
 class IctPrompt:
@@ -208,10 +198,9 @@ class DemandPattern:
         cls, period_min: float, start_min: float, duration_min: float, origin: int = 0
     ) -> "DemandPattern":
         """The whole seconds a window given in minutes covers. The period
-        is truncated to whole seconds and must keep at least one."""
+        is truncated to whole seconds and must keep at least one
+        (``behavior.demand_period_min``'s bound)."""
         period_s = int(period_min * 60)
-        if period_s < 1:
-            raise ValueError("the demand period must be at least 1 s")
         start_s = min(period_s, max(0, math.ceil(start_min * 60)))
         end_s = min(period_s, max(start_s, math.ceil((start_min + duration_min) * 60)))
         return cls(period_s, start_s, end_s, origin)

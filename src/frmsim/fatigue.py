@@ -94,24 +94,6 @@ class ModelParams:
     component_weights: tuple[float, float, float] = (0.4, 0.2, 0.4)
     report_noise_sd: float = 0.05
 
-    def __post_init__(self) -> None:
-        for name in ("homeostat_rise_tau", "homeostat_decay_tau", "task_recovery_tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.circadian_amplitude <= 1.0:
-            raise ValueError("circadian_amplitude must be in [0, 1]")
-        if not 0.0 <= self.circadian_trough_hour < 24.0:
-            raise ValueError("circadian_trough_hour must be in [0, 24)")
-        if self.task_load_rate < 0:
-            raise ValueError("task_load_rate must be nonnegative")
-        if self.report_noise_sd < 0:
-            raise ValueError("report_noise_sd must be nonnegative")
-        w = self.component_weights
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError("component_weights must be three nonnegative values")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("component_weights must sum to 1")
-
 
 @dataclass(frozen=True)
 class FatigueContext:

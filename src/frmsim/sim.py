@@ -76,10 +76,8 @@ calibration.
 from __future__ import annotations
 
 import csv
-import hashlib
 import heapq
 import io
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -102,6 +100,7 @@ from .fatigue import (
     to_ord_truth,
 )
 from .metrics import Metrics, MetricsFold, compute_metrics
+from .substreams import substream
 
 __all__ = [
     "AblationResult",
@@ -131,13 +130,6 @@ def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
     )
 
 
-def _substream(seed: int, purpose: str, ident: str) -> random.Random:
-    """The generator for one purpose of one specialist (or of the fleet),
-    seeded from sha256 of (seed, purpose, id)."""
-    key = json.dumps([seed, purpose, ident]).encode("utf-8")
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest(), "big"))
-
-
 class _Agent:
     """Mutable per-specialist runtime state."""
 
@@ -150,11 +142,11 @@ class _Agent:
         # every rating and validation draw. breaks: self-reports, break
         # compliance and activities, invited and impromptu breaks, peer
         # concerns. sa: control transitions and secondary alerts.
-        self.rng_hazard = _substream(cfg.seed, "hazard", who)
-        self.rng_ict = _substream(cfg.seed, "ict", who)
-        self.rng_raters = _substream(cfg.seed, "raters", who)
-        self.rng_breaks = _substream(cfg.seed, "breaks", who)
-        self.rng_sa = _substream(cfg.seed, "sa", who)
+        self.rng_hazard = substream(cfg.seed, "hazard", who)
+        self.rng_ict = substream(cfg.seed, "ict", who)
+        self.rng_raters = substream(cfg.seed, "raters", who)
+        self.rng_breaks = substream(cfg.seed, "breaks", who)
+        self.rng_sa = substream(cfg.seed, "sa", who)
         # The fatigue state is a closed form of its anchor: the components
         # (sleep pressure, circadian phase, task load) at second t0, from
         # which it evolves under ctx (see ``state``).
@@ -279,7 +271,6 @@ class ScenarioRunner:
             self._fold = MetricsFold()
             self.log = StreamedLog(stream, cfg.seed, cfg.config_hash(), self._fold)
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
-        self.rng_qualification = _substream(cfg.seed, "qualification", "fleet")
         # The enabled blocks' functions, listed once. The minute checks
         # keep their order within the minute, each as (cadence in whole
         # seconds, check): the minute item calls a due check as

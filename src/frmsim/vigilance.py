@@ -29,6 +29,7 @@ validation rating so far, from running per-pair counts
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import engagement as eng
 from .fatigue import IN_VEHICLE, Activity, _round_half_up, to_ord_truth
+from .substreams import substream
 
 __all__ = [
     "ALERT_MODALITIES",
@@ -61,6 +63,7 @@ __all__ = [
     "inter_rater_reliability",
     "linear_weighted_kappa",
     "open_case",
+    "qualification",
     "qualify_rater",
     "rate",
     "resolve_case",
@@ -171,15 +174,6 @@ class DmsConfig:
     false_positive_rate: float = 0.01
     false_negative_rate: float = 0.1
     observation_period: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.detect_threshold_ord <= 5:
-            raise ValueError("detect_threshold_ord must be in 2..5")
-        for name in ("false_positive_rate", "false_negative_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.observation_period <= 0:
-            raise ValueError("observation_period must be positive")
 
 
 @dataclass(frozen=True)
@@ -557,29 +551,36 @@ def fleet_checks(cfg) -> list:
     return [(int(cfg.vigilance.reliability_interval_min * 60), _reliability_checkpoint)]
 
 
+@functools.lru_cache(maxsize=1024)
+def qualification(
+    seed: int, raters: tuple[RaterProfile, ...], policy
+) -> tuple[tuple[RaterProfile, bool], ...]:
+    """Each rater not marked unqualified, with whether they pass the
+    policy's vetted test set, drawn in order from the fleet's
+    qualification substream of ``seed``. Cached on its (hashable)
+    arguments: configuration validation and the run's first shift ask
+    for the same result."""
+    rng = substream(seed, "qualification", "fleet")
+    test_set = [(1 + i % 5, frozenset()) for i in range(policy.qualification_items)]
+    threshold = policy.qualification_match_threshold
+    return tuple(
+        (rater, qualify_rater(rater, test_set, rng, exact_match_threshold=threshold))
+        for rater in raters
+        if rater.qualified
+    )
+
+
 def qualify_raters(run, t: int) -> None:
     """Qualify the fleet's raters into ``run.pool`` at the first shift's
-    start; later shifts keep the pool."""
+    start; later shifts keep the pool. Validation has checked that
+    enough of them pass."""
     if run.pool:
         return
-    policy = run.cfg.vigilance
-    test_set = [(1 + i % 5, frozenset()) for i in range(policy.qualification_items)]
-    for rater in run.cfg.raters:
-        if not rater.qualified:
-            continue
-        passed = qualify_rater(
-            rater,
-            test_set,
-            run.rng_qualification,
-            exact_match_threshold=policy.qualification_match_threshold,
-        )
+    cfg = run.cfg
+    for rater, passed in qualification(cfg.seed, cfg.raters, cfg.vigilance):
         run.log.append(t, "rater_qualification", None, rater_id=rater.rater_id, passed=passed)
         if passed:
             run.pool.append(rater)
-    if len(run.pool) < policy.k_validation_raters + 1:
-        from .config import ConfigError
-
-        raise ConfigError("too few raters passed qualification for validation coverage")
 
 
 def _log_task(run, t: int, task: RatingTask) -> None:

@@ -18,7 +18,7 @@ from frmsim.config import (
     Toggles,
     default_config,
 )
-from frmsim import events
+from frmsim import engagement, events
 from frmsim.events import EventLog
 
 
@@ -106,16 +106,18 @@ def test_simulate_encodes_once_and_digests_agree(config_path, tmp_path, capsys, 
     assert EventLog.from_jsonl(data.decode("utf-8")).digest() == file_digest
 
 
-def test_a_failed_simulate_leaves_the_out_dir_empty(tmp_path, capsys):
-    # Rater qualification fails at the first shift start, after the log
-    # file was opened.
-    data = json.loads(default_config(seed=3).to_json())
-    data["vigilance"]["qualification_match_threshold"] = 1
+def test_a_failed_simulate_leaves_the_out_dir_empty(tmp_path, capsys, monkeypatch):
+    # The run fails at its first shift end, after the log file was opened
+    # and written to.
+    def failing_end_shift(run, agent, t):
+        raise ValueError("the shift end failed")
+
+    monkeypatch.setattr(engagement, "end_shift", failing_end_shift)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(data))
+    config.write_text(default_config(seed=3).to_json())
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-    assert "too few raters passed qualification" in capsys.readouterr().err
+    assert "the shift end failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -215,6 +217,14 @@ _UNRUNNABLE = [
     (("behavior", "break_activity_weights"), [-1, 0.3, 0.1]),
     (("behavior", "break_activity_weights"), [0, 0, 0]),
     (("behavior", "break_activity_weights"), [0.5, -0.2, 0.5]),
+    # Model taus divide, and the component weights must sum to 1.
+    (("model", "homeostat_rise_tau"), 0),
+    (("model", "component_weights"), [0.5, 0.5, 0.5]),
+    # A control transition looks up its cause's weight: each cause once.
+    (("sa", "cause_weights"), [["pedal", 0.5]]),
+    (("sa", "cause_weights"), [["pedal", 0.5], ["steering", 0.35], ["brake", 0.35], ["horn", 0.1]]),
+    # Too few raters pass the seeded qualification (seed 3).
+    (("vigilance", "qualification_match_threshold"), 1.0),
 ]
 
 
@@ -623,6 +633,37 @@ def test_report_rejects_log_without_ord_change_records(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no ord_change record" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "record_type, field",
+    [
+        ("pfs", "record_id"),
+        ("pfs", "kss"),
+        ("pfs", "is_followup"),
+        ("escalation_resolved", "route"),
+        ("escalation_resolved", "resolution"),
+    ],
+)
+def test_report_on_a_record_missing_a_field_exits_one(config_path, tmp_path, capsys, record_type, field):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    lines = (out / "events.jsonl").read_bytes().splitlines()
+    first = next(i for i, line in enumerate(lines) if f'"type":"{record_type}"'.encode() in line)
+    record = json.loads(lines[first])
+    del record["data"][field]
+    lines[first] = _line(record)
+    log_path = tmp_path / "events.jsonl"
+    log_path.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["report", "--log", str(log_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"malformed {record_type} record: missing {field!r}\n"
+    assert captured.out == ""
+    # A line that does not parse, after it, still decides the exit code.
+    log_path.write_bytes(b"\n".join([*lines, lines[-1][:25]]) + b"\n")
+    assert main(["report", "--log", str(log_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"line {len(lines) + 1}: ")
 
 
 def test_validate_config_ok(config_path, capsys):

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from frmsim import vigilance
+from frmsim.config import Toggles, default_config
+from frmsim.sim import run_scenario
 from frmsim.vigilance import (
     DROWSINESS_INDICATORS,
     DmsConfig,
@@ -382,6 +385,29 @@ def test_strict_threshold_single_mismatch_fails():
 def test_empty_test_set_rejected():
     with pytest.raises(ValueError):
         qualify_rater(RaterProfile(rater_id="r0"), [], random.Random(0))
+
+
+def test_a_run_qualifies_its_raters_once_and_logs_what_validation_saw(monkeypatch):
+    tested = []
+    real = vigilance.qualify_rater
+
+    def counting(rater, *args, **kwargs):
+        tested.append(rater.rater_id)
+        return real(rater, *args, **kwargs)
+
+    monkeypatch.setattr(vigilance, "qualify_rater", counting)
+    vigilance.qualification.cache_clear()
+    cfg = default_config(seed=31)  # validates
+    log, _ = run_scenario(cfg.with_overrides(toggles=Toggles.all_on()))  # validates twice
+    run_scenario(cfg)
+    ids = [rater.rater_id for rater in cfg.raters]
+    assert tested == ids
+    logged = [(e.data["rater_id"], e.data["passed"]) for e in log if e.type == "rater_qualification"]
+    expected = vigilance.qualification(cfg.seed, cfg.raters, cfg.vigilance)
+    assert logged == [(rater.rater_id, passed) for rater, passed in expected]
+    # Another seed draws again.
+    default_config(seed=32)
+    assert tested == ids * 2
 
 
 def test_rating_vocabulary_is_enforced():
