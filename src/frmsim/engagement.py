@@ -368,6 +368,8 @@ def ict_resolve(
 def ict_miss_rate(state: IctSchedulerState, window: int) -> Optional[float]:
     """Share of missed prompts among the last ``window`` outcomes, leaving
     out voided prompts, which carry no penalty; None if none is left."""
+    if not state.recent_outcomes:
+        return None
     outcomes = [r.outcome for r in list(state.recent_outcomes)[-window:]]
     considered = len(outcomes) - outcomes.count(IctOutcome.VOIDED_BY_DEMAND)
     if not considered:

@@ -17,21 +17,21 @@ Schema v1 logs, which have no header and repeat ``seed`` and
 ``config_hash`` in every record, are read but never written.
 
 One line encoder writes every log and one strict reader,
-``read_jsonl``, reads every log, both one record at a time. ``EventLog``
-holds a run's records in memory. ``StreamedLog`` holds none: it encodes,
-hashes and writes each record as it is appended (in chunks of
-``CHUNK_LINES`` lines), counts records per type and feeds a metrics
-fold. ``frmsim simulate`` runs on a ``StreamedLog`` and ``frmsim
-report`` folds while it reads, so neither command's memory grows with
-the log; ``tests/memory_budget.py`` holds each to a 40 MiB peak on an
-80-specialist, 28-day fleet.
+``read_jsonl``, reads every log, both one record at a time. One class,
+``EventLog``, is every run's log: each append checks the timestamp
+order, counts the record's type and feeds the run's metrics fold. It
+either keeps its records in memory or, given a stream, holds none and
+encodes, hashes and writes them as they are appended (in chunks of
+``CHUNK_LINES`` lines). ``frmsim simulate`` streams its log and
+``frmsim report`` folds while it reads, so neither command's memory
+grows with the log; ``tests/memory_budget.py`` holds each to a 40 MiB
+peak on an 80-specialist, 28-day fleet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -41,7 +41,6 @@ __all__ = [
     "EventLog",
     "LogParseError",
     "SCHEMA_VERSION",
-    "StreamedLog",
     "WrittenLog",
     "read_jsonl",
 ]
@@ -143,43 +142,91 @@ class _Discard:
 
 
 class EventLog:
-    """Timestamp-ordered sequence of typed records for one scenario run,
-    held in memory."""
+    """Timestamp-ordered sequence of typed records for one scenario run.
 
-    def __init__(self, seed: int, config_hash: str):
+    Every ``append`` checks the timestamp order, counts the record's type
+    and, if its type is in ``fold.TYPES``, passes the record to
+    ``fold.feed(time, type, specialist, data)`` (``fold`` is a
+    ``frmsim.metrics.MetricsFold``). Without a ``stream`` the log keeps
+    its records, which iterate as ``Event``s. Given a binary ``stream``
+    it keeps none: it writes the header and then the lines of
+    ``CHUNK_LINES`` records at a time there, hashing them; ``close``
+    writes the last chunk and sets ``written`` (the stream stays open),
+    and iterating or encoding the log raises ``TypeError``.
+    """
+
+    def __init__(
+        self, seed: int, config_hash: str, stream: Optional[BinaryIO] = None, fold=None
+    ):
         self.seed = seed
         self.config_hash = config_hash
-        self._events: list[Event] = []
+        self.written: Optional[WrittenLog] = None
+        # The kept records, or with a stream those not yet written, as
+        # (time, type, specialist, data) tuples.
+        self._records: list[tuple] = []
+        self._last = 0
+        self._counts: dict[str, int] = {}
+        self._feed = None if fold is None else fold.feed
+        self._fold_types = frozenset() if fold is None else fold.TYPES
+        self._encoder = _LineEncoder()
+        self._writer = None if stream is None else _HashingWriter(stream)
+        if self._writer is not None:
+            self._writer.write(_header_line(seed, config_hash), 1)
 
     def append(
         self,
         time: int,
         type_: str,
         specialist: Optional[str] = None,
+        /,
         **data,
-    ) -> Event:
-        if self._events and time < self._events[-1].time:
-            raise ValueError(
-                f"timestamp regression: {time} < {self._events[-1].time}"
-            )
-        event = Event(int(time), type_, specialist, data)
-        self._events.append(event)
-        return event
+    ) -> None:
+        # The first three parameters are positional-only, so that the
+        # data may hold any key (``from_jsonl`` appends what it reads).
+        if time < self._last:
+            raise ValueError(f"timestamp regression: {time} < {self._last}")
+        time = self._last = int(time)
+        records = self._records
+        records.append((time, type_, specialist, data))
+        if self._writer is not None and len(records) == CHUNK_LINES:
+            self._write_pending()
+        counts = self._counts
+        counts[type_] = counts.get(type_, 0) + 1
+        if type_ in self._fold_types:
+            self._feed(time, type_, specialist, data)
+
+    def _write_pending(self) -> None:
+        records = self._records
+        self._writer.write("".join(self._encoder.lines(records)), len(records))
+        records.clear()
+
+    def close(self) -> None:
+        """With a stream, write the records not yet written and set
+        ``written``; without one, do nothing."""
+        if self._writer is not None:
+            self._write_pending()
+            self.written = self._writer.written()
 
     def type_counts(self) -> dict[str, int]:
         """The number of records of each type."""
-        return Counter(event.type for event in self._events)
+        return dict(self._counts)
+
+    def _kept(self) -> list[tuple]:
+        if self._writer is not None:
+            raise TypeError("a streamed log keeps no records; read the file it wrote")
+        return self._records
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._kept())
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return map(Event._make, self._kept())
 
     def lines(self) -> Iterator[str]:
         """The log's JSONL lines, header first, each ending in a newline."""
+        records = self._kept()
         yield _header_line(self.seed, self.config_hash)
-        yield from _LineEncoder().lines(self._events)
+        yield from self._encoder.lines(records)
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())
@@ -205,68 +252,10 @@ class EventLog:
         events = read_jsonl(source.splitlines() if isinstance(source, str) else source)
         header = next(events).data
         log = cls(seed=header["seed"], config_hash=header["config_hash"])
-        log._events.extend(events)
+        append = log.append
+        for time, type_, specialist, data in events:
+            append(time, type_, specialist, **data)
         return log
-
-
-class StreamedLog:
-    """A run's log, written as it is appended and never held.
-
-    Each record is encoded, hashed and written into ``stream`` (the lines
-    of ``CHUNK_LINES`` records at a time, after the header), counted by
-    type, and, if its type is in ``fold.TYPES``, passed to
-    ``fold.feed(time, type, specialist, data)`` (``fold`` is a
-    ``frmsim.metrics.MetricsFold``). ``close`` writes the
-    last chunk and sets ``written``; the stream stays open. The log
-    keeps no record, so iterating it raises ``TypeError``.
-    """
-
-    def __init__(self, stream: BinaryIO, seed: int, config_hash: str, fold):
-        self.written: Optional[WrittenLog] = None
-        self._writer = _HashingWriter(stream)
-        self._writer.write(_header_line(seed, config_hash), 1)
-        self._encoder = _LineEncoder()
-        self._pending: list[tuple] = []
-        self._last = 0
-        self._counts: dict[str, int] = {}
-        self._feed = fold.feed
-        self._fold_types = fold.TYPES
-
-    def append(
-        self,
-        time: int,
-        type_: str,
-        specialist: Optional[str] = None,
-        **data,
-    ) -> None:
-        if time < self._last:
-            raise ValueError(f"timestamp regression: {time} < {self._last}")
-        time = self._last = int(time)
-        pending = self._pending
-        pending.append((time, type_, specialist, data))
-        if len(pending) == CHUNK_LINES:
-            self._write_pending()
-        counts = self._counts
-        counts[type_] = counts.get(type_, 0) + 1
-        if type_ in self._fold_types:
-            self._feed(time, type_, specialist, data)
-
-    def _write_pending(self) -> None:
-        pending = self._pending
-        self._writer.write("".join(self._encoder.lines(pending)), len(pending))
-        pending.clear()
-
-    def close(self) -> None:
-        """Write the records not yet written and set ``written``."""
-        self._write_pending()
-        self.written = self._writer.written()
-
-    def type_counts(self) -> dict[str, int]:
-        """The number of records of each type."""
-        return dict(self._counts)
-
-    def __iter__(self):
-        raise TypeError("a StreamedLog keeps no records; read the file it wrote")
 
 
 def read_jsonl(lines: Iterable[Union[str, bytes]]) -> Iterator[Event]:

@@ -81,14 +81,14 @@ import io
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, ClassVar, Optional, Sequence
 
 from . import awareness as aw
 from . import engagement as eng
 from . import scheduling as sched
 from . import vigilance as vig
 from .config import SHIFT_DRAIN_S, ConfigError, HazardConfig, ScenarioConfig, Toggles
-from .events import EventLog, StreamedLog
+from .events import EventLog
 from .fatigue import (
     Activity,
     BreakActivity,
@@ -99,7 +99,7 @@ from .fatigue import (
     ord_hold_s,
     to_ord_truth,
 )
-from .metrics import Metrics, MetricsFold, compute_metrics
+from .metrics import Metrics, MetricsFold
 from .substreams import substream
 
 __all__ = [
@@ -262,14 +262,10 @@ class ScenarioRunner:
     def __init__(self, cfg: ScenarioConfig, stream: Optional[BinaryIO] = None):
         cfg.validate()
         self.cfg = cfg
-        # An in-memory log, or one streamed into ``stream`` that folds the
-        # metrics as the run appends it (see ``run_scenario``).
-        if stream is None:
-            self._fold = None
-            self.log = EventLog(seed=cfg.seed, config_hash=cfg.config_hash())
-        else:
-            self._fold = MetricsFold()
-            self.log = StreamedLog(stream, cfg.seed, cfg.config_hash(), self._fold)
+        # The log folds the metrics as the run appends it, and keeps its
+        # records or streams them into ``stream`` (see ``run_scenario``).
+        self._fold = MetricsFold()
+        self.log = EventLog(cfg.seed, cfg.config_hash(), stream, self._fold)
         self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
         # The enabled blocks' functions, listed once. The minute checks
         # keep their order within the minute, each as (cadence in whole
@@ -374,7 +370,7 @@ class ScenarioRunner:
 
     # -- top-level run ---------------------------------------------------
 
-    def run(self) -> tuple[EventLog | StreamedLog, Metrics]:
+    def run(self) -> tuple[EventLog, Metrics]:
         """Run one shift a day. A day's shift runs only if it ends, with
         the ``SHIFT_DRAIN_S`` drain after it, within the horizon
         (``horizon_days`` × 86400 s); later shifts are skipped and counted
@@ -391,8 +387,6 @@ class ScenarioRunner:
             self._shifts_run += 1
             self._fast_forward_to(start)
             self._run_shift(start, end)
-        if self._fold is None:
-            return self.log, compute_metrics(self.log)
         self.log.close()
         return self.log, self._fold.finish()
 
@@ -701,15 +695,14 @@ class ScenarioRunner:
 
 def run_scenario(
     cfg: ScenarioConfig, stats: Optional[dict] = None, stream: Optional[BinaryIO] = None
-) -> tuple[EventLog | StreamedLog, Metrics]:
+) -> tuple[EventLog, Metrics]:
     """Execute one scenario; identical configs yield identical logs. If
     ``stats`` is a dict, the run's ``ScenarioRunner.stats()`` go into it.
 
-    By default the log is held in memory and the metrics fold it after
-    the run. Given a binary ``stream``, the run writes its log there as
-    it appends each record and folds the metrics in the same pass; the
-    returned ``StreamedLog`` holds no record, and its ``written`` says
-    what it wrote."""
+    The metrics fold each record as the run appends it to its
+    ``EventLog``. By default the log keeps its records in memory. Given
+    a binary ``stream``, the log writes them there instead and keeps
+    none; its ``written`` says what it wrote."""
     runner = ScenarioRunner(cfg, stream)
     result = runner.run()
     if stats is not None:
@@ -725,7 +718,8 @@ class AblationResult:
     toggle_set_names: tuple[str, ...]
     seeds: tuple[int, ...]
     values: dict  # (set_name, seed) -> {metric: value}
-    metric_names: tuple[str, ...] = (
+    # The metrics every ablation compares, in the CSV's order.
+    metric_names: ClassVar[tuple[str, ...]] = (
         "time_at_ord_ge4_min",
         "incautious_rate_per_h",
         "incautious_events",

@@ -1,18 +1,20 @@
-"""The event log codec: every line is canonical JSON, the three ways of
-encoding a log agree, and schema v1 logs written before the v2 header
-still read, record for record."""
+"""The event log and its codec: every line is canonical JSON, the three
+ways of encoding a log agree, a kept and a streamed log count and fold
+alike, and schema v1 logs written before the v2 header still read,
+record for record."""
 
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from frmsim.config import ScenarioConfig
-from frmsim.events import CHUNK_LINES, EventLog, StreamedLog
+from frmsim.events import CHUNK_LINES, EventLog
 from frmsim.metrics import MetricsFold, compute_metrics
 from frmsim.sim import run_scenario
 
@@ -40,6 +42,17 @@ def test_lines_are_canonical_and_encodings_agree(name):
     again = EventLog.from_jsonl(io.BytesIO(stream.getvalue()))
     assert (again.seed, again.config_hash) == (log.seed, log.config_hash)
     assert list(again) == list(log)
+    assert again.type_counts() == log.type_counts()
+
+
+@pytest.mark.parametrize("name", sorted(matrix()))
+def test_one_fold_serves_a_kept_and_a_streamed_run(name):
+    # Both runs fold their metrics and count their types as they append;
+    # the kept log's records fold and count to the same values afterwards.
+    log, metrics = run_scenario(matrix()[name])
+    streamed, streamed_metrics = run_scenario(matrix()[name], stream=io.BytesIO())
+    assert metrics == compute_metrics(list(log)) == streamed_metrics
+    assert log.type_counts() == Counter(event.type for event in log) == streamed.type_counts()
 
 
 def test_empty_log_is_its_header():
@@ -61,20 +74,32 @@ def test_v1_fixture_reads_as_a_fresh_run():
 
 
 def test_a_streamed_log_writes_and_folds_what_an_event_log_does_and_keeps_nothing():
-    held = EventLog(seed=4, config_hash="x")
+    held_fold, streamed_fold = MetricsFold(), MetricsFold()
+    held = EventLog(4, "x", fold=held_fold)
     stream = io.BytesIO()
-    fold = MetricsFold()
-    streamed = StreamedLog(stream, seed=4, config_hash="x", fold=fold)
+    streamed = EventLog(4, "x", stream, streamed_fold)
     for i in range(CHUNK_LINES + 3):
         for log in (held, streamed):
             log.append(i, "incautious" if i % 2 else "tick", f"as-{i % 3}", n=i)
+    held.close()
     streamed.close()
+    assert held.written is None
     expected = io.BytesIO()
     assert streamed.written == held.write_jsonl(expected)
     assert stream.getvalue() == expected.getvalue()
-    assert streamed.type_counts() == held.type_counts()
-    assert fold.finish() == compute_metrics(held)
-    with pytest.raises(TypeError):
-        list(streamed)
-    with pytest.raises(ValueError, match="timestamp regression"):
-        streamed.append(0, "late")
+    assert streamed.type_counts() == held.type_counts() == Counter(e.type for e in held)
+    assert streamed_fold.finish() == held_fold.finish() == compute_metrics(held)
+    for read in (list, len, EventLog.to_jsonl, EventLog.digest):
+        with pytest.raises(TypeError, match="keeps no records"):
+            read(streamed)
+    for log in (held, streamed):
+        with pytest.raises(ValueError, match="timestamp regression"):
+            log.append(0, "late")
+
+
+def test_a_record_may_hold_any_data_key():
+    log = EventLog(seed=0, config_hash="x")
+    log.append(5, "note", None, time=1, type_="y", specialist="z")
+    again = EventLog.from_jsonl(log.to_jsonl())
+    record = (5, "note", None, {"time": 1, "type_": "y", "specialist": "z"})
+    assert list(again) == list(log) == [record]
