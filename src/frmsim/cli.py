@@ -111,8 +111,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # The run streams its log into a temporary file, renamed only once
     # the run has finished, so a failed run leaves no log behind. The
     # file, the manifest and the printed line share the digest of the
-    # streamed bytes (the same value as ``EventLog.digest()`` of the
-    # same run's log kept in memory).
+    # streamed bytes, which the log hashes as it writes them
+    # (``log.written``).
     partial = out_dir / ".events.jsonl.partial"
     stats: dict = {}
     started = time.perf_counter()

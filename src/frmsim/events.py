@@ -19,20 +19,21 @@ Schema v1 logs, which have no header and repeat ``seed`` and
 One line encoder writes every log and one strict reader,
 ``read_jsonl``, reads every log, both one record at a time. One class,
 ``EventLog``, is every run's log: each append checks the timestamp
-order, counts the record's type and feeds the run's metrics fold. It
-either keeps its records in memory or, given a stream, holds none and
-encodes, hashes and writes them as they are appended (in chunks of
-``CHUNK_LINES`` lines). ``frmsim simulate`` streams its log and
-``frmsim report`` folds while it reads, so neither command's memory
-grows with the log; ``tests/memory_budget.py`` holds each to a 40 MiB
-peak on an 80-specialist, 28-day fleet.
+order, counts the record's type and feeds the run's metrics fold.
+Given a stream, it holds no record: it encodes, hashes and writes the
+records as they are appended (in chunks of ``CHUNK_LINES`` lines), and
+that is the only way a log is written. Without one, it keeps its
+records in memory, where they iterate as ``Event``s and are never
+encoded. ``frmsim simulate`` streams its log and ``frmsim report``
+folds while it reads, so neither command's memory grows with the log;
+``tests/memory_budget.py`` holds each to a 40 MiB peak on an
+80-specialist, 28-day fleet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
@@ -134,32 +135,26 @@ class _HashingWriter:
         return WrittenLog(self._sha.hexdigest(), self._lines, self._size)
 
 
-class _Discard:
-    """A binary stream that keeps nothing, for hashing alone."""
-
-    def write(self, data: bytes) -> int:
-        return len(data)
-
-
 class EventLog:
     """Timestamp-ordered sequence of typed records for one scenario run.
 
     Every ``append`` checks the timestamp order, counts the record's type
     and, if its type is in ``fold.TYPES``, passes the record to
     ``fold.feed(time, type, specialist, data)`` (``fold`` is a
-    ``frmsim.metrics.MetricsFold``). Without a ``stream`` the log keeps
-    its records, which iterate as ``Event``s. Given a binary ``stream``
-    it keeps none: it writes the header and then the lines of
+    ``frmsim.metrics.MetricsFold``). Given a binary ``stream`` the log
+    keeps no record: it writes the header and then the lines of
     ``CHUNK_LINES`` records at a time there, hashing them; ``close``
-    writes the last chunk and sets ``written`` (the stream stays open),
-    and iterating or encoding the log raises ``TypeError``.
+    writes the last chunk and sets ``written`` to the digest, lines and
+    size of what it wrote (the stream stays open), and iterating the log
+    raises ``TypeError``. To hash a run without keeping its bytes, give
+    it a stream whose ``write`` discards them. Without a ``stream`` the
+    log keeps its records, which iterate as ``Event``s, and ``written``
+    stays ``None``.
     """
 
     def __init__(
         self, seed: int, config_hash: str, stream: Optional[BinaryIO] = None, fold=None
     ):
-        self.seed = seed
-        self.config_hash = config_hash
         self.written: Optional[WrittenLog] = None
         # The kept records, or with a stream those not yet written, as
         # (time, type, specialist, data) tuples.
@@ -182,7 +177,9 @@ class EventLog:
         **data,
     ) -> None:
         # The first three parameters are positional-only, so that the
-        # data may hold any key (``from_jsonl`` appends what it reads).
+        # data may hold any key, ``time``, ``type_`` and ``specialist``
+        # included: an ``Event`` read back re-appends as
+        # ``append(time, type, specialist, **data)``.
         if time < self._last:
             raise ValueError(f"timestamp regression: {time} < {self._last}")
         time = self._last = int(time)
@@ -211,51 +208,10 @@ class EventLog:
         """The number of records of each type."""
         return dict(self._counts)
 
-    def _kept(self) -> list[tuple]:
+    def __iter__(self) -> Iterator[Event]:
         if self._writer is not None:
             raise TypeError("a streamed log keeps no records; read the file it wrote")
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self._kept())
-
-    def __iter__(self) -> Iterator[Event]:
-        return map(Event._make, self._kept())
-
-    def lines(self) -> Iterator[str]:
-        """The log's JSONL lines, header first, each ending in a newline."""
-        records = self._kept()
-        yield _header_line(self.seed, self.config_hash)
-        yield from self._encoder.lines(records)
-
-    def to_jsonl(self) -> str:
-        return "".join(self.lines())
-
-    def write_jsonl(self, stream: BinaryIO) -> WrittenLog:
-        """Encode the log into ``stream`` a chunk of lines at a time,
-        hashing the bytes as they are written, without holding the whole
-        text."""
-        writer = _HashingWriter(stream)
-        lines = self.lines()
-        while chunk := list(islice(lines, CHUNK_LINES)):
-            writer.write("".join(chunk), len(chunk))
-        return writer.written()
-
-    def digest(self) -> str:
-        return self.write_jsonl(_Discard()).digest
-
-    @classmethod
-    def from_jsonl(cls, source: Union[str, Iterable[Union[str, bytes]]]) -> "EventLog":
-        """Read a v2 or v1 log from its text or from its lines (str or
-        UTF-8 bytes, such as an open file) through ``read_jsonl``, which
-        raises ``LogParseError`` naming the first malformed line."""
-        events = read_jsonl(source.splitlines() if isinstance(source, str) else source)
-        header = next(events).data
-        log = cls(seed=header["seed"], config_hash=header["config_hash"])
-        append = log.append
-        for time, type_, specialist, data in events:
-            append(time, type_, specialist, **data)
-        return log
+        return map(Event._make, self._records)
 
 
 def read_jsonl(lines: Iterable[Union[str, bytes]]) -> Iterator[Event]:

@@ -782,6 +782,10 @@ def run_ablation(
     """Run every toggle set on the same seed list and pair the results."""
     if len(toggle_sets) < 2:
         raise ValueError("at least two toggle sets are required")
+    names = [name for name, _ in toggle_sets]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"toggle set name {name!r} is given more than once")
     if n_seeds < 1:
         raise ValueError("n_seeds must be positive")
     start = cfg.seed if base_seed is None else base_seed
@@ -793,7 +797,7 @@ def run_ablation(
             _, metrics = run_scenario(run_cfg)
             values[(name, seed)] = _metric_summary(metrics)
     return AblationResult(
-        toggle_set_names=tuple(name for name, _ in toggle_sets),
+        toggle_set_names=tuple(names),
         seeds=seeds,
         values=values,
     )

@@ -33,7 +33,7 @@ import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import engagement as eng
 from .fatigue import IN_VEHICLE, Activity, _round_half_up, to_ord_truth
@@ -60,8 +60,6 @@ __all__ = [
     "aggregate",
     "assign_rating_tasks",
     "dms_observe",
-    "inter_rater_reliability",
-    "linear_weighted_kappa",
     "open_case",
     "qualification",
     "qualify_rater",
@@ -460,16 +458,6 @@ class _PairCounts:
         return (p_obs - p_exp) / (1.0 - p_exp)
 
 
-def linear_weighted_kappa(pairs: Sequence[tuple[int, int]]) -> float:
-    """Linearly weighted kappa for two raters over paired ORD levels."""
-    if not pairs:
-        raise ValueError("no paired ratings")
-    counts = _PairCounts()
-    for a, b in pairs:
-        counts.add(a, b)
-    return counts.kappa()
-
-
 class RaterAgreement:
     """Running inter-rater reliability: the mean pairwise linearly
     weighted kappa (Cohen 1968) over raters sharing tasks, from per-pair
@@ -498,17 +486,6 @@ class RaterAgreement:
             raise NoSharedTasksError("no pair of raters shares a task")
         kappas = [self._pairs[pair].kappa() for pair in sorted(self._pairs)]
         return sum(kappas) / len(kappas)
-
-
-def inter_rater_reliability(ratings: Iterable[OrdRating]) -> float:
-    """Mean pairwise linearly weighted kappa over raters sharing tasks."""
-    by_task: dict[str, list[OrdRating]] = {}
-    for rating in ratings:
-        by_task.setdefault(rating.task_id, []).append(rating)
-    agreement = RaterAgreement()
-    for task_ratings in by_task.values():
-        agreement.add_task(task_ratings)
-    return agreement.kappa()
 
 
 def qualify_rater(

@@ -6,7 +6,7 @@ import random
 
 from frmsim.config import Toggles, default_config
 
-from logchecks import cfg_with
+from logchecks import cfg_with, only
 
 
 def odd_shift_configs():
@@ -59,21 +59,89 @@ def odd_shift_configs():
     )
 
 
-def reassignment_config(seed: int):
-    """One highly susceptible specialist who starts the shift tired, with
+def reassignment_config(seed: int, specialists: int = 1, horizon_days: int = 2):
+    """Highly susceptible specialists who start the shift tired, with
     self-reports every 20 minutes, full break compliance and 1-minute
     breaks, so a persistent high self-report reassigns them to auxiliary
     work."""
     return cfg_with(
         seed=seed,
-        horizon_days=2,
-        fleet=[{"specialist_id": "as-0", "susceptibility": 3.5, "initial_sleep_pressure": 0.6}],
+        horizon_days=horizon_days,
+        fleet=[
+            {"specialist_id": f"as-{i}", "susceptibility": 3.5, "initial_sleep_pressure": 0.6}
+            for i in range(specialists)
+        ],
         **{
             "behavior.monotony": 1.0,
             "pfs.cadence_min": 20.0,
             "pfs.outreach_reassign_kss": 6,
             "pfs.break_compliance": 1.0,
             "breaks.duration_min": 1.0,
+        },
+    )
+
+
+def _tired_fleet(n: int, susceptibility: float, pressure: float, dual: bool) -> list:
+    return [
+        {
+            "specialist_id": f"as-{i}",
+            "susceptibility": susceptibility + 0.1 * i,
+            "initial_sleep_pressure": pressure,
+            "dual": dual,
+        }
+        for i in range(n)
+    ]
+
+
+def peer_concern_config(seed: int):
+    """Five tired dual specialists over three shifts, with no detector
+    or engagement to relieve them: at ORD >= 4 their peers raise a
+    concern every hour, surveys every 30 minutes send them on short
+    breaks whose follow-ups mostly go unanswered (a reminder) or stay
+    high (supervisor outreach), and every invited break is declined, so
+    each shift's second decline brings outreach."""
+    return cfg_with(
+        seed=seed,
+        horizon_days=4,
+        fleet=_tired_fleet(5, 2.5, 0.5, dual=True),
+        toggles=Toggles(vigilance=False, engagement=False).__dict__,
+        **{
+            "behavior.peer_concern_p_per_h": 1.0,
+            "behavior.invited_decline_p": 1.0,
+            "pfs.cadence_min": 30.0,
+            "pfs.followup_compliance": 0.3,
+            "breaks.duration_min": 5.0,
+        },
+    )
+
+
+def pull_over_config(seed: int):
+    """Five specialists over four days who miss half their engagement
+    prompts, so missed follow-ups bring interventions, a shift's second
+    one a pull-over, and the fatigue events retrain them (education on)."""
+    return cfg_with(
+        seed=seed,
+        horizon_days=4,
+        fleet=_tired_fleet(5, 1.5, 0.3, dual=False),
+        toggles=Toggles(awareness=False, vigilance=False, scheduling=False).__dict__,
+        **{"behavior.ict_miss_base_p": 0.5},
+    )
+
+
+def retrieval_config(seed: int):
+    """Four highly susceptible specialists, with vigilance alone, rated
+    every 10 minutes by raters who read high, so confirmed level-5 cases
+    retrieve vehicles."""
+    raters = default_config(seed=seed).to_dict()["raters"]
+    return cfg_with(
+        seed=seed,
+        horizon_days=3,
+        fleet=_tired_fleet(4, 3.5, 0.6, dual=False),
+        toggles=only("vigilance").__dict__,
+        raters=[dict(rater, bias=0.5, noise_sd=0.15) for rater in raters],
+        **{
+            "vigilance.periodic_cadence_min": 10.0,
+            "vigilance.qualification_match_threshold": 0.5,
         },
     )
 

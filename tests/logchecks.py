@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 from collections import Counter
+from typing import Iterable, Optional, Union
 
 from frmsim.config import ScenarioConfig, Toggles, default_config
-from frmsim.events import Event, EventLog
+from frmsim.events import Event, EventLog, WrittenLog, read_jsonl
 from frmsim.metrics import DETECTION_GRACE_S
 from frmsim.sim import run_scenario
-from frmsim.vigilance import OrdRating, inter_rater_reliability
+from frmsim.vigilance import OrdRating, RaterAgreement
 
 # Record types owned by each countermeasure block; a disabled block must
 # contribute none of its types to the log.
@@ -49,6 +51,74 @@ BLOCK_RECORD_TYPES = {
 }
 
 
+# Record types that belong to no block: the shift, the driving session,
+# the break, the ORD level and its optional trace, and what the hazard
+# and the fatigue accounting log.
+CORE_RECORD_TYPES = {
+    "shift_start",
+    "shift_end",
+    "session_end",
+    "break_start",
+    "break_end",
+    "ord_change",
+    "state_sample",
+    "incautious",
+    "fatigue_event",
+}
+
+
+class Discard:
+    """A binary stream that keeps nothing: a run streamed into it only
+    hashes its log."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
+def log_digest(cfg: ScenarioConfig, stats: Optional[dict] = None) -> str:
+    """The SHA-256 of the log a run of ``cfg`` streams, as ``frmsim
+    simulate`` writes it."""
+    log, _ = run_scenario(cfg, stats=stats, stream=Discard())
+    return log.written.digest
+
+
+def stream_run(cfg: ScenarioConfig):
+    """Run ``cfg`` streaming its log into memory: the log (its
+    ``written`` says what it wrote), the metrics and the log's bytes."""
+    stream = io.BytesIO()
+    log, metrics = run_scenario(cfg, stream=stream)
+    return log, metrics, stream.getvalue()
+
+
+def read_log(lines: Union[bytes, Iterable[Union[str, bytes]]]) -> tuple[dict, list[Event]]:
+    """A log's header data and its records, read by ``read_jsonl`` from
+    its bytes or its lines."""
+    events = read_jsonl(lines.splitlines() if isinstance(lines, bytes) else lines)
+    return next(events).data, list(events)
+
+
+def restream(header: dict, records: Iterable[Event], stream) -> WrittenLog:
+    """Stream ``records``, read back from a log with ``header``, into a
+    new log in ``stream``: what it wrote."""
+    log = EventLog(header["seed"], header["config_hash"], stream)
+    for time, type_, specialist, data in records:
+        log.append(time, type_, specialist, **data)
+    log.close()
+    return log.written
+
+
+def batch_kappa(ratings: Iterable[OrdRating]) -> float:
+    """The mean pairwise kappa over ``ratings``, grouped by task here
+    rather than by the runner, and folded task by task."""
+    by_task: dict[str, list[OrdRating]] = {}
+    for rating in ratings:
+        by_task.setdefault(rating.task_id, []).append(rating)
+    agreement = RaterAgreement()
+    for task_ratings in by_task.values():
+        agreement.add_task(task_ratings)
+    return agreement.kappa()
+
+
 # Record types a specialist may have between their shift_end and their
 # next shift_start: the remote validation of recorded footage and its
 # consequences. Everything else is work in the vehicle, which the shift
@@ -56,7 +126,7 @@ BLOCK_RECORD_TYPES = {
 OFF_SHIFT_RECORD_TYPES = {"rating", "escalation_resolved", "lifecycle", "fatigue_event"}
 
 
-def off_shift_records(log: EventLog) -> list[Event]:
+def off_shift_records(log: Iterable[Event]) -> list[Event]:
     """Every record of a specialist logged between their ``shift_end`` and
     their next ``shift_start``, of any type."""
     off_shift: set[str] = set()
@@ -71,7 +141,7 @@ def off_shift_records(log: EventLog) -> list[Event]:
     return found
 
 
-def carried_followups(log: EventLog) -> list[Event]:
+def carried_followups(log: Iterable[Event]) -> list[Event]:
     """Follow-up ``pfs`` records that answer a survey logged in an earlier
     shift of the same specialist."""
     shifts: dict[str, int] = {}
@@ -88,7 +158,7 @@ def carried_followups(log: EventLog) -> list[Event]:
     return found
 
 
-def assert_log_conserved(log: EventLog) -> None:
+def assert_log_conserved(log: Iterable[Event]) -> None:
     """Every prompt, alert issuance, and escalation case terminates
     exactly once, each specialist's breaks start and end in turn and all
     end within the log, timestamps never decrease, a specialist logs
@@ -140,7 +210,7 @@ def assert_log_conserved(log: EventLog) -> None:
                 f"second reliability record at {event.time}"
             )
             reliability_times.add(event.time)
-            kappa = round(inter_rater_reliability(ratings), 6)
+            kappa = round(batch_kappa(ratings), 6)
             assert event.data["kappa"] == kappa, (
                 f"reliability at {event.time}: kappa {event.data['kappa']}, "
                 f"the rating records fold to {kappa}"
@@ -167,7 +237,7 @@ def assert_log_conserved(log: EventLog) -> None:
     )
 
 
-def reliability_checkpoints(cfg: ScenarioConfig, log: EventLog) -> list[int]:
+def reliability_checkpoints(cfg: ScenarioConfig, log: Iterable[Event]) -> list[int]:
     """Oracle: the seconds at which a run of ``cfg`` that logged ``log``
     logs a ``reliability`` record. With vigilance on, a shift has a
     checkpoint at each minute check, up to its end, that falls a whole
@@ -198,7 +268,7 @@ def reliability_checkpoints(cfg: ScenarioConfig, log: EventLog) -> list[int]:
     ]
 
 
-def fold_state_samples(log: EventLog) -> dict:
+def fold_state_samples(log: Iterable[Event]) -> dict:
     """Oracle: the ORD metrics folded from the ``state_sample`` trace, as
     ``compute_metrics`` folded them before ``ord_change`` records. Each
     sample credits its ``period_s``; an episode opens at an on-task

@@ -7,10 +7,11 @@ marking the types outside ``OFF_SHIFT_RECORD_TYPES``; the follow-up
 surveys that answer a survey of an earlier shift; the ``reliability``
 records; and every log that fails ``assert_log_conserved`` or logs its
 ``reliability`` records at other seconds than
-``reliability_checkpoints``, or does not round-trip: written by
-``EventLog.write_jsonl`` and read back by ``EventLog.from_jsonl``, it
-must give the same records, seed and config hash, and the writer's
-digest must equal ``log.digest()``. Each valid draw's log digest must
+``reliability_checkpoints``, or does not round-trip: each run streams
+its log into memory, as ``frmsim simulate`` does, and the checks read
+it back with ``read_jsonl``; its header must carry the config's seed
+and hash, and its records, streamed again, must give the same digest,
+lines and size. Each valid draw's log digest must
 equal its pin in ``scan_digests.json`` (keyed ``seed/draw``), so a
 refactor that keeps behaviour keeps every generated log byte-identical;
 a draw whose digest moved, or that is missing from or extra to the pins,
@@ -34,7 +35,6 @@ draws whose digest changed, then runs the scan against the new pins.
 
 from __future__ import annotations
 
-import io
 import json
 import random
 import sys
@@ -44,17 +44,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from frmsim.config import ConfigError, ScenarioConfig  # noqa: E402
-from frmsim.events import EventLog  # noqa: E402
-from frmsim.sim import run_scenario  # noqa: E402
+from frmsim.events import WrittenLog  # noqa: E402
 
 from configs import random_config  # noqa: E402
 from logchecks import (  # noqa: E402
     OFF_SHIFT_RECORD_TYPES,
+    Discard,
     assert_log_conserved,
     assert_trace_observes_only,
     carried_followups,
     off_shift_records,
+    read_log,
     reliability_checkpoints,
+    restream,
+    stream_run,
 )
 
 GENERATOR_SEEDS = range(11, 17)
@@ -62,15 +65,9 @@ DRAWS_PER_SEED = 45
 PINS_PATH = Path(__file__).with_name("scan_digests.json")
 
 
-def round_trips(log: EventLog) -> bool:
-    stream = io.BytesIO()
-    written = log.write_jsonl(stream)
-    stream.seek(0)
-    again = EventLog.from_jsonl(stream)
-    return (
-        written.digest == log.digest()
-        and (again.seed, again.config_hash) == (log.seed, log.config_hash)
-        and list(again) == list(log)
+def round_trips(cfg: ScenarioConfig, header: dict, records: list, written: WrittenLog) -> bool:
+    return (header["seed"], header["config_hash"]) == (cfg.seed, cfg.config_hash()) and (
+        restream(header, records, Discard()) == written
     )
 
 
@@ -110,21 +107,22 @@ def main(rewrite: bool = False) -> int:
             except ConfigError:
                 continue
             valid += 1
-            log, _ = run_scenario(cfg)
-            digests[f"{seed}/{draw}"] = log.digest()
-            off_shift.update(event.type for event in off_shift_records(log))
-            carried += [(seed, draw, event) for event in carried_followups(log)]
-            times = [event.time for event in log if event.type == "reliability"]
+            log, _, data = stream_run(cfg)
+            header, records = read_log(data)
+            digests[f"{seed}/{draw}"] = log.written.digest
+            off_shift.update(event.type for event in off_shift_records(records))
+            carried += [(seed, draw, event) for event in carried_followups(records)]
+            times = [event.time for event in records if event.type == "reliability"]
             reliability += len(times)
             try:
-                assert_log_conserved(log)
-                assert times == reliability_checkpoints(cfg, log), (
+                assert_log_conserved(records)
+                assert times == reliability_checkpoints(cfg, records), (
                     "reliability records off the checkpoint seconds"
                 )
                 assert_trace_observes_only(cfg)
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
-            if not round_trips(log):
+            if not round_trips(cfg, header, records, log.written):
                 failures.append(f"{seed}/{draw}: the log does not round-trip")
 
     if rewrite:

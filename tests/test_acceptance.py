@@ -5,6 +5,7 @@ printing a single PASS line at its stated tolerance. Run with
 import json
 import math
 import random
+from typing import Iterable
 
 import pytest
 
@@ -17,7 +18,7 @@ from frmsim.engagement import (
     ict_issue,
     ict_resolve,
 )
-from frmsim.events import EventLog
+from frmsim.events import Event
 from frmsim.fatigue import (
     FatigueContext,
     ModelParams,
@@ -35,14 +36,13 @@ from frmsim.vigilance import (
     RaterProfile,
     aggregate,
     assign_rating_tasks,
-    inter_rater_reliability,
     rate,
 )
 
-from logchecks import assert_log_conserved, cfg_with
+from logchecks import assert_log_conserved, batch_kappa, cfg_with, read_log
 
 # Logs produced by criteria 7-9, swept by the conservation criterion.
-PRODUCED_LOGS: list[tuple[str, EventLog]] = []
+PRODUCED_LOGS: list[tuple[str, Iterable[Event]]] = []
 
 
 def _report(number: int, description: str) -> None:
@@ -186,7 +186,7 @@ def test_06_reliability_statistic(capsys):
             identical.append(
                 OrdRating(rater_id=rater, task_id=f"t{i}", level=level, indicators=frozenset())
             )
-    assert inter_rater_reliability(identical) == 1.0
+    assert batch_kappa(identical) == 1.0
 
     independent = []
     for i in range(10_000):
@@ -199,7 +199,7 @@ def test_06_reliability_statistic(capsys):
                     indicators=frozenset(),
                 )
             )
-    statistic = inter_rater_reliability(independent)
+    statistic = batch_kappa(independent)
     assert abs(statistic) < 0.05
     with capsys.disabled():
         _report(6, f"identical raters -> 1.0 exactly; uniform raters -> |k|={abs(statistic):.4f}")
@@ -295,8 +295,8 @@ def test_09_simulate_determinism(tmp_path, capsys):
     digest_a = hashlib.sha256(bytes_a).hexdigest()
     digest_b = hashlib.sha256(bytes_b).hexdigest()
     assert digest_a == digest_b
-    PRODUCED_LOGS.append(("determinism_a", EventLog.from_jsonl(bytes_a.decode())))
-    PRODUCED_LOGS.append(("determinism_b", EventLog.from_jsonl(bytes_b.decode())))
+    PRODUCED_LOGS.append(("determinism_a", read_log(bytes_a)[1]))
+    PRODUCED_LOGS.append(("determinism_b", read_log(bytes_b)[1]))
     with capsys.disabled():
         _report(9, f"two simulate executions share digest {digest_a[:12]}...")
 

@@ -23,11 +23,19 @@ from frmsim.cli import main
 from frmsim.config import ShiftConfig, SpecialistDef, Toggles, default_config
 from frmsim.sim import run_scenario
 
-from configs import odd_shift_configs, reassignment_config
+from configs import (
+    odd_shift_configs,
+    peer_concern_config,
+    pull_over_config,
+    reassignment_config,
+    retrieval_config,
+)
 from logchecks import (
     BLOCK_RECORD_TYPES,
+    CORE_RECORD_TYPES,
     assert_log_conserved,
     assert_trace_observes_only,
+    log_digest,
     only,
     reliability_checkpoints,
 )
@@ -35,6 +43,9 @@ from logchecks import (
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 STATS_PATH = Path(__file__).with_name("golden_stats.json")
 SEEDS = (0, 1)
+# Every record type appears at least this often across the matrix, so
+# the digests pin each path that logs one.
+RECORD_TYPE_FLOOR = 10
 
 
 def dual_fleet_config(seed: int):
@@ -99,6 +110,10 @@ def matrix() -> dict:
     cases["dual_fleet5/all_on/seed5"] = dual_fleet_config(seed=5)
     cases["escalation3/all_on/seed0"] = escalation_config(seed=0)
     cases["reassign1/seed1"] = reassignment_config(seed=1)
+    cases["reassign6/seed0"] = reassignment_config(seed=0, specialists=6, horizon_days=3)
+    cases["peer_concern5/seed0"] = peer_concern_config(seed=0)
+    cases["pull_over5/seed0"] = pull_over_config(seed=0)
+    cases["retrieval4/seed0"] = retrieval_config(seed=0)
     for i, cfg in enumerate(odd_shift_configs()):
         cases[f"odd_shift{i}/seed{cfg.seed}"] = cfg
     return cases
@@ -107,9 +122,9 @@ def matrix() -> dict:
 def work_counters(cfg) -> tuple[str, dict]:
     """The run's log digest and its ``stats()`` without ``events_by_type``."""
     stats = {}
-    log, _ = run_scenario(cfg, stats=stats)
+    digest = log_digest(cfg, stats)
     del stats["events_by_type"]
-    return log.digest(), stats
+    return digest, stats
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +139,18 @@ def golden_stats() -> dict:
 
 def test_golden_file_covers_the_matrix(golden, golden_stats):
     assert set(golden) == set(golden_stats) == set(matrix())
+
+
+def test_every_record_type_appears_in_the_matrix_at_the_floor():
+    counts = Counter()
+    for cfg in matrix().values():
+        stats = {}
+        log_digest(cfg, stats)
+        counts.update(stats["events_by_type"])
+    types = CORE_RECORD_TYPES.union(*BLOCK_RECORD_TYPES.values())
+    assert set(counts) <= types, "a record type belongs to no block and is not core"
+    thin = {type_: counts[type_] for type_ in sorted(types) if counts[type_] < RECORD_TYPE_FLOOR}
+    assert not thin, f"record types logged fewer than {RECORD_TYPE_FLOOR} times: {thin}"
 
 
 def test_escalation_case_reaches_every_outcome():
@@ -149,8 +176,7 @@ def test_escalation_case_reaches_every_outcome():
 
 @pytest.mark.parametrize("name", sorted(matrix()))
 def test_log_digest_matches_golden(name, golden):
-    log, _ = run_scenario(matrix()[name])
-    assert log.digest() == golden[name]
+    assert log_digest(matrix()[name]) == golden[name]
 
 
 @pytest.mark.parametrize("name", sorted(matrix()))

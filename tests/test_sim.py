@@ -13,7 +13,7 @@ import pytest
 
 from frmsim import awareness
 from frmsim.config import ConfigError, ScenarioConfig, Toggles, default_config
-from frmsim.events import EventLog, LogParseError
+from frmsim.events import EventLog, LogParseError, read_jsonl
 from frmsim.metrics import DETECTION_GRACE_S, compute_metrics
 from frmsim.sim import (
     ScenarioRunner,
@@ -29,7 +29,11 @@ from logchecks import (
     assert_log_conserved,
     cfg_with,
     fold_state_samples,
+    log_digest,
     only,
+    read_log,
+    restream,
+    stream_run,
 )
 
 
@@ -64,28 +68,28 @@ def generated_config(seed: int, draw: int) -> ScenarioConfig:
 
 def test_identical_config_identical_log():
     cfg = default_config(seed=31)
-    log_a, metrics_a = run_scenario(cfg)
-    log_b, metrics_b = run_scenario(cfg)
-    assert log_a.digest() == log_b.digest()
+    log_a, metrics_a, data_a = stream_run(cfg)
+    log_b, metrics_b, data_b = stream_run(cfg)
+    assert data_a == data_b
+    assert log_a.written == log_b.written
     assert metrics_a == metrics_b
 
 
 def test_different_seed_different_log():
-    a, _ = run_scenario(default_config(seed=1))
-    b, _ = run_scenario(default_config(seed=2))
-    assert a.digest() != b.digest()
+    assert log_digest(default_config(seed=1)) != log_digest(default_config(seed=2))
 
 
 def test_log_roundtrip_preserves_digest():
-    log, _ = run_scenario(default_config(seed=5))
-    parsed = EventLog.from_jsonl(log.to_jsonl())
-    assert parsed.digest() == log.digest()
+    log, _, data = stream_run(default_config(seed=5))
+    stream = io.BytesIO()
+    assert restream(*read_log(data), stream) == log.written
+    assert stream.getvalue() == data
 
 
 def test_horizon_zero_empty_log_zero_metrics():
     cfg = cfg_with(seed=0, horizon_days=0)
     log, metrics = run_scenario(cfg)
-    assert len(log) == 0
+    assert list(log) == []
     assert metrics.time_at_ord_ge4_min == 0
     assert metrics.incautious_events == 0
     assert metrics.fatigue_event_count == 0
@@ -94,15 +98,15 @@ def test_horizon_zero_empty_log_zero_metrics():
 
 def test_header_carries_seed_and_config_hash():
     cfg = default_config(seed=9)
-    log, _ = run_scenario(cfg)
-    header, *records = [json.loads(line) for line in log.to_jsonl().splitlines()]
+    log, _, data = stream_run(cfg)
+    header, *records = [json.loads(line) for line in data.splitlines()]
     assert header == {
         "data": {"config_hash": cfg.config_hash(), "schema_version": 2, "seed": 9},
         "specialist": None,
         "t": 0,
         "type": "log_header",
     }
-    assert len(records) == len(log)
+    assert len(records) == sum(log.type_counts().values())
     for record in records:
         assert record.keys() == {"data", "specialist", "t", "type"}
 
@@ -250,9 +254,9 @@ def test_items_a_guard_drops_count_as_stale(monkeypatch):
     def counted(handler):
         def wrapped(run, t, *args):
             nonlocal silent
-            before = len(run.log)
+            before = run.log.type_counts()
             handler(run, t, *args)
-            silent += len(run.log) == before
+            silent += run.log.type_counts() == before
 
         return wrapped
 
@@ -429,7 +433,7 @@ def test_episode_closes_at_the_shift_end():
     assert metrics.mean_detection_latency_s is None
 
     def latencies_with_confirmation_at(when):
-        confirmed = EventLog(seed=log.seed, config_hash=log.config_hash)
+        confirmed = EventLog(cfg.seed, cfg.config_hash())
         pending = True
         for event in log:
             if pending and event.time > when:
@@ -470,8 +474,8 @@ def test_empty_log_zero_metrics():
 
 def test_metrics_recomputed_from_disk_match():
     cfg = fatigued_cfg(seed=8)
-    log, metrics = run_scenario(cfg)
-    again = compute_metrics(EventLog.from_jsonl(log.to_jsonl()))
+    _, metrics, data = stream_run(cfg)
+    again = compute_metrics(read_jsonl(data.splitlines()))
     assert again == metrics
 
 
@@ -507,20 +511,21 @@ def test_event_log_rejects_time_regression():
 
 
 def test_parse_error_reports_line_number():
-    log = EventLog(seed=0, config_hash="x")
+    stream = io.BytesIO()
+    log = EventLog(0, "x", stream)
     log.append(0, "a")
     log.append(1, "b")
-    text = log.to_jsonl()
-    truncated = text[:-20]
+    log.close()
+    truncated = stream.getvalue()[:-20]
     with pytest.raises(LogParseError) as excinfo:
-        EventLog.from_jsonl(truncated)
+        list(read_jsonl(truncated.splitlines()))
     # Line 1 is the header; "b" is on line 3.
     assert excinfo.value.line_number == 3
 
 
 def test_parse_error_on_missing_fields():
-    with pytest.raises(LogParseError) as excinfo:
-        EventLog.from_jsonl('{"t": 0}\n')
+    with pytest.raises(LogParseError, match="missing log header") as excinfo:
+        list(read_jsonl(['{"t": 0}\n']))
     assert excinfo.value.line_number == 1
 
 
@@ -554,6 +559,13 @@ def test_identical_toggle_sets_zero_deltas():
 def test_ablation_requires_two_sets():
     with pytest.raises(ValueError):
         run_ablation(default_config(seed=0), [("only", Toggles.all_on())], n_seeds=1)
+
+
+def test_ablation_rejects_a_toggle_set_name_given_twice():
+    # Paired by (name, seed), the second set would overwrite the first.
+    sets = [("a", Toggles.all_off()), ("b", Toggles.all_on()), ("a", Toggles.all_on())]
+    with pytest.raises(ValueError, match="toggle set name 'a' is given more than once"):
+        run_ablation(default_config(seed=0), sets, n_seeds=1)
 
 
 def test_engagement_toggle_reduces_high_drowsiness_time():

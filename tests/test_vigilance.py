@@ -13,6 +13,7 @@ from frmsim.vigilance import (
     InsufficientRatersError,
     NoSharedTasksError,
     OrdRating,
+    RaterAgreement,
     RaterProfile,
     RatingTask,
     Resolution,
@@ -22,8 +23,6 @@ from frmsim.vigilance import (
     aggregate,
     assign_rating_tasks,
     dms_observe,
-    inter_rater_reliability,
-    linear_weighted_kappa,
     open_case,
     qualify_rater,
     rate,
@@ -302,16 +301,15 @@ def test_confirmed_level_five_requests_vehicle_retrieval():
 # -- reliability -------------------------------------------------------------
 
 
-def _history(task_levels):
-    ratings = []
+def _kappa(task_levels):
+    """The reliability of ``{task: {rater: level}}``, folded one task at
+    a time."""
+    agreement = RaterAgreement()
     for task_id, by_rater in task_levels.items():
-        for rater_id, level in by_rater.items():
-            ratings.append(
-                OrdRating(
-                    rater_id=rater_id, task_id=task_id, level=level, indicators=frozenset()
-                )
-            )
-    return ratings
+        agreement.add_task(
+            [OrdRating(rater, task_id, level) for rater, level in by_rater.items()]
+        )
+    return agreement.kappa()
 
 
 def test_identical_raters_give_exactly_one():
@@ -320,7 +318,7 @@ def test_identical_raters_give_exactly_one():
     for i in range(100):
         level = rng.randint(1, 5)
         history[f"t{i}"] = {"a": level, "b": level, "c": level}
-    assert inter_rater_reliability(_history(history)) == 1.0
+    assert _kappa(history) == 1.0
 
 
 def test_independent_uniform_raters_near_zero():
@@ -329,7 +327,7 @@ def test_independent_uniform_raters_near_zero():
         f"t{i}": {"a": rng.randint(1, 5), "b": rng.randint(1, 5)}
         for i in range(10_000)
     }
-    assert abs(inter_rater_reliability(_history(history))) < 0.05
+    assert abs(_kappa(history)) < 0.05
 
 
 def test_reliability_symmetric_under_rater_swap():
@@ -341,20 +339,21 @@ def test_reliability_symmetric_under_rater_swap():
     swapped = {
         task: {"b": lv["a"], "a": lv["b"], "c": lv["c"]} for task, lv in base.items()
     }
-    assert inter_rater_reliability(_history(base)) == pytest.approx(
-        inter_rater_reliability(_history(swapped))
-    )
+    assert _kappa(base) == pytest.approx(_kappa(swapped))
 
 
 def test_reliability_requires_shared_tasks():
     history = {"t0": {"a": 3}, "t1": {"b": 2}}
     with pytest.raises(NoSharedTasksError):
-        inter_rater_reliability(_history(history))
+        _kappa(history)
 
 
 def test_weighted_kappa_perfect_disagreement_is_negative():
-    pairs = [(1, 5)] * 50 + [(5, 1)] * 50
-    assert linear_weighted_kappa(pairs) < 0
+    # Every pair is (1, 5) or (5, 1): no agreement weight is observed,
+    # while the marginals (half 1, half 5 each) expect weight 1/2, so
+    # kappa = (0 - 1/2) / (1 - 1/2) = -1.
+    history = {f"t{i}": {"a": 1, "b": 5} if i % 2 else {"a": 5, "b": 1} for i in range(100)}
+    assert _kappa(history) == -1.0
 
 
 # -- qualification -----------------------------------------------------------
