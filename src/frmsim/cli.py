@@ -174,11 +174,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if cfg.toggles.any_on():
         cfg = cfg.with_overrides(toggles=Toggles.all_off())
-    result = calibrate_session_length_effect(
-        cfg,
-        target_ratio_range=(args.ratio_min, args.ratio_max),
-        sessions_per_bucket=args.sessions,
-    )
+    result = calibrate_session_length_effect(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(dataclasses.asdict(result), indent=2)
@@ -342,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit the session-length hazard")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratio-min", type=float, default=5.0)
-    p.add_argument("--ratio-max", type=float, default=7.0)
-    p.add_argument("--sessions", type=int, default=5000)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("plan-rotation", help="plan and validate a shift rotation")

@@ -27,7 +27,6 @@ __all__ = [
     "InvalidTransitionError",
     "InvitedBreak",
     "LifecycleEvent",
-    "LifecyclePolicy",
     "RotationConstraints",
     "RotationDirection",
     "RotationPlan",
@@ -48,6 +47,11 @@ MAX_SHIFT_MINUTES = 14 * 60
 INVITED_CHECK_S = 300
 SIGNAL_RECENCY_S = 1800
 SIGNAL_ICT_OUTCOMES = 10
+# A qualified specialist goes to retraining at this many severe fatigue
+# events, or this many of any severity, within the window.
+RETRAIN_SEVERE_EVENTS = 3
+RETRAIN_ANY_EVENTS = 6
+FATIGUE_WINDOW_DAYS = 30.0
 
 
 class RotationDirection(str, Enum):
@@ -345,21 +349,16 @@ class InvalidTransitionError(ValueError):
 
 
 @dataclass(frozen=True)
-class LifecyclePolicy:
-    severe_threshold: int = 3
-    any_threshold: int = 6
-    window_days: float = 30.0
-
-
-@dataclass(frozen=True)
 class SpecialistLifecycle:
     stage: Stage = Stage.TRAINEE
     fatigue_events: tuple[tuple[float, FatigueSeverity], ...] = ()
     return_stage: Optional[Stage] = None
 
-    def windowed_counts(self, now_days: float, window_days: float) -> tuple[int, int]:
+    def windowed_counts(self, now_days: float) -> tuple[int, int]:
+        """(severe, all) fatigue events in the ``FATIGUE_WINDOW_DAYS`` up
+        to ``now_days``."""
         recent = [
-            sev for day, sev in self.fatigue_events if now_days - day <= window_days
+            sev for day, sev in self.fatigue_events if now_days - day <= FATIGUE_WINDOW_DAYS
         ]
         severe = sum(1 for sev in recent if sev is FatigueSeverity.SEVERE)
         return severe, len(recent)
@@ -374,7 +373,6 @@ def lifecycle_step(
     now_days: float = 0.0,
     *,
     severity: Optional[FatigueSeverity] = None,
-    policy: LifecyclePolicy = LifecyclePolicy(),
 ) -> SpecialistLifecycle:
     """Apply one lifecycle event, enforcing the stage graph.
 
@@ -401,8 +399,8 @@ def lifecycle_step(
             raise ValueError("fatigue_event requires a severity")
         events = lifecycle.fatigue_events + ((now_days, severity),)
         updated = SpecialistLifecycle(stage=stage, fatigue_events=events)
-        severe, total = updated.windowed_counts(now_days, policy.window_days)
-        if severe >= policy.severe_threshold or total >= policy.any_threshold:
+        severe, total = updated.windowed_counts(now_days)
+        if severe >= RETRAIN_SEVERE_EVENTS or total >= RETRAIN_ANY_EVENTS:
             return SpecialistLifecycle(
                 stage=Stage.RETRAINING, fatigue_events=events, return_stage=stage
             )

@@ -146,6 +146,27 @@ def retrieval_config(seed: int):
     )
 
 
+def traced_fleet_config(seed: int, toggles: Toggles):
+    """Five specialists of susceptibility 0.8 to 1.2 over three night
+    shifts, each with one scheduled break, traced every minute."""
+    return cfg_with(
+        seed=seed,
+        horizon_days=3,
+        fleet=[
+            {
+                "specialist_id": f"as-{i}",
+                "susceptibility": 0.8 + 0.1 * i,
+                "initial_sleep_pressure": 0.05 + 0.03 * i,
+                "dual": i % 4 == 0,
+            }
+            for i in range(5)
+        ],
+        toggles=toggles.__dict__,
+        sample_period_s=60,
+        **{"shift.scheduled_breaks": [[240, 20]]},
+    )
+
+
 def random_config(rng: random.Random) -> dict:
     """A configuration document drawn from ``rng``: a small fleet over two
     or three days with mixed toggles, an off-minute shift start, scheduled

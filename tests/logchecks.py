@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from collections import Counter
 from typing import Iterable, Optional, Union
 
-from frmsim.config import ScenarioConfig, Toggles, default_config
+from frmsim.config import HazardConfig, ScenarioConfig, Toggles, default_config
 from frmsim.events import Event, EventLog, WrittenLog, read_jsonl
 from frmsim.metrics import DETECTION_GRACE_S
 from frmsim.sim import run_scenario
@@ -311,10 +312,38 @@ def fold_state_samples(log: Iterable[Event]) -> dict:
     }
 
 
-def assert_trace_observes_only(cfg: ScenarioConfig) -> None:
+def incautious_vs_hazard(hazard: HazardConfig, log: Iterable[Event]) -> tuple[int, float, float]:
+    """Oracle: the ``incautious`` count of a log traced at 60 s, with its
+    mean and variance under ``hazard``. The run draws the hazard once per
+    on-task minute at the rate of that minute's ``state_sample``, and
+    each rate is set before its draw, so the count has the summed rates
+    r as its mean and the summed r(1 - r) as its variance, whatever
+    blocks are on. Returns (observed, expected, variance)."""
+    observed = 0
+    expected = variance = 0.0
+    for event in log:
+        if event.type == "incautious":
+            observed += 1
+        elif event.type == "state_sample" and event.data["on_task"]:
+            assert event.data["period_s"] == 60, "the hazard oracle needs a trace every minute"
+            rate = hazard.rate(event.data["task_load"], event.data["alertness"])
+            expected += rate
+            variance += rate * (1.0 - rate)
+    return observed, expected, variance
+
+
+def z_score(observed: float, expected: float, variance: float) -> float:
+    """How many standard deviations ``observed`` lies from ``expected``."""
+    if variance > 0:
+        return (observed - expected) / math.sqrt(variance)
+    return 0.0 if observed == expected else math.copysign(math.inf, observed - expected)
+
+
+def assert_trace_observes_only(cfg: ScenarioConfig) -> EventLog:
     """Run ``cfg`` without and with the state trace at 60 s. The trace
     adds only ``state_sample`` records and leaves the metrics unchanged,
-    and the metrics equal the oracle's fold of the trace."""
+    and the metrics equal the oracle's fold of the trace. Returns the
+    traced log."""
     plain_log, plain = run_scenario(dataclasses.replace(cfg, sample_period_s=0))
     traced_log, traced = run_scenario(dataclasses.replace(cfg, sample_period_s=60))
     assert not any(event.type == "state_sample" for event in plain_log)
@@ -323,6 +352,7 @@ def assert_trace_observes_only(cfg: ScenarioConfig) -> None:
     )
     assert traced == plain, "the trace changes the metrics"
     assert dataclasses.replace(traced, **fold_state_samples(traced_log)) == traced
+    return traced_log
 
 
 def cfg_with(seed: int = 0, **dotted) -> ScenarioConfig:

@@ -19,8 +19,12 @@ fails. Each draw is also run without and
 with the state trace at 60 s (``assert_trace_observes_only``): the
 traced run evaluates the fatigue state at every minute, while the
 untraced one skips minutes on the ORD certificate and the hazard-rate
-bound, so equal records show that neither skipped a change. Exits 1 if
-any record is outside the off-shift types or any log fails a check.
+bound, so equal records show that neither skipped a change. The traced
+runs' ``incautious`` counts, pooled over every draw, must lie within 4
+SD of their summed per-minute hazard rates (``incautious_vs_hazard``);
+a single draw may expect well under one event, so the draws are pooled
+rather than held one by one. Exits 1 if any record is outside the
+off-shift types, any log fails a check or the pooled count strays.
 
 Too slow for the unit tests (about a minute), so pytest does not collect it.
 Run from the repository root::
@@ -53,15 +57,18 @@ from logchecks import (  # noqa: E402
     assert_log_conserved,
     assert_trace_observes_only,
     carried_followups,
+    incautious_vs_hazard,
     off_shift_records,
     read_log,
     reliability_checkpoints,
     restream,
     stream_run,
+    z_score,
 )
 
 GENERATOR_SEEDS = range(11, 17)
 DRAWS_PER_SEED = 45
+MAX_POOLED_Z = 4.0
 PINS_PATH = Path(__file__).with_name("scan_digests.json")
 
 
@@ -97,6 +104,7 @@ def main(rewrite: bool = False) -> int:
     off_shift: Counter = Counter()
     carried = []
     reliability = 0
+    hazard = [0, 0.0, 0.0]
     failures = []
     for seed in GENERATOR_SEEDS:
         rng = random.Random(seed)
@@ -119,7 +127,9 @@ def main(rewrite: bool = False) -> int:
                 assert times == reliability_checkpoints(cfg, records), (
                     "reliability records off the checkpoint seconds"
                 )
-                assert_trace_observes_only(cfg)
+                traced = assert_trace_observes_only(cfg)
+                for i, value in enumerate(incautious_vs_hazard(cfg.hazard, traced)):
+                    hazard[i] += value
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
             if not round_trips(cfg, header, records, log.written):
@@ -141,6 +151,13 @@ def main(rewrite: bool = False) -> int:
             f"triggered by {event.data['triggered_by']}"
         )
     print(f"reliability records: {reliability}")
+    z = z_score(*hazard)
+    print(
+        f"incautious records in the traced runs: {hazard[0]} against "
+        f"{hazard[1]:.1f} expected from the hazard (z {z:+.2f})"
+    )
+    if abs(z) > MAX_POOLED_Z:
+        failures.append(f"pooled incautious count: |z| {abs(z):.2f} > {MAX_POOLED_Z:g}")
     print(f"logs failing the checks: {len(failures)}")
     for failure in failures:
         print(f"  {failure}")

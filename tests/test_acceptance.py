@@ -39,7 +39,14 @@ from frmsim.vigilance import (
     rate,
 )
 
-from logchecks import assert_log_conserved, batch_kappa, cfg_with, read_log
+from logchecks import (
+    assert_log_conserved,
+    batch_kappa,
+    cfg_with,
+    incautious_vs_hazard,
+    read_log,
+    z_score,
+)
 
 # Logs produced by criteria 7-9, swept by the conservation criterion.
 PRODUCED_LOGS: list[tuple[str, Iterable[Event]]] = []
@@ -207,28 +214,30 @@ def test_06_reliability_statistic(capsys):
 
 def test_07_session_length_calibration(capsys):
     cfg = default_config(seed=1).with_overrides(toggles=Toggles.all_off())
-    result = calibrate_session_length_effect(
-        cfg, target_ratio_range=(5.0, 7.0), sessions_per_bucket=5000
-    )
+    result = calibrate_session_length_effect(cfg)
     assert result.converged
-    assert 5.0 <= result.ratio <= 7.0
-    assert abs(result.mc_long - 0.66) <= 0.08
-    assert abs(result.mc_short - 0.11) <= 0.08
-    # Baseline scenario run under the fitted hazard feeds the conservation sweep.
+    assert abs(result.ratio - 6.0) <= 1e-4
+    # The baseline run under the fitted hazard, traced every minute, shows
+    # the fitted rates: its incautious count lies within 4 SD of their sum.
+    # Its log feeds the conservation sweep.
     data = cfg.to_dict()
     data["hazard"] = {
         "base_per_min": result.hazard.base_per_min,
         "task_load_gain": result.hazard.task_load_gain,
         "alertness_gain": result.hazard.alertness_gain,
     }
+    data["sample_period_s"] = 60
     log, metrics = run_scenario(ScenarioConfig.from_dict(data))
     assert metrics.time_at_ord_ge4_min > 0
+    observed, expected, variance = incautious_vs_hazard(result.hazard, log)
+    z = z_score(observed, expected, variance)
+    assert abs(z) <= 4
     PRODUCED_LOGS.append(("calibration_baseline", log))
     with capsys.disabled():
         _report(
             7,
-            "calibrated hazard: ratio %.2f in [5,7]; MC %.3f/%.3f within +/-0.08 of 0.11/0.66"
-            % (result.ratio, result.mc_short, result.mc_long),
+            "calibrated hazard: ratio %.4f; simulated incautious %d against %.1f expected (z %+.2f)"
+            % (result.ratio, observed, expected, z),
         )
 
 

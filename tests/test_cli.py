@@ -331,7 +331,7 @@ _UNWRITABLE_OUTPUTS = {
         "dir",
     ),
     "calibrate-out-file": (
-        ["calibrate", "--config", "{config}", "--out", "{tmp}/run", "--sessions", "50"],
+        ["calibrate", "--config", "{config}", "--out", "{tmp}/run"],
         "run",
         "file",
     ),
@@ -706,25 +706,27 @@ def test_ablate_rejects_a_toggle_set_name_given_twice(config_path, tmp_path, cap
 
 def test_calibrate_writes_the_fitted_hazard(config_path, tmp_path, capsys):
     out = tmp_path / "cal"
-    argv = ["calibrate", "--config", str(config_path), "--out", str(out), "--sessions", "50"]
+    argv = ["calibrate", "--config", str(config_path), "--out", str(out)]
     assert main(argv) == 0
     text = (out / "calibration.json").read_text()
     assert capsys.readouterr().out == text
     payload = json.loads(text)
     assert list(payload) == [
-        "hazard", "exact_short", "exact_long", "mc_short", "mc_long",
-        "ratio", "converged", "iterations", "sessions_per_bucket",
+        "hazard", "exact_short", "exact_long", "ratio", "converged", "iterations",
     ]
     assert list(payload["hazard"]) == ["base_per_min", "task_load_gain", "alertness_gain"]
-    assert payload["converged"] is True and payload["sessions_per_bucket"] == 50
+    assert payload["converged"] is True
 
 
-@pytest.mark.parametrize("sessions", ["0", "-3"])
-def test_calibrate_with_fewer_than_one_session_exits_one(config_path, tmp_path, capsys, sessions):
+def test_calibrate_on_an_empty_fleet_names_it_and_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(default_config(seed=0, fleet=()).to_json())
     out = tmp_path / "cal"
-    argv = ["calibrate", "--config", str(config_path), "--out", str(out), "--sessions", sessions]
-    assert main(argv) == 1
-    assert "sessions_per_bucket" in capsys.readouterr().err
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert main(["calibrate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config.fleet" in err
+    assert "Traceback" not in err
     assert not (out / "calibration.json").exists()
 
 

@@ -10,7 +10,6 @@ from frmsim.scheduling import (
     FatigueSeverity,
     InvalidTransitionError,
     LifecycleEvent,
-    LifecyclePolicy,
     RotationConstraints,
     RotationDirection,
     ShiftSpec,
@@ -269,15 +268,12 @@ def test_window_expires_old_events():
 
 def test_retraining_returns_to_prior_stage():
     lc = SpecialistLifecycle(stage=Stage.DUAL_QUALIFIED)
-    policy = LifecyclePolicy(severe_threshold=1)
-    lc = lifecycle_step(
-        lc,
-        LifecycleEvent.FATIGUE_EVENT,
-        0.0,
-        severity=FatigueSeverity.SEVERE,
-        policy=policy,
-    )
+    for day in (0.0, 1.0, 2.0):
+        lc = lifecycle_step(
+            lc, LifecycleEvent.FATIGUE_EVENT, day, severity=FatigueSeverity.SEVERE
+        )
     assert lc.stage is Stage.RETRAINING
+    assert lc.return_stage is Stage.DUAL_QUALIFIED
     lc = lifecycle_step(lc, LifecycleEvent.RETRAINING_COMPLETE)
     assert lc.stage is Stage.DUAL_QUALIFIED
 
