@@ -645,6 +645,7 @@ def _log_ict_outcome(run, agent, t: int, resolution: IctResolution) -> None:
     cfg = run.cfg
     who = agent.spec.specialist_id
     record = resolution.record
+    latency = record.response_latency
     agent.planned_response = None
     run.log.append(
         t,
@@ -653,7 +654,7 @@ def _log_ict_outcome(run, agent, t: int, resolution: IctResolution) -> None:
         prompt_id=record.prompt_id,
         trigger=record.trigger.value,
         outcome=record.outcome.value,
-        response_latency=record.response_latency,
+        response_latency=None if latency is None else round(latency, 6),
         followup_of=record.followup_of,
     )
     agent.outcomes_since_adapt += 1
@@ -737,14 +738,18 @@ def _on_transition(run, t: int, agent, gen: int) -> None:
         _void_pending_prompt(run, agent, t)
     interact(run, agent, t)
     decision = sa_evaluate(inp, cfg.sa)
+    # An alert due at or after the shift end is never issued.
+    issue_at = t + int(decision.delay_s or 0)
+    issued = decision.action is SaAction.ISSUE and issue_at < run.shift_end
     run.log.append(
         t,
         "sa_decision",
         who,
         action=decision.action.value,
         rationale_score=round(decision.rationale_score, 6),
+        issued=issued,
     )
-    if decision.action is SaAction.ISSUE:
+    if issued:
         sa_id = f"sa-{run.sa_seq}"
         run.sa_seq += 1
         clear_p = min(0.98, b.sa_clear_base_p + 0.4 * alertness)
@@ -757,11 +762,7 @@ def _on_transition(run, t: int, agent, gen: int) -> None:
             resolve_delay_s = max(1, int(input_latency))
         else:
             resolve_delay_s = int(cfg.sa.clear_timeout_s)
-        issue_at = t + int(decision.delay_s or 0)
-        if issue_at < run.shift_end:
-            run.schedule(
-                issue_at, run.PHASE_ITEM, _on_sa_issue, agent, sa_id, outcome, resolve_delay_s
-            )
+        run.schedule(issue_at, run.PHASE_ITEM, _on_sa_issue, agent, sa_id, outcome, resolve_delay_s)
     _draw_transition(run, agent, t)
     plan_ict(run, agent, t)
     _plan_control(run, agent, t)

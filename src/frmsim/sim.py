@@ -7,13 +7,38 @@ calls the function the item carries as ``handler(runner, second,
 *args)``. The phases order the work that falls due in one second:
 ordinary items (break ends, follow-up surveys, secondary alerts), then
 scheduled breaks (all pushed when the shift starts), engagement items,
-the fleet's minute checks (and, on the last minute, the shift end), and
+the fleet's minute item (and, on the last minute, the shift end), and
 last the escalation validations, which may fall due in the second their
-case opened. The minute item runs every active specialist's minute: the
-ORD level, the hazard draw, then the enabled blocks' checks that are due
-that minute. Then it runs the fleet's checks (the reliability
-checkpoint) and re-schedules itself a minute later until the shift end,
-so a run costs in proportion to its items, not to its simulated seconds.
+case opened.
+
+The minute item runs only on the minute ticks with work due, so a run
+costs in proportion to its work, not to its simulated minutes. A tick
+has work for every active specialist when a check of the enabled blocks
+or the state trace falls due there. It has work for one specialist when
+their ORD certificate has lapsed (every re-anchor of their fatigue state
+lapses it, so each activity change brings a visit), or when their hazard
+or detector candidate falls there. A visited specialist's minute takes
+the ORD level, the hazard and the detector at a candidate, then the due
+checks; then the item runs the fleet's checks (the reliability
+checkpoint) and moves to the next tick with work, up to the shift end.
+The shift's checks, fleet checks and trace ticks are planned once per
+configuration shape (``_minute_plan``). A re-anchor between minute items
+raises a flag the agents share with the runner; the loop checks it after
+each item and pulls the minute item forward to the next tick not yet
+run.
+
+The hazard draws ahead on its own substream: one uniform per driving
+minute, as a per-minute draw would take them, up to the first under the
+bound on every rate (``hazard.rate(1, 0)``), whose tick is the
+candidate. Only a candidate evaluates the rate and may log
+``incautious``, so the draws and the records are those of a draw every
+minute. The detector observes a driving specialist out of its cooldown
+on the minute ticks a whole number of ``dms.observation_period`` into
+the shift. It draws, on its own substream, the geometric number of such
+observations up to its next flag at the flag probability of the
+certified ORD level (Devroye, *Non-Uniform Random Variate Generation*,
+1986), which keeps the law of a draw per observation. The gap is drawn
+again when the level changes, when driving starts and after a flag.
 
 Each specialist does one thing at a time, their activity: off shift,
 driving, on a break, or off the vehicle (retrieved, or reassigned to
@@ -26,32 +51,34 @@ vehicle (retrieval, reassignment, the shift end) ends the session or the
 open break at once; surveys, reminders and retrieval need the specialist
 driving or on a break.
 
-The minute item also samples each specialist's ground-truth ORD level
-and whether they are on task (driving). It logs an
-``ord_change`` record only when that pair differs from the one last
-logged in the shift, and every shift logs one at its start; the metrics
-fold on-task time and time at ORD >= 4 from these records. The fatigue
-state is a closed form of its last anchor (``_Agent.state``), so the
-minute item evaluates it only where a value is read: when the ORD
-level's certificate (``fatigue.ord_hold_s``) has expired, when a hazard
-draw falls under the bound on every hazard rate, and in the checks that
-read alertness. A positive
-``sample_period_s`` adds a full-state ``state_sample`` trace on the
-minutes into the shift that are multiples of it; nothing folds the
-trace, and it changes no other record.
+A visited minute samples the specialist's ground-truth ORD level and
+whether they are on task (driving). It logs an ``ord_change`` record
+only when that pair differs from the one last logged in the shift, and
+every shift logs one at its start; the pair cannot change at a tick
+that is not visited. The metrics fold on-task time and time at ORD >= 4
+from these records. The fatigue state is a closed form of its last
+anchor (``_Agent.state``), so it is evaluated only where a value is
+read: when the ORD level's certificate (``fatigue.ord_hold_s``) has
+expired, at a hazard candidate, and in the checks that read alertness.
+A positive ``sample_period_s`` adds a full-state ``state_sample`` trace
+on the minutes into the shift that are multiples of it; nothing folds
+the trace, and it changes no other record. A traced minute computes
+the level from scratch and, while driving, the hazard rate, and raises
+if the rate exceeds the bound, so a traced run checks the certificates
+and the bound of the untraced one.
 
 This module is the core of the run: the agent, the heap loop, the shift
-boundaries, the activity changes, the minute's ORD level and hazard
-draw, and education's two effects (a fuller overnight recovery, and
+boundaries, the activity changes, the minute's ORD level and hazard,
+and education's two effects (a fuller overnight recovery, and
 fatigue events that move a specialist's lifecycle). Every block but
 education keeps its fleet-run code next to its protocol, in ``engagement``,
 ``vigilance``, ``awareness`` and ``scheduling``, as plain functions that
 take the runner as ``run``. ``ScenarioRunner`` reads each toggle once,
-when it is built, and lists the enabled blocks' minute checks and hooks
-(shift opener, start driving, leave driving, shift end), so a block that
-is off never runs. Two cross-block effects test a toggle again: a
-detector alert restarts the engagement gap, and survey outreach
-reassigns only with scheduling on.
+when it is built, and lists the enabled blocks' minute checks, the
+detector and hooks (shift opener, start driving, leave driving, shift
+end), so a block that is off never runs. Two cross-block effects test
+a toggle again: a detector alert restarts the engagement gap, and
+survey outreach reassigns only with scheduling on.
 
 No engagement item or secondary alert is scheduled at or after the
 shift end. In the ``SHIFT_DRAIN_S`` seconds the loop runs after it, only
@@ -61,8 +88,8 @@ dropped. Validation keeps every delay within the drain, so each shift
 leaves an empty heap.
 
 Randomness comes from independent substreams, one per purpose (hazard,
-ict, raters, breaks, sa) per specialist plus one fleet stream for rater
-qualification, each seeded from ``sha256`` of (seed, purpose, id).
+ict, dms, raters, breaks, sa) per specialist plus one fleet stream for
+rater qualification, each seeded from ``sha256`` of (seed, purpose, id).
 Toggling a block or adding a specialist leaves every other stream's
 draws unchanged, which gives paired runs common random numbers, and
 identical configurations produce byte-identical event logs. Idle
@@ -76,6 +103,7 @@ calibration.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import io
 import math
@@ -118,6 +146,30 @@ _IDLE = FatigueContext(on_task=False)
 _ASLEEP = FatigueContext(on_task=False, asleep=True)
 
 
+@functools.lru_cache(maxsize=64)
+def _minute_plan(checks: tuple, fleet_checks: tuple, sample_period_s: int, duration_min: int):
+    """A shift's minute ticks, by minutes into the shift: the checks due,
+    the fleet checks due, whether the trace samples, and the next minute
+    with any of these or the shift end. A check falls due on the minute
+    ticks that are a whole number of its cadence into the shift, but not
+    at the start; the trace samples at the start too. Cached on the
+    runner's tables, which every run of a configuration shares."""
+    plan = []
+    following = duration_min
+    for minute in range(duration_min, -1, -1):
+        elapsed = minute * 60
+        due = tuple(check for cadence, check in checks if minute and elapsed % cadence == 0)
+        fleet_due = tuple(
+            check for cadence, check in fleet_checks if minute and elapsed % cadence == 0
+        )
+        sample = sample_period_s > 0 and elapsed % sample_period_s == 0
+        plan.append((due, fleet_due, sample, following))
+        if due or fleet_due or sample:
+            following = minute
+    plan.reverse()
+    return tuple(plan)
+
+
 def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
     """Per-specialist susceptibility scales fatigue accumulation rates."""
     if susceptibility == 1.0:
@@ -132,17 +184,18 @@ def _scaled_params(model: ModelParams, susceptibility: float) -> ModelParams:
 class _Agent:
     """Mutable per-specialist runtime state."""
 
-    def __init__(self, cfg: ScenarioConfig, spec) -> None:
+    def __init__(self, cfg: ScenarioConfig, spec, wake: list) -> None:
         self.spec = spec
         self.params = _scaled_params(cfg.model, spec.susceptibility)
         who = spec.specialist_id
         # hazard: incautious-behavior draws. ict: ICT responses and the
-        # break after an intervention. raters: detector observations and
+        # break after an intervention. dms: the detector's gaps. raters:
         # every rating and validation draw. breaks: self-reports, break
         # compliance and activities, invited and impromptu breaks, peer
         # concerns. sa: control transitions and secondary alerts.
         self.rng_hazard = substream(cfg.seed, "hazard", who)
         self.rng_ict = substream(cfg.seed, "ict", who)
+        self.rng_dms = substream(cfg.seed, "dms", who)
         self.rng_raters = substream(cfg.seed, "raters", who)
         self.rng_breaks = substream(cfg.seed, "breaks", who)
         self.rng_sa = substream(cfg.seed, "sa", who)
@@ -160,6 +213,25 @@ class _Agent:
         # re-anchor voids the certificate.
         self.ord_level = 0
         self.ord_until = -math.inf
+        # The first minute tick with work for this agent (a lapsed
+        # certificate, a hazard or detector candidate); -inf for the
+        # first tick not yet run. A re-anchor sets it so and raises the
+        # runner's ``wake`` flag, shared by every agent of the run.
+        self.due = -math.inf
+        self.wake = wake
+        # The hazard draws ahead (``ScenarioRunner._draw_hazard``): of the
+        # driving ticks counted from tick hazard_from, the first
+        # hazard_left draw at or over the bound and the next draws
+        # hazard_draw under it, at tick hazard_due while the agent drives.
+        self.hazard_left = math.inf
+        self.hazard_from = 0
+        self.hazard_due = math.inf
+        self.hazard_draw = 1.0
+        # The detector flags at observed minute dms_due, a gap drawn at
+        # the flag probability of level dms_level (None: draw at the next
+        # visit).
+        self.dms_level: Optional[int] = None
+        self.dms_due = math.inf
         self.activity = Activity.OFF_SHIFT
         self.session_start = 0
         self.session_had_incautious = False
@@ -221,6 +293,8 @@ class _Agent:
         self._evaluated = (t, self.anchor)
         self.ctx = ctx
         self.ord_until = -math.inf
+        self.due = -math.inf
+        self.wake[0] = True
 
     def certify_ord(self, t: int) -> int:
         """Evaluate the ground-truth ORD level at ``t`` and certify it
@@ -264,8 +338,13 @@ class ScenarioRunner:
         # The log folds the metrics as the run appends it, and keeps its
         # records or streams them into ``stream`` (see ``run_scenario``).
         self._fold = MetricsFold()
-        self.log = EventLog(cfg.seed, cfg.config_hash(), stream, self._fold)
-        self.agents = [_Agent(cfg, spec) for spec in cfg.fleet]
+        # Only a streamed log writes the config hash, in its header.
+        self.log = EventLog(
+            cfg.seed, None if stream is None else cfg.config_hash(), stream, self._fold
+        )
+        # Raised by an agent's re-anchor: the minute item may be due sooner.
+        self._wake = [False]
+        self.agents = [_Agent(cfg, spec, self._wake) for spec in cfg.fleet]
         # The enabled blocks' functions, listed once. The minute checks
         # keep their order within the minute, each as (cadence in whole
         # seconds, check): the minute item calls a due check as
@@ -274,7 +353,9 @@ class ScenarioRunner:
         # the other hooks as hook(self, agent, t). They are plain
         # functions: bound methods here would make the runner a reference
         # cycle that outlives the run until the cyclic garbage collector
-        # finds it. Validation keeps every cadence at least a second.
+        # finds it. Validation keeps every cadence at least a second. The
+        # detector, if on, is called as detector(self, agent, t, ORD level)
+        # at each driving minute its agent is visited.
         toggles = cfg.toggles
         self.checks: list = []
         self.fleet_checks: list = []
@@ -282,6 +363,7 @@ class ScenarioRunner:
         self.start_driving_hooks: list = []
         self.leave_driving_hooks: list = []
         self.shift_end_hooks: list = []
+        self.detector = None
         if toggles.engagement:
             self.start_driving_hooks.append(eng.start_driving)
             self.leave_driving_hooks.append(eng.leave_driving)
@@ -290,6 +372,8 @@ class ScenarioRunner:
             self.checks += vig.checks(cfg)
             self.fleet_checks += vig.fleet_checks(cfg)
             self.shift_openers.append(vig.qualify_raters)
+            self.start_driving_hooks.append(vig.start_driving)
+            self.detector = vig.detect
         if toggles.awareness:
             self.checks += aw.checks(cfg)
             self.start_driving_hooks.append(aw.start_driving)
@@ -303,6 +387,23 @@ class ScenarioRunner:
         # is at most 1, alertness at least 0, and IEEE rounding is monotone.
         self._hazard_bound = cfg.hazard.rate(1.0, 0.0)
         self.horizon_s = cfg.horizon_days * 86400
+        # No run has more driving minutes than minute ticks, so a hazard
+        # candidate further ahead than this never falls due.
+        self._tick_cap = cfg.horizon_days * (cfg.shift.duration_min + 1)
+        # Each agent's first candidate, in driving ticks from its first drive.
+        for agent in self.agents:
+            self._draw_hazard(agent)
+        self._plan = _minute_plan(
+            tuple(self.checks),
+            tuple(self.fleet_checks),
+            cfg.sample_period_s,
+            cfg.shift.duration_min,
+        )
+        # The second the minute item runs next, and the seconds of the
+        # minute items on the heap; a minute item that pops at another
+        # second than _minute_at is stale.
+        self._minute_at = math.inf
+        self._minute_items: set = set()
         self._heap: list = []
         self._heap_seq = 0
         self._heap_high_water = 0
@@ -345,7 +446,8 @@ class ScenarioRunner:
 
     def live(self, live: bool) -> bool:
         """Whether a popped item still applies; a stale one (its token was
-        superseded, or its agent left the activity it needs) is counted and dropped."""
+        superseded, a minute item was pulled forward past it, or its agent
+        left the activity it needs) is counted and dropped."""
         if not live:
             self._stale_dropped += 1
         return live
@@ -453,9 +555,11 @@ class ScenarioRunner:
                 active,
                 duration,
             )
-        self.schedule(shift_start, self.PHASE_MINUTE, ScenarioRunner._on_minute, active)
+        self._schedule_minute(shift_start, active)
 
         heap = self._heap
+        wake = self._wake
+        wake[0] = False
         loop_end = shift_end + SHIFT_DRAIN_S
         visited = None
         while heap and heap[0][0] <= loop_end:
@@ -465,6 +569,13 @@ class ScenarioRunner:
                 visited = t
                 self._visits += 1
             handler(self, t, *args)
+            if wake[0]:
+                # An agent re-anchored: its certificate lapsed, so it has
+                # work at the first minute tick not yet run.
+                wake[0] = False
+                at = self._open_tick(t)
+                if at < self._minute_at and at <= shift_end:
+                    self._schedule_minute(at, active)
         if heap:
             # Validation bounds every delay by the drain.
             raise RuntimeError(
@@ -475,24 +586,51 @@ class ScenarioRunner:
         for agent in agents:
             self.start_break(agent, t, duration_min, "scheduled", "scheduled")
 
+    def _open_tick(self, t: int) -> int:
+        """The first minute tick at or after second ``t`` whose minute
+        item has not run."""
+        if t % 60 == 0 and (t, self.PHASE_MINUTE) > self._popped:
+            return t
+        return (t // 60 + 1) * 60
+
+    def _schedule_minute(self, t: int, agents: list) -> None:
+        """Run the minute item next at tick ``t``, pushing it unless an item
+        is on the heap for that second already."""
+        self._minute_at = t
+        if t not in self._minute_items:
+            self._minute_items.add(t)
+            self.schedule(t, self.PHASE_MINUTE, ScenarioRunner._on_minute, agents)
+
     def _on_minute(self, t: int, agents: list) -> None:
-        """Every active agent's minute, then the fleet's checks; on the
-        last minute, the shift end (shift lengths are whole minutes)."""
-        elapsed = t - self.shift_start
-        period = self.cfg.sample_period_s
-        sample = period > 0 and elapsed % period == 0
-        # Every check but the trace waits for its first cadence to pass.
-        due = [check for cadence, check in self.checks if elapsed and elapsed % cadence == 0]
+        """The minute of every active agent with work at tick ``t`` (all of
+        them when a check or the trace falls due), then the fleet's
+        checks; then the item moves to the first later tick with work: the
+        plan's next, or an agent's own. On the last minute it ends the
+        shift (shift lengths are whole minutes)."""
+        self._minute_items.discard(t)
+        if not self.live(t == self._minute_at):
+            return
+        due, fleet_due, sample, next_minute = self._plan[(t - self.shift_start) // 60]
+        everyone = sample or due
         for agent in agents:
-            self._agent_minute(agent, t, sample, due)
-        for cadence, check in self.fleet_checks:
-            if elapsed and elapsed % cadence == 0:
-                check(self, t)
-        if t < self.shift_end:
-            self.schedule(t + 60, self.PHASE_MINUTE, ScenarioRunner._on_minute, agents)
-        else:
+            if everyone or agent.due <= t:
+                self._agent_minute(agent, t, sample, due)
+        for check in fleet_due:
+            check(self, t)
+        if t == self.shift_end:
+            self._minute_at = math.inf
             for agent in agents:
                 self._end_shift(agent, t)
+            return
+        nearest = t + 60
+        at = self.shift_start + 60 * next_minute
+        if at > nearest:
+            for agent in agents:
+                if agent.due < at:
+                    at = max(agent.due, nearest)
+                    if at == nearest:
+                        break
+        self._schedule_minute(at, agents)
 
     # -- shift boundaries ---------------------------------------------
 
@@ -514,12 +652,14 @@ class ScenarioRunner:
 
     def _agent_minute(self, agent: _Agent, t: int, sample: bool, due: list) -> None:
         """The agent's minute ``t``: the ORD level (and, if ``sample``, the
-        state trace), the hazard draw, then the ``due`` checks. The state
+        state trace), the hazard and the detector at a candidate tick, then
+        the ``due`` checks; then the agent's next tick with work. The state
         is evaluated only where a value is read: once the ORD certificate
-        has expired, for a hazard draw under the bound on every rate, and
-        in the checks that read alertness. A traced minute evaluates both
-        the ORD level and the hazard rate, so a traced run checks the
-        certificate and the bound against the untraced one."""
+        has expired, at a hazard candidate, and in the checks that read
+        alertness. A traced minute computes the level from scratch and,
+        while driving, the hazard rate, and raises if the rate exceeds the
+        bound, so a traced run checks the certificate and the bound
+        against the untraced one."""
         who = agent.spec.specialist_id
         driving = agent.activity is Activity.DRIVING
 
@@ -548,15 +688,56 @@ class ScenarioRunner:
             )
 
         if driving:
-            # Incautious-behavior hazard accrues per driving minute.
-            draw = agent.rng_hazard.random()
-            if (draw < self._hazard_bound or sample) and draw < self.cfg.hazard.rate(
-                agent.state(t)[2], agent.alertness(t)
-            ):
-                self.log.append(t, "incautious", who)
-                agent.session_had_incautious = True
+            # Incautious-behavior hazard accrues per driving minute; only a
+            # candidate tick, whose draw fell under the bound, reads the rate.
+            if t == agent.hazard_due or sample:
+                rate = self.cfg.hazard.rate(agent.state(t)[2], agent.alertness(t))
+                if rate > self._hazard_bound:
+                    raise RuntimeError(f"hazard rate {rate!r} of {who} at {t} exceeds its bound")
+                if t == agent.hazard_due:
+                    if agent.hazard_draw < rate:
+                        self.log.append(t, "incautious", who)
+                        agent.session_had_incautious = True
+                    agent.hazard_from = t + 60
+                    self._draw_hazard(agent)
+            if self.detector is not None:
+                self.detector(self, agent, t, level)
         for check in due:
             check(self, agent, t, level)
+
+        # The next tick with work: the first past the certificate, or a
+        # hazard or detector candidate while driving.
+        until = agent.ord_until
+        if until < t:
+            next_due = t + 60
+        elif until < math.inf:
+            next_due = (int(until) // 60 + 1) * 60
+        else:
+            next_due = until
+        if agent.activity is Activity.DRIVING:
+            if agent.hazard_due < next_due:
+                next_due = agent.hazard_due
+            if agent.dms_due < next_due:
+                next_due = agent.dms_due
+        agent.due = next_due
+
+    def _draw_hazard(self, agent: _Agent) -> None:
+        """Draw the hazard ahead from ``agent.hazard_from``: uniforms until
+        one falls under the bound, one per driving tick, as the per-minute
+        draw would take them. A bound of 0, or a candidate past every tick
+        the run has, leaves none."""
+        bound = self._hazard_bound
+        left = math.inf
+        if bound > 0:
+            draw = agent.rng_hazard.random
+            for skipped in range(self._tick_cap + 1):
+                value = draw()
+                if value < bound:
+                    agent.hazard_draw = value
+                    left = skipped
+                    break
+        agent.hazard_left = left
+        agent.hazard_due = agent.hazard_from + 60 * left
 
     def record_fatigue_event(
         self, agent: _Agent, t: int, severity: str, source: str
@@ -604,6 +785,9 @@ class ScenarioRunner:
             Activity.DRIVING,
             FatigueContext(on_task=True, monotony=self.cfg.behavior.monotony),
         )
+        # The hazard counts driving ticks from the first one not yet run.
+        agent.hazard_from = self._open_tick(t)
+        agent.hazard_due = agent.hazard_from + 60 * agent.hazard_left
         for hook in self.start_driving_hooks:
             hook(self, agent, t)
 
@@ -612,6 +796,8 @@ class ScenarioRunner:
         ``session_end``. The caller enters the next activity."""
         if agent.activity is not Activity.DRIVING:
             return
+        # Bank the driving ticks run since hazard_from.
+        agent.hazard_left -= (self._open_tick(t) - agent.hazard_from) // 60
         for hook in self.leave_driving_hooks:
             hook(self, agent, t)
         duration_min = (t - agent.session_start) / 60.0
@@ -792,8 +978,8 @@ def run_ablation(
     values = {}
     for name, toggles in toggle_sets:
         for seed in seeds:
-            run_cfg = cfg.with_overrides(seed=seed, toggles=toggles)
-            _, metrics = run_scenario(run_cfg)
+            # run_scenario validates the run's config.
+            _, metrics = run_scenario(replace(cfg, seed=seed, toggles=toggles))
             values[(name, seed)] = _metric_summary(metrics)
     return AblationResult(
         toggle_set_names=tuple(names),

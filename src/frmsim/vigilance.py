@@ -15,21 +15,23 @@ escalated or drawn by routine periodic sampling; blinding is structural.
 
 In the fleet run (``frmsim.sim``) the functions at the end of this
 module take the runner as ``run``. The fleet's raters are qualified once,
-at the first shift's start. Each minute the detector observes every
-driving specialist at their ORD level, and on its cadence a rater
-rates a recent window of each one's video. A detector flag alerts the
-specialist and opens a route-one case, and a single high rating a
-route-two case; the case is carried on the heap across the rating
-latency and resolved then, possibly after the shift end. A confirmed
-case sends the specialist on a break, or at level 5 retrieves the
-vehicle. The fleet's reliability checkpoint logs the kappa over every
-validation rating so far, from running per-pair counts
+at the first shift's start. The detector observes each driving
+specialist at their ORD level on its cadence; it draws the gap to its
+next flag rather than each observation (``detect``). On its own
+cadence a rater rates a recent window of each one's video. A detector
+flag alerts the specialist and opens a route-one case, and a single
+high rating a route-two case; the case is carried on the heap across
+the rating latency and resolved then, possibly after the shift end. A
+confirmed case sends the specialist on a break, or at level 5 retrieves
+the vehicle. The fleet's reliability checkpoint logs the kappa over
+every validation rating so far, from running per-pair counts
 (``run.agreement``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -517,10 +519,7 @@ def qualify_rater(
 
 def checks(cfg) -> list:
     """The minute check table's entries, as (cadence in seconds, check)."""
-    return [
-        (int(cfg.dms.observation_period), _detector_check),
-        (int(cfg.vigilance.periodic_cadence_min * 60), _periodic_rating),
-    ]
+    return [(int(cfg.vigilance.periodic_cadence_min * 60), _periodic_rating)]
 
 
 def fleet_checks(cfg) -> list:
@@ -612,17 +611,52 @@ def _open_case(
     return resolve_at
 
 
-def _detector_check(run, agent, t: int, true_ord: int) -> None:
-    """The detector observes a driving agent out of its cooldown at
-    ORD level ``true_ord``; a flag alerts them and opens a route-one
-    case."""
-    cfg = run.cfg
-    if (
-        agent.activity is not Activity.DRIVING
-        or t < agent.dms_cooldown_until
-        or not dms_observe(true_ord, cfg.dms, agent.rng_raters)
-    ):
+def start_driving(run, agent, t: int) -> None:
+    """A driving session starts: the detector's gap is drawn at the first
+    visit of the session, which knows the level."""
+    agent.dms_level = None
+    agent.dms_due = math.inf
+
+
+def _draw_gap(run, agent, t: int, level: int) -> None:
+    """Draw the observed minutes from tick ``t`` up to the detector's next
+    flag at ``level``: a geometric gap (Devroye 1986, ch. X.2), which keeps
+    the law of one observation per observed minute. The detector observes
+    a driving agent out of its cooldown on the minute ticks a whole number
+    of ``observation_period`` into the shift."""
+    dms = run.cfg.dms
+    agent.dms_level = level
+    if level >= dms.detect_threshold_ord:
+        p = 1.0 - dms.false_negative_rate
+    else:
+        p = dms.false_positive_rate
+    if p <= 0.0:
+        agent.dms_due = math.inf
         return
+    step = math.lcm(60, int(dms.observation_period))
+    origin = run.shift_start
+    start = max(t, agent.dms_cooldown_until, origin + step)
+    first = origin - (origin - start) // step * step
+    gap = 0.0
+    if p < 1.0:
+        gap = math.log(1.0 - agent.rng_dms.random()) / math.log1p(-p)
+    # The shift has (shift_end - first) // step + 1 observations left; a
+    # gap past the last never falls due.
+    if gap >= (run.shift_end - first) // step + 1:
+        agent.dms_due = math.inf
+    else:
+        agent.dms_due = first + step * int(gap)
+
+
+def detect(run, agent, t: int, true_ord: int) -> None:
+    """The detector at a visited minute of a driving agent at ORD level
+    ``true_ord``: a new level redraws the gap, and at its end a flag
+    alerts the agent and opens a route-one case."""
+    if true_ord != agent.dms_level:
+        _draw_gap(run, agent, t, true_ord)
+    if t != agent.dms_due:
+        return
+    cfg = run.cfg
     who = agent.spec.specialist_id
     flag_id = f"flag-{run.flag_seq}"
     run.flag_seq += 1
@@ -632,7 +666,11 @@ def _detector_check(run, agent, t: int, true_ord: int) -> None:
         # The alert is an interaction: the engagement gap restarts.
         eng.interact(run, agent, t)
         eng.plan_ict(run, agent, t)
+    # The alert's re-anchor brings a visit at the next tick, which draws
+    # the next gap.
     agent.reanchor(t, agent.ctx, task_load_scale=1.0 - cfg.behavior.alert_relief)
+    agent.dms_level = None
+    agent.dms_due = math.inf
     feed = Feed(who, t - cfg.dms.observation_period, t, escalated=True)
     resolve_at = _open_case(run, agent, t, Route.ROUTE_ONE, feed, true_ord)
     agent.dms_cooldown_until = resolve_at + int(cfg.vigilance.flag_cooldown_min * 60)

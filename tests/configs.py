@@ -147,8 +147,9 @@ def retrieval_config(seed: int):
 
 
 def traced_fleet_config(seed: int, toggles: Toggles):
-    """Five specialists of susceptibility 0.8 to 1.2 over three night
-    shifts, each with one scheduled break, traced every minute."""
+    """Five specialists of susceptibility 0.8 to 1.2 over three days (two
+    night shifts), each shift with one scheduled break, traced every
+    minute."""
     return cfg_with(
         seed=seed,
         horizon_days=3,

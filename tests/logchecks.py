@@ -6,7 +6,7 @@ import dataclasses
 import io
 import math
 from collections import Counter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from frmsim.config import HazardConfig, ScenarioConfig, Toggles, default_config
 from frmsim.events import Event, EventLog, WrittenLog, read_jsonl
@@ -167,10 +167,13 @@ def assert_log_conserved(log: Iterable[Event]) -> None:
     shift start, and no follow-up survey answers one of an earlier
     shift. A second has at most one ``reliability`` record; its kappa is
     the batch fold of every ``rating`` record logged before it, and its
-    ``ratings`` counts those on tasks that more than one rater rated."""
+    ``ratings`` counts those on tasks that more than one rater rated.
+    Each ``sa_decision`` with ``issued`` true is followed by one
+    ``sa_issued`` record of its specialist, and no other is logged."""
     previous = None
     prompts: dict[str, int] = {}
     sa_issued: dict[str, int] = {}
+    sa_decided: Counter = Counter()
     cases: dict[str, int] = {}
     on_break: dict[str, bool] = {}
     ratings: list[OrdRating] = []
@@ -185,7 +188,13 @@ def assert_log_conserved(log: Iterable[Event]) -> None:
             pid = event.data["prompt_id"]
             assert pid in prompts, f"outcome for unknown prompt {pid}"
             prompts[pid] += 1
+        elif event.type == "sa_decision":
+            sa_decided[event.specialist] += event.data["issued"]
         elif event.type == "sa_issued":
+            assert sa_decided[event.specialist] > 0, (
+                f"sa_issued {event.data['sa_id']} without an issued decision"
+            )
+            sa_decided[event.specialist] -= 1
             sa_issued.setdefault(event.data["sa_id"], 0)
         elif event.type == "sa_resolved":
             sid = event.data["sa_id"]
@@ -222,6 +231,8 @@ def assert_log_conserved(log: Iterable[Event]) -> None:
                 f"reliability at {event.time} counts {event.data['ratings']} "
                 f"ratings, {shared} are on shared tasks"
             )
+    unissued = sorted(who for who, count in sa_decided.items() if count)
+    assert not unissued, f"issued sa_decision records never issued for {unissued}"
     unclosed = sorted(who for who, open_ in on_break.items() if open_)
     assert not unclosed, f"breaks never ended for {unclosed}"
     for name, counts in (("prompt", prompts), ("sa", sa_issued), ("case", cases)):
@@ -329,6 +340,54 @@ def incautious_vs_hazard(hazard: HazardConfig, log: Iterable[Event]) -> tuple[in
             rate = hazard.rate(event.data["task_load"], event.data["alertness"])
             expected += rate
             variance += rate * (1.0 - rate)
+    return observed, expected, variance
+
+
+def dms_observations(cfg: ScenarioConfig, log: Iterable[Event]) -> Iterator[tuple[Event, float]]:
+    """Oracle: the detector's observations in a log of ``cfg`` traced at
+    60 s, as (``state_sample``, probability that it flags). The detector
+    observes a specialist at the minutes their ``state_sample`` is on
+    task, a whole number of ``dms.observation_period`` into the shift and
+    out of the cooldown that follows each ``dms_flag`` (to the flag's
+    validation plus ``vigilance.flag_cooldown_min``). It flags with
+    probability 1 - ``false_negative_rate`` at a sampled ORD level at or
+    above ``detect_threshold_ord`` and ``false_positive_rate`` below it.
+    With vigilance off the detector observes nothing."""
+    if not cfg.toggles.vigilance:
+        return
+    dms = cfg.dms
+    cadence = int(dms.observation_period)
+    cooldown_s = int(cfg.vigilance.rating_latency_s) + int(cfg.vigilance.flag_cooldown_min * 60)
+    shift_start: dict[str, int] = {}
+    cooldown_until: dict[str, int] = {}
+    for event in log:
+        who = event.specialist
+        if event.type == "shift_start":
+            shift_start[who] = event.time
+        elif event.type == "dms_flag":
+            cooldown_until[who] = event.time + cooldown_s
+        elif event.type == "state_sample" and event.data["on_task"]:
+            assert event.data["period_s"] == 60, "the detector oracle needs a trace every minute"
+            elapsed = event.time - shift_start[who]
+            if elapsed and elapsed % cadence == 0 and event.time >= cooldown_until.get(who, 0):
+                if event.data["ord"] >= dms.detect_threshold_ord:
+                    yield event, 1.0 - dms.false_negative_rate
+                else:
+                    yield event, dms.false_positive_rate
+
+
+def dms_vs_expected(cfg: ScenarioConfig, log: Iterable[Event]) -> tuple[int, float, float]:
+    """Oracle: the ``dms_flag`` count of a log of ``cfg`` traced at 60 s,
+    with its mean and variance. Each observation (``dms_observations``)
+    flags with a probability set before it, so the count has the summed
+    probabilities p as its mean and the summed p(1 - p) as its variance,
+    whatever blocks are on. Returns (observed, expected, variance)."""
+    events = list(log)
+    observed = sum(1 for event in events if event.type == "dms_flag")
+    expected = variance = 0.0
+    for _, p in dms_observations(cfg, events):
+        expected += p
+        variance += p * (1.0 - p)
     return observed, expected, variance
 
 

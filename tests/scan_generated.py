@@ -21,10 +21,13 @@ traced run evaluates the fatigue state at every minute, while the
 untraced one skips minutes on the ORD certificate and the hazard-rate
 bound, so equal records show that neither skipped a change. The traced
 runs' ``incautious`` counts, pooled over every draw, must lie within 4
-SD of their summed per-minute hazard rates (``incautious_vs_hazard``);
-a single draw may expect well under one event, so the draws are pooled
-rather than held one by one. Exits 1 if any record is outside the
-off-shift types, any log fails a check or the pooled count strays.
+SD of their summed per-minute hazard rates (``incautious_vs_hazard``),
+and their ``dms_flag`` counts within 4 SD of the summed flag
+probabilities of the minutes the detector observes
+(``dms_vs_expected``); a single draw may expect well under one event,
+so the draws are pooled rather than held one by one. Exits 1 if any
+record is outside the off-shift types, any log fails a check or a
+pooled count strays.
 
 Too slow for the unit tests (about a minute), so pytest does not collect it.
 Run from the repository root::
@@ -57,6 +60,7 @@ from logchecks import (  # noqa: E402
     assert_log_conserved,
     assert_trace_observes_only,
     carried_followups,
+    dms_vs_expected,
     incautious_vs_hazard,
     off_shift_records,
     read_log,
@@ -105,6 +109,7 @@ def main(rewrite: bool = False) -> int:
     carried = []
     reliability = 0
     hazard = [0, 0.0, 0.0]
+    detector = [0, 0.0, 0.0]
     failures = []
     for seed in GENERATOR_SEEDS:
         rng = random.Random(seed)
@@ -130,6 +135,8 @@ def main(rewrite: bool = False) -> int:
                 traced = assert_trace_observes_only(cfg)
                 for i, value in enumerate(incautious_vs_hazard(cfg.hazard, traced)):
                     hazard[i] += value
+                for i, value in enumerate(dms_vs_expected(cfg, traced)):
+                    detector[i] += value
             except AssertionError as exc:
                 failures.append(f"{seed}/{draw}: {exc}")
             if not round_trips(cfg, header, records, log.written):
@@ -151,13 +158,17 @@ def main(rewrite: bool = False) -> int:
             f"triggered by {event.data['triggered_by']}"
         )
     print(f"reliability records: {reliability}")
-    z = z_score(*hazard)
-    print(
-        f"incautious records in the traced runs: {hazard[0]} against "
-        f"{hazard[1]:.1f} expected from the hazard (z {z:+.2f})"
-    )
-    if abs(z) > MAX_POOLED_Z:
-        failures.append(f"pooled incautious count: |z| {abs(z):.2f} > {MAX_POOLED_Z:g}")
+    for type_, counts, source in (
+        ("incautious", hazard, "the hazard"),
+        ("dms_flag", detector, "the detector's observations"),
+    ):
+        z = z_score(*counts)
+        print(
+            f"{type_} records in the traced runs: {counts[0]} against "
+            f"{counts[1]:.1f} expected from {source} (z {z:+.2f})"
+        )
+        if abs(z) > MAX_POOLED_Z:
+            failures.append(f"pooled {type_} count: |z| {abs(z):.2f} > {MAX_POOLED_Z:g}")
     print(f"logs failing the checks: {len(failures)}")
     for failure in failures:
         print(f"  {failure}")

@@ -69,9 +69,10 @@ def dual_fleet_config(seed: int):
 
 
 def escalation_config(seed: int):
-    """Three highly susceptible specialists rated by raters who read high,
-    so both escalation routes reach every outcome (route two through
-    vehicle retrieval) and secondary alerts both clear and time out."""
+    """Three highly susceptible specialists over four shifts, rated by
+    raters who read high, so both escalation routes reach every outcome
+    (route two through vehicle retrieval, the rarest: at 12 of seeds
+    0-29) and secondary alerts both clear and time out."""
     base = default_config(seed=seed)
     fleet = tuple(
         SpecialistDef(
@@ -84,7 +85,7 @@ def escalation_config(seed: int):
     )
     cfg = dataclasses.replace(
         base,
-        horizon_days=3,
+        horizon_days=5,
         fleet=fleet,
         vigilance=dataclasses.replace(
             base.vigilance,

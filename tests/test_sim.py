@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from frmsim import awareness
-from frmsim.config import ConfigError, ScenarioConfig, Toggles, default_config
+from frmsim.config import ConfigError, HazardConfig, ScenarioConfig, Toggles, default_config
 from frmsim.events import EventLog, LogParseError, read_jsonl
 from frmsim.metrics import DETECTION_GRACE_S, compute_metrics
 from frmsim.sim import (
@@ -27,7 +27,10 @@ from configs import odd_shift_configs, random_config, reassignment_config, trace
 from logchecks import (
     BLOCK_RECORD_TYPES,
     assert_log_conserved,
+    assert_trace_observes_only,
     cfg_with,
+    dms_observations,
+    dms_vs_expected,
     fold_state_samples,
     incautious_vs_hazard,
     log_digest,
@@ -246,8 +249,10 @@ def test_break_request_due_as_a_break_ends_is_dropped():
 
 
 def test_items_a_guard_drops_count_as_stale(monkeypatch):
-    # With engagement off no item carries a generation token, so every
-    # stale item is a break or survey item whose handler logs nothing.
+    # With engagement off no item carries a generation token, and with
+    # the impromptu check due every minute the minute item is never
+    # pulled forward, so every stale item is a break or survey item whose
+    # handler logs nothing.
     runner = ScenarioRunner(
         cfg_with(seed=0, **BREAK_EVERY_MINUTE, **{"toggles.engagement": False})
     )
@@ -648,7 +653,7 @@ def test_calibration_requires_countermeasures_off():
 @pytest.mark.parametrize("toggles", [Toggles.all_off(), Toggles.all_on()], ids=["off", "on"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_incautious_count_matches_the_summed_hazard(seed, toggles):
-    # Five specialists over three shifts, traced every minute: the
+    # Five specialists over two shifts, traced every minute: the
     # simulated incautious count lies within 4 SD of the summed
     # per-minute rates of the hazard that calibrate fits.
     cfg = traced_fleet_config(seed, toggles)
@@ -658,15 +663,100 @@ def test_incautious_count_matches_the_summed_hazard(seed, toggles):
     assert abs(z_score(observed, expected, variance)) <= 4, (observed, expected, variance)
 
 
+@pytest.mark.parametrize("toggles", [Toggles.all_on(), only("vigilance")], ids=["on", "vigilance"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_detector_flags_match_the_summed_flag_probability(seed, toggles):
+    # Five specialists over two shifts, traced every minute: the dms_flag
+    # count lies within 4 SD of the summed flag probabilities of the
+    # minutes the detector observes.
+    cfg = traced_fleet_config(seed, toggles)
+    log, _ = run_scenario(cfg)
+    observed, expected, variance = dms_vs_expected(cfg, log)
+    assert expected > 20
+    assert abs(z_score(observed, expected, variance)) <= 4, (observed, expected, variance)
+
+
+def test_detector_observing_only_the_shift_end_flags_there_at_its_probability():
+    # With the observation period a whole shift, the last minute tick is
+    # the only one observed; every gap but 0 observations passes it.
+    cfg = traced_fleet_config(0, only("vigilance"))
+    dms = dataclasses.replace(
+        cfg.dms,
+        observation_period=float(cfg.shift.duration_min * 60),
+        false_positive_rate=0.5,
+        false_negative_rate=0.5,
+    )
+    cfg = dataclasses.replace(cfg, horizon_days=7, dms=dms)
+    log = list(run_scenario(cfg)[0])
+    ends = {(e.specialist, e.time) for e in log if e.type == "shift_end"}
+    flags = [(e.specialist, e.time) for e in log if e.type == "dms_flag"]
+    observed, expected, variance = dms_vs_expected(cfg, log)
+    assert expected >= 10
+    assert set(flags) <= ends
+    assert abs(z_score(observed, expected, variance)) <= 4, (observed, expected, variance)
+
+
+def test_zero_hazard_ends_and_logs_no_incautious():
+    # Every coefficient 0 bounds every rate by 0: no draw can fall under
+    # it, and the run neither searches for one forever nor logs one.
+    zero = {f"hazard.{name}": 0.0 for name in ("base_per_min", "task_load_gain", "alertness_gain")}
+    for sample_period_s in (0, 60):
+        stats = {}
+        cfg = cfg_with(seed=0, sample_period_s=sample_period_s, **zero)
+        log, _ = run_scenario(cfg, stats=stats)
+        assert stats["shifts_run"] == 1
+        assert "incautious" not in log.type_counts()
+
+
+def test_hazard_clamped_at_one_logs_every_driving_minute():
+    cfg = dataclasses.replace(
+        traced_fleet_config(0, Toggles.all_on()), hazard=HazardConfig(base_per_min=1.0)
+    )
+    log = assert_trace_observes_only(cfg)
+    driving = [
+        (e.specialist, e.time) for e in log if e.type == "state_sample" and e.data["on_task"]
+    ]
+    assert [(e.specialist, e.time) for e in log if e.type == "incautious"] == driving
+
+
+def test_detector_without_false_positives_flags_only_at_the_threshold():
+    cfg = fatigued_cfg(seed=0, **{"dms.false_positive_rate": 0.0})
+    log, _ = run_scenario(cfg)
+    levels = [e.data["true_ord"] for e in log if e.type == "dms_flag"]
+    assert levels
+    assert min(levels) >= cfg.dms.detect_threshold_ord
+
+
+def test_detector_without_false_negatives_flags_every_observed_minute_at_the_threshold():
+    cfg = fatigued_cfg(
+        seed=0,
+        sample_period_s=60,
+        toggles=only("vigilance").__dict__,
+        **{"dms.false_negative_rate": 0.0},
+    )
+    log = list(run_scenario(cfg)[0])
+    flags = {(e.specialist, e.time) for e in log if e.type == "dms_flag"}
+    sure = {(e.specialist, e.time) for e, p in dms_observations(cfg, log) if p == 1.0}
+    assert sure
+    assert sure <= flags
+
+
 # -- shift loop ---------------------------------------------------------------
 
 
 def test_engagement_off_visits_only_minute_ticks_and_items():
-    cfg = default_config(seed=0).with_overrides(toggles=Toggles(engagement=False))
-    stats = {}
-    run_scenario(cfg, stats=stats)
-    minute_ticks = cfg.shift.duration_min + 1
-    assert minute_ticks <= stats["seconds_visited"] < 2 * minute_ticks
+    # The minute item visits a tick only for the work due in it: a check,
+    # a lapsed ORD certificate, a hazard or a detector candidate. With
+    # every block off that is about one tick in five of the 481; with
+    # scheduling on, the five-minute invited-break check alone brings 96.
+    minute_ticks = default_config().shift.duration_min + 1
+    for toggles, most in ((Toggles.all_off(), 150), (Toggles(engagement=False), 250)):
+        cfg = default_config(seed=0).with_overrides(toggles=toggles)
+        stats = {}
+        log, _ = run_scenario(cfg, stats=stats)
+        minute_work = {e.time for e in log if e.type in ("ord_change", "incautious", "dms_flag")}
+        assert len(minute_work) <= stats["seconds_visited"] <= stats["heap_items"]
+        assert stats["seconds_visited"] < most < minute_ticks
 
 
 def test_all_on_visits_only_minute_ticks_and_items():
@@ -691,7 +781,7 @@ def test_fatigue_state_at_any_subset_of_seconds_is_bit_equal():
 
     cfg = default_config(seed=0)
     spec = dataclasses.replace(cfg.fleet[0], susceptibility=1.3, initial_sleep_pressure=0.4)
-    every, sparse = _Agent(cfg, spec), _Agent(cfg, spec)
+    every, sparse = _Agent(cfg, spec, [False]), _Agent(cfg, spec, [False])
     contexts = [
         FatigueContext(on_task=True, monotony=0.9),
         FatigueContext(on_task=False, in_break=True, break_activity=BreakActivity.SOCIAL),
